@@ -36,7 +36,6 @@ from .hypersurface import (
     build_hypersurface_algebra,
     classify,
     flow_point,
-    gauss_numerator,
     gauss_sectional,
     leaf_conjugate,
     mean_curvature,
@@ -45,7 +44,6 @@ from .hypersurface import (
     reference_plane_curvature,
     ricci_closed,
     ricci_extremes,
-    ricci_gauss,
     ricci_polynomial,
     second_fundamental_form,
     second_fundamental_matrix,
@@ -80,8 +78,7 @@ __all__ = [
     "GroupElement", "PlaneScan",
     "second_fundamental_form", "second_fundamental_matrix",
     "shape_spectrum", "mean_curvature",
-    "gauss_numerator", "gauss_sectional",
-    "ricci_gauss", "ricci_closed", "ricci_polynomial", "ricci_extremes",
+    "gauss_sectional", "ricci_closed", "ricci_polynomial", "ricci_extremes",
     "reference_plane", "reference_plane_curvature", "classify",
     "flow_point", "leaf_conjugate", "volume_distortion",
     "build_hypersurface_algebra",

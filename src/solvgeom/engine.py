@@ -12,7 +12,9 @@ The engine computes the Levi-Civita connection from the Koszul formula
 
 the curvature tensor R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z
 - nabla_[X,Y] Z, and from those sectional curvature, Ricci curvature and an
-Einstein test.  It also exposes two extras used by the hypersurface model:
+Einstein test; the Ricci form is the metric-free trace
+Ric(Y, Z) = tr(X -> R(X, Y) Z) (Milnor, Adv. Math. 21, 1976) of the cached
+curvature tensor.  It also exposes two extras used by the hypersurface model:
 
 * trace_form_vector: the metric dual of X -> tr(ad X), i.e. the solution h
   of gram . h = tau with tau_i = tr(ad e_i).
@@ -23,7 +25,8 @@ Einstein test.  It also exposes two extras used by the hypersurface model:
   form but carries no isoperimetric meaning.
 
 Coefficient vectors are plain 1-D float arrays in the algebra's basis.
-All tolerances are absolute.
+All tolerances are absolute, except that a plane is degenerate relative to
+the lengths of its spanning vectors.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ __all__ = [
     "DamekRicciReport",
     "load_algebra_json",
     "dump_algebra_json",
+    "jacobi_residual",
     "ANTISYMMETRY_TOL",
     "JACOBI_TOL",
     "GRAM_EIGENVALUE_FLOOR",
@@ -86,6 +90,13 @@ class DamekRicciReport:
     overall: bool
 
 
+def jacobi_residual(structure) -> float:
+    """Largest entry of [[e_i, e_j], e_k] + cyclic over all basis triples."""
+    c = np.asarray(structure, dtype=float)
+    cyc = np.einsum("ijm,mkl->ijkl", c, c)
+    return float(np.max(np.abs(cyc + cyc.transpose(1, 2, 0, 3) + cyc.transpose(2, 0, 1, 3))))
+
+
 class MetricLieAlgebra:
     """Finite-dimensional real Lie algebra with an inner product.
 
@@ -103,12 +114,14 @@ class MetricLieAlgebra:
         n = c.shape[0]
         if g.shape != (n, n):
             raise ValueError(f"gram matrix must be {n}*{n}, got {g.shape}")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("structure constants are not all finite")
+        if not np.all(np.isfinite(g)):
+            raise ValueError("gram matrix entries are not all finite")
         anti = float(np.max(np.abs(c + np.swapaxes(c, 0, 1))))
         if anti > ANTISYMMETRY_TOL:
             raise ValueError(f"structure constants are not antisymmetric (residual {anti:.3e})")
-        cyc = np.einsum("ijm,mkl->ijkl", c, c)
-        jac = cyc + cyc.transpose(1, 2, 0, 3) + cyc.transpose(2, 0, 1, 3)
-        jres = float(np.max(np.abs(jac)))
+        jres = jacobi_residual(c)
         if jres > JACOBI_TOL:
             raise ValueError(f"Jacobi identity violated (residual {jres:.3e})")
         sym = float(np.max(np.abs(g - g.T)))
@@ -221,6 +234,12 @@ class MetricLieAlgebra:
             - np.einsum("ijm,mkl->ijkl", c, gam)
         )
 
+    @cached_property
+    def _ricci_form(self) -> np.ndarray:
+        """Ric[j, k] = sum_i R_ijk^i, the metric-free trace, symmetrised."""
+        ric = np.einsum("ijki->jk", self._riemann)
+        return 0.5 * (ric + ric.T)
+
     # -- vector helpers ------------------------------------------------------
 
     def _vec(self, x) -> np.ndarray:
@@ -237,24 +256,6 @@ class MetricLieAlgebra:
 
     def bracket_coeffs(self, x, y) -> np.ndarray:
         return np.einsum("i,j,ijk->k", self._vec(x), self._vec(y), self._structure)
-
-    def orthonormal_basis(self, method: str = "gram-schmidt") -> np.ndarray:
-        """Rows are the coefficient vectors of a gram-orthonormal basis."""
-        if method == "gram-schmidt":
-            g = self._gram
-            rows = []
-            for i in range(self.dim):
-                v = np.zeros(self.dim)
-                v[i] = 1.0
-                for u in rows:
-                    v = v - (u @ g @ v) * u
-                v = v / np.sqrt(v @ g @ v)
-                rows.append(v)
-            return np.stack(rows)
-        if method == "symmetric":
-            vals, vecs = np.linalg.eigh(self._gram)
-            return (vecs * (1.0 / np.sqrt(vals))) @ vecs.T
-        raise ValueError(f"unknown orthonormalization method: {method!r}")
 
     # -- connection and curvature --------------------------------------------
 
@@ -273,30 +274,24 @@ class MetricLieAlgebra:
         return float(self.curvature(x, y, z) @ self._gram @ self._vec(w))
 
     def sectional(self, x, y) -> float:
-        """Sectional curvature of span{x, y}; raises on a degenerate plane."""
+        """Sectional curvature of span{x, y}; raises on a degenerate plane,
+        one whose Gram determinant is at most 1e-12 |x|^2 |y|^2."""
         x, y = self._vec(x), self._vec(y)
-        den = self.inner(x, x) * self.inner(y, y) - self.inner(x, y) ** 2
-        if den <= 1e-12:
+        xx, yy = self.inner(x, x), self.inner(y, y)
+        den = xx * yy - self.inner(x, y) ** 2
+        if den <= 1e-12 * xx * yy:
             raise ValueError(f"degenerate plane (gram determinant {den:.3e})")
         return self.curvature_inner(x, y, y, x) / den
 
-    def ricci(self, x, orthonormalization: str = "gram-schmidt") -> float:
-        """Ricci curvature Ric(x, x), the trace of y -> <R(y, x) x, y>."""
+    def ricci(self, x) -> float:
+        """Ricci curvature Ric(x, x), the trace of y -> R(y, x) x."""
         x = self._vec(x)
-        frame = self.orthonormal_basis(orthonormalization)
-        vals = np.einsum(
-            "ai,j,k,ijkl,lm,am->a", frame, x, x, self._riemann, self._gram, frame
-        )
-        return float(np.sum(vals))
+        return float(x @ self._ricci_form @ x)
 
-    def ricci_matrix(self, orthonormalization: str = "gram-schmidt") -> np.ndarray:
+    def ricci_matrix(self) -> np.ndarray:
         """Matrix of the Ricci form in a gram-orthonormal basis."""
-        frame = self.orthonormal_basis(orthonormalization)
-        m = np.einsum(
-            "ki,aj,bl,ijlm,mn,kn->ab",
-            frame, frame, frame, self._riemann, self._gram, frame,
-        )
-        return 0.5 * (m + m.T)
+        frame = self._subspace_orthonormal(range(self.dim))
+        return frame @ self._ricci_form @ frame.T
 
     def einstein_check(self, tol: float) -> tuple[bool, float]:
         """(is Einstein within tol, mean Ricci eigenvalue)."""
@@ -483,7 +478,10 @@ def load_algebra_json(source) -> MetricLieAlgebra:
         raise ValueError(f"'labels' must be a list of {n} strings")
     if "gram" not in doc:
         raise ValueError("missing 'gram'")
-    gram = np.array(doc["gram"], dtype=float)
+    try:
+        gram = np.array(doc["gram"], dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"'gram' must be a {n}*{n} matrix of numbers") from None
     if gram.shape != (n, n):
         raise ValueError(f"'gram' must be a {n}*{n} matrix")
     entries = doc.get("structure")
@@ -495,8 +493,10 @@ def load_algebra_json(source) -> MetricLieAlgebra:
         if not (isinstance(entry, list) and len(entry) == 4):
             raise ValueError(f"structure entries must be [i, j, k, value], got {entry!r}")
         i, j, k, val = entry
-        if not all(isinstance(m, int) for m in (i, j, k)):
+        if not all(isinstance(m, int) and not isinstance(m, bool) for m in (i, j, k)):
             raise ValueError(f"structure indices must be integers, got {entry!r}")
+        if isinstance(val, bool) or not isinstance(val, (int, float)):
+            raise ValueError(f"structure value must be a number, got {entry!r}")
         if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
             raise ValueError(f"structure index out of range in {entry!r}")
         if i >= j:

@@ -20,11 +20,10 @@ Einstein member (a Damek-Ricci space) and alpha = pi/2 a horosphere.
 Curvature of the hypersurface is computed two independent ways and compared
 throughout the test suite:
 
-* extrinsically, from the ambient curvature
-
-      <R(X1, X2) X2, X1> = -<[[phi X1, phi X2], phi X2], phi X1>
-
-  plus the second fundamental form via the Gauss equation, and
+* extrinsically, by the Gauss equation: each model caches the curvature
+  tensor R_ijkl = <R(e_i, e_j) e_k, e_l> of its basis, the ambient term
+  -<[[phi e_i, phi e_j], phi e_k], phi e_l> plus II_il II_jk - II_ik II_jl,
+  and Ricci and sectional curvatures are contractions of it, and
 * intrinsically, by handing the seven-dimensional subalgebra to the generic
   Koszul engine.
 
@@ -62,12 +61,12 @@ __all__ = [
     "HypersurfaceModel", "TangentVector",
     "second_fundamental_form", "second_fundamental_matrix",
     "shape_spectrum", "mean_curvature",
-    "gauss_numerator", "gauss_sectional",
-    "ricci_gauss", "ricci_gauss_many", "ricci_closed", "ricci_closed_many",
+    "gauss_sectional", "ricci_gauss_many", "ricci_closed", "ricci_closed_many",
     "ricci_polynomial", "ricci_extremes",
     "reference_plane", "reference_plane_curvature",
     "Regime", "CurvatureReport", "classify",
-    "GroupElement", "flow_point", "leaf_conjugate", "volume_distortion",
+    "GroupElement", "flow_point", "leaf_conjugate", "foliation_residual",
+    "volume_distortion",
     "build_hypersurface_algebra", "HYPERSURFACE_LABELS",
     "PlaneScan", "nonpositivity_scan", "zero_curvature_search",
     "random_unit_tangents", "random_orthonormal_pairs",
@@ -171,6 +170,28 @@ class HypersurfaceModel:
         m = 2.0 * np.real(np.einsum("iab,jab->ij", p, np.conj(q)))
         return 0.5 * (m + m.T)
 
+    @cached_property
+    def _ambient_tensor(self) -> np.ndarray:
+        """The ambient curvature tensor restricted to ``basis``."""
+        # rows: the basis over AMBIENT_BASIS; H = cos(alpha) H0 + sin(alpha) H1
+        frame = np.eye(7, 8)
+        frame[6, 6:] = math.cos(self.alpha), math.sin(self.alpha)
+        t = _ambient_curvature_tensor()
+        for _ in range(4):
+            t = np.tensordot(t, frame, axes=([0], [1]))
+        return t
+
+    @cached_property
+    def _curvature_tensor(self) -> np.ndarray:
+        """R_ijkl = <R(e_i, e_j) e_k, e_l> by the Gauss equation:
+        the ambient term plus II_il II_jk - II_ik II_jl."""
+        s = self._shape_matrix
+        return (
+            self._ambient_tensor
+            + np.einsum("il,jk->ijkl", s, s)
+            - np.einsum("ik,jl->ijkl", s, s)
+        )
+
 
 @dataclass(frozen=True)
 class TangentVector:
@@ -207,47 +228,44 @@ class TangentVector:
         return SquareComplexMatrix(m)
 
 
-# -- batched kernels ------------------------------------------------------------
+# -- the curvature tensor ---------------------------------------------------------
 
 
 def _phi(batch: np.ndarray) -> np.ndarray:
     return 0.5 * (batch + np.conj(np.swapaxes(batch, -1, -2)))
 
 
-def _inner_ambient_batch(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return 2.0 * np.real(np.sum(x * np.conj(y), axis=(-2, -1)))
+@lru_cache(maxsize=1)
+def _ambient_curvature_tensor() -> np.ndarray:
+    """<R(E_i, E_j) E_k, E_l> = -<[[phi E_i, phi E_j], phi E_k], phi E_l> over
+    AMBIENT_BASIS; independent of alpha, read-only."""
+    p = _phi(np.stack([m.entries for m in AMBIENT_BASIS]))
+    n = len(p)
+    b = p[:, None] @ p[None, :]
+    b = b - np.swapaxes(b, 0, 1)
+    nested = b[:, :, None] @ p - p @ b[:, :, None]
+    flat = nested.reshape(n**3, 9) @ np.conj(p).reshape(n, 9).T
+    out = -2.0 * np.real(flat).reshape(n, n, n, n)
+    out.setflags(write=False)
+    return out
 
 
-def _tangent_matrices(model: HypersurfaceModel, coeffs: np.ndarray) -> np.ndarray:
-    return np.einsum("...k,kab->...ab", coeffs, model.basis_stack)
-
-
-def _gauss_numerator_batch(
+def _plane_terms(
     model: HypersurfaceModel, u: np.ndarray, v: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-equation sectional numerators and plane Gram determinants.
+    """Sectional numerators <R(u, v) v, u> and plane Gram determinants.
 
     ``u`` and ``v`` are (..., 7) coefficient arrays; both returns have the
-    leading shape.
+    leading shape.  The ambient term is contracted as a 49x49 bivector form,
+    the second fundamental form term as II(u, u) II(v, v) - II(u, v)^2.
     """
-    t = model.normal.entries
-    mu, mv = _tangent_matrices(model, u), _tangent_matrices(model, v)
-    pu, pv = _phi(mu), _phi(mv)
-    inner_uv = _inner_ambient_batch(pu, pv)
-    inner_uu = _inner_ambient_batch(pu, pu)
-    inner_vv = _inner_ambient_batch(pv, pv)
-    den = inner_uu * inner_vv - inner_uv**2
-
-    b = pu @ pv - pv @ pu
-    nested = b @ pv - pv @ b
-    amb = -_inner_ambient_batch(nested, pu)
-
-    bu = _phi(mu @ t - t @ mu)
-    bv = _phi(mv @ t - t @ mv)
-    ii_uu = _inner_ambient_batch(pu, bu)
-    ii_vv = _inner_ambient_batch(pv, bv)
-    ii_uv = 0.5 * (_inner_ambient_batch(pu, bv) + _inner_ambient_batch(pv, bu))
-    return amb + ii_uu * ii_vv - ii_uv**2, den
+    q = (u[..., :, None] * v[..., None, :]).reshape(u.shape[:-1] + (49,))
+    bivector = model._ambient_tensor.transpose(0, 1, 3, 2).reshape(49, 49)
+    amb = np.einsum("...a,...a->...", q @ bivector, q)
+    su, sv = u @ model._shape_matrix, v @ model._shape_matrix
+    ii = np.sum(su * u, axis=-1) * np.sum(sv * v, axis=-1) - np.sum(su * v, axis=-1) ** 2
+    den = np.sum(u * u, axis=-1) * np.sum(v * v, axis=-1) - np.sum(u * v, axis=-1) ** 2
+    return amb + ii, den
 
 
 # -- second fundamental form and curvature ---------------------------------------
@@ -257,12 +275,7 @@ def second_fundamental_form(
     model: HypersurfaceModel, x1: TangentVector, x2: TangentVector
 ) -> float:
     """II(X1, X2) = <nabla_X1 T, X2> with respect to the unit normal T."""
-    m1, m2 = x1.matrix(model), x2.matrix(model)
-    t = model.normal
-    return 0.5 * (
-        inner_ambient(hermitian_part(m1), hermitian_part(bracket(m2, t)))
-        + inner_ambient(hermitian_part(m2), hermitian_part(bracket(m1, t)))
-    )
+    return float(x1.coeffs() @ model._shape_matrix @ x2.coeffs())
 
 
 def second_fundamental_matrix(model: HypersurfaceModel) -> np.ndarray:
@@ -280,41 +293,23 @@ def mean_curvature(model: HypersurfaceModel) -> float:
     return float(np.trace(model._shape_matrix))
 
 
-def gauss_numerator(
-    model: HypersurfaceModel, x1: TangentVector, x2: TangentVector
-) -> float:
-    """<R(X1, X2) X2, X1> of the hypersurface via the Gauss equation."""
-    num, _ = _gauss_numerator_batch(model, x1.coeffs(), x2.coeffs())
-    return float(num)
-
-
 def gauss_sectional(
     model: HypersurfaceModel, x1: TangentVector, x2: TangentVector
 ) -> float:
-    """Sectional curvature of span{X1, X2}; raises on a degenerate plane."""
-    num, den = _gauss_numerator_batch(model, x1.coeffs(), x2.coeffs())
-    if den <= 1e-12:
+    """Sectional curvature of span{X1, X2}; raises on a degenerate plane,
+    one whose Gram determinant is at most 1e-12 |X1|^2 |X2|^2."""
+    u, v = x1.coeffs(), x2.coeffs()
+    num, den = _plane_terms(model, u, v)
+    if den <= 1e-12 * (u @ u) * (v @ v):
         raise ValueError(f"degenerate plane (gram determinant {float(den):.3e})")
     return float(num) / float(den)
 
 
 def ricci_gauss_many(model: HypersurfaceModel, coeffs: np.ndarray) -> np.ndarray:
-    """Ricci curvature of each row of ``coeffs`` through the Gauss pipeline."""
+    """Ricci curvature x . Ric . x of each row of ``coeffs``, Ric_jk = R_ijk^i."""
     coeffs = np.asarray(coeffs, dtype=float)
-    squeeze = coeffs.ndim == 1
-    if squeeze:
-        coeffs = coeffs[None, :]
-    n = coeffs.shape[0]
-    frame = np.broadcast_to(np.eye(7), (n, 7, 7))
-    tiled = np.broadcast_to(coeffs[:, None, :], (n, 7, 7))
-    num, _ = _gauss_numerator_batch(model, frame, tiled)
-    out = np.sum(num, axis=-1)
-    return out[0] if squeeze else out
-
-
-def ricci_gauss(model: HypersurfaceModel, x: TangentVector) -> float:
-    """Ricci curvature Ric(X, X), summed Gauss-equation numerators."""
-    return float(ricci_gauss_many(model, x.coeffs()))
+    ric = np.einsum("ijki->jk", model._curvature_tensor)
+    return np.sum((coeffs @ ric) * coeffs, axis=-1)
 
 
 def ricci_closed_many(alpha: float, coeffs: np.ndarray) -> np.ndarray:
@@ -346,7 +341,7 @@ def ricci_polynomial(alpha: float, x: TangentVector) -> float:
 
     Regression form kept verbatim from the computer-algebra expansion of the
     Gauss-equation sum; agrees with ``ricci_closed`` on unit vectors and with
-    ``ricci_gauss`` everywhere.
+    ``ricci_gauss_many`` everywhere.
     """
     alpha = _validate_alpha(alpha)
     s, c = math.sin(alpha), math.cos(alpha)
@@ -498,10 +493,8 @@ def _abelian_diagonals(alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal entries of the axis H(alpha) and the normal T(alpha)."""
     alpha = _validate_alpha(alpha)
     c, s = math.cos(alpha), math.sin(alpha)
-    r = 1.0 / (2.0 * _SQRT3)
-    axis = np.array([0.5 * c + s * r, -s / _SQRT3, -0.5 * c + s * r])
-    normal = np.array([0.5 * s - c * r, c / _SQRT3, -0.5 * s - c * r])
-    return axis, normal
+    h0, h1 = np.diag(H0.entries).real, np.diag(H1.entries).real
+    return c * h0 + s * h1, s * h0 - c * h1
 
 
 @dataclass(frozen=True)
@@ -557,6 +550,13 @@ def leaf_conjugate(q: GroupElement, s: float) -> GroupElement:
         alpha=q.alpha,
         s=q.s,
     )
+
+
+def foliation_residual(q: GroupElement, s: float) -> float:
+    """Largest entry of exp(s T) q' - q exp(s T) for q' = leaf_conjugate(q, s)."""
+    _, normal = _abelian_diagonals(q.alpha)
+    exp_t = np.diag(np.exp(float(s) * normal))
+    return float(np.max(np.abs(exp_t @ leaf_conjugate(q, s).matrix() - q.matrix() @ exp_t)))
 
 
 def volume_distortion(alpha: float, s: float) -> float:
@@ -632,7 +632,7 @@ def nonpositivity_scan(alpha: float, samples: int, seed: int = 0) -> PlaneScan:
     while done < samples:
         m = min(chunk, samples - done)
         u, v = random_orthonormal_pairs(rng, m)
-        num, den = _gauss_numerator_batch(model, u, v)
+        num, den = _plane_terms(model, u, v)
         k = num / den
         i = int(np.argmax(k))
         if k[i] > best_max:
@@ -671,7 +671,7 @@ def _plane_abs_curvature(model: HypersurfaceModel, w: np.ndarray) -> float:
     if nv < 1e-8:
         return math.inf
     v = v / nv
-    num, den = _gauss_numerator_batch(model, u, v)
+    num, den = _plane_terms(model, u, v)
     return abs(float(num) / float(den))
 
 
@@ -694,7 +694,7 @@ def zero_curvature_search(
     model = HypersurfaceModel.from_angle(alpha)
     rng = np.random.default_rng(seed)
     u, v = random_orthonormal_pairs(rng, samples)
-    num, den = _gauss_numerator_batch(model, u, v)
+    num, den = _plane_terms(model, u, v)
     order = np.argsort(np.abs(num / den))
     best_val = math.inf
     best_w = None

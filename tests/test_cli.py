@@ -257,6 +257,30 @@ class TestAlgebra:
         assert rc == 2
         assert "Jacobi identity violated" in err
 
+    def test_non_finite_file_rejected(self, capsys, tmp_path):
+        bad = tmp_path / "nan.json"
+        bad.write_text('{"dim": 2, "gram": [[1, 0], [0, 1]], "structure": [[0, 1, 1, NaN]]}')
+        rc, out, err = run_cli(capsys, "algebra", "cheeger", "--file", str(bad))
+        assert rc == 2
+        assert out == ""
+        assert "not all finite" in err
+
+    def test_missing_file(self, capsys, tmp_path):
+        missing = tmp_path / "absent.json"
+        rc, out, err = run_cli(capsys, "algebra", "cheeger", "--file", str(missing))
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ") and "absent.json" in err
+
+    def test_unwritable_output(self, capsys, tmp_path):
+        target = tmp_path / "no_such_dir" / "out.csv"
+        rc, out, err = run_cli(
+            capsys, "sweep", "--steps", "1", "--samples", "5", "--output", str(target)
+        )
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ") and "out.csv" in err
+
     def test_bad_vector_string(self, capsys):
         rc, _, err = run_cli(
             capsys, "algebra", "ricci", "--alpha", "0", "--vector", "1,two,3"

@@ -197,24 +197,35 @@ class TestConnectionAndCurvature:
         with pytest.raises(ValueError, match="tolerance"):
             hyperbolic_plane().einstein_check(0.0)
 
-    def test_orthonormal_basis_methods(self):
-        g = np.array([[2.0, 0.5], [0.5, 1.0]])
-        alg = MetricLieAlgebra(np.zeros((2, 2, 2)), g)
-        for method in ("gram-schmidt", "symmetric"):
-            frame = alg.orthonormal_basis(method)
-            assert np.max(np.abs(frame @ g @ frame.T - np.eye(2))) <= 1e-12
-        with pytest.raises(ValueError, match="orthonormalization"):
-            alg.orthonormal_basis("qr")
+    def test_small_plane_accepted(self):
+        # the degenerate-plane test is relative to |x|^2 |y|^2
+        alg = round_sphere()
+        e0, e1, _ = np.eye(3)
+        assert alg.sectional(1e-7 * e0, e1) == pytest.approx(0.25, rel=1e-9)
 
-    def test_ricci_methods_agree_on_skewed_gram(self):
+    def test_nearly_parallel_large_plane_rejected(self):
+        alg = round_sphere()
+        e0, e1, _ = np.eye(3)
+        with pytest.raises(ValueError, match="degenerate"):
+            alg.sectional(1e3 * e0, 1e3 * e0 + 1e-4 * e1)  # 1e-7 rad apart
+
+    def test_ricci_on_skewed_gram_matches_frame_trace(self):
         c = np.zeros((2, 2, 2))
         c[0, 1, 1] = 1.0
         c[1, 0, 1] = -1.0
-        alg = MetricLieAlgebra(c, np.array([[4.0, 1.0], [1.0, 2.0]]))
+        g = np.array([[4.0, 1.0], [1.0, 2.0]])
+        alg = MetricLieAlgebra(c, g)
+        # rows of g^(-1/2) form a gram-orthonormal frame
+        vals, vecs = np.linalg.eigh(g)
+        frame = (vecs / np.sqrt(vals)) @ vecs.T
+        assert np.max(np.abs(frame @ g @ frame.T - np.eye(2))) <= 1e-12
         x = np.array([0.3, -1.1])
-        assert alg.ricci(x, orthonormalization="gram-schmidt") == pytest.approx(
-            alg.ricci(x, orthonormalization="symmetric"), abs=1e-12
-        )
+        trace = sum(alg.curvature_inner(f, x, x, f) for f in frame)
+        assert alg.ricci(x) == pytest.approx(trace, abs=1e-12)
+        ric = np.array([[sum(alg.curvature_inner(f, a, b, f) for f in frame)
+                         for b in frame] for a in frame])
+        assert np.allclose(np.linalg.eigvalsh(alg.ricci_matrix()),
+                           np.linalg.eigvalsh(ric), atol=1e-12, rtol=0)
 
 
 class TestTraceFormAndCheeger:
@@ -334,6 +345,14 @@ class TestJsonInterchange:
               "structure": [[0, 1, 1, 1.0], [0, 1, 1, 2.0]]}, "duplicate"),
             ({"dim": 2, "gram": [[1, 0], [0, 1]],
               "labels": ["a"], "structure": []}, "labels"),
+            ({"dim": 2, "gram": [[1, 0], [0, 1]],
+              "structure": [[0, 1, 1, float("nan")]]}, "structure constants are not all finite"),
+            ({"dim": 2, "gram": [[1, 0], [0, 1]], "structure": [[0, 1, 1, None]]},
+             "value must be a number"),
+            ({"dim": 2, "gram": [[1, 0], [0, 1]], "structure": [[0, True, 1, 1]]},
+             "integers"),
+            ({"dim": 2, "gram": [[float("nan"), 0], [0, 1]], "structure": []},
+             "gram matrix entries are not all finite"),
         ],
     )
     def test_format_errors(self, doc, message):

@@ -16,11 +16,11 @@ from solvgeom.hypersurface import (
     Regime,
     TangentVector,
     _abelian_diagonals,
+    _plane_terms,
     ambient_curvature,
     build_hypersurface_algebra,
     classify,
     flow_point,
-    gauss_numerator,
     gauss_sectional,
     leaf_conjugate,
     mean_curvature,
@@ -29,7 +29,7 @@ from solvgeom.hypersurface import (
     reference_plane_curvature,
     ricci_closed,
     ricci_extremes,
-    ricci_gauss,
+    ricci_gauss_many,
     ricci_polynomial,
     second_fundamental_form,
     second_fundamental_matrix,
@@ -173,6 +173,20 @@ class TestCurvature:
         with pytest.raises(ValueError, match="degenerate"):
             gauss_sectional(model, v, TangentVector(a=2))
 
+    def test_small_plane_accepted(self):
+        # the degenerate-plane test is relative to |X1|^2 |X2|^2
+        model = HypersurfaceModel.from_angle(0.5)
+        unit = gauss_sectional(model, TangentVector(a=1), TangentVector(b=1))
+        small = gauss_sectional(model, TangentVector(a=1e-7), TangentVector(b=1))
+        assert small == pytest.approx(unit, rel=1e-9)
+
+    def test_nearly_parallel_large_plane_rejected(self):
+        model = HypersurfaceModel.from_angle(0.5)
+        x = TangentVector(a=1e3)
+        y = TangentVector(a=1e3, b=1e-4)  # 1e-7 rad from x
+        with pytest.raises(ValueError, match="degenerate"):
+            gauss_sectional(model, x, y)
+
     def test_ambient_curvature_validates_membership(self):
         from solvgeom.matrices import SquareComplexMatrix
 
@@ -212,8 +226,8 @@ class TestCurvature:
         model = HypersurfaceModel.from_angle(0.8)
         (x,) = unit_tangent(5)
         scaled = TangentVector(a=2 * x.a, b=2 * x.b, c=2 * x.c, t=2 * x.t)
-        assert ricci_gauss(model, scaled) == pytest.approx(
-            4.0 * ricci_gauss(model, x), abs=1e-12
+        assert ricci_gauss_many(model, scaled.coeffs()) == pytest.approx(
+            4.0 * ricci_gauss_many(model, x.coeffs()), abs=1e-12
         )
 
     @pytest.mark.parametrize("alpha", ANGLES)
@@ -223,7 +237,7 @@ class TestCurvature:
         for _ in range(10):
             v = TangentVector.from_coeffs(rng.standard_normal(7))
             assert ricci_polynomial(alpha, v) == pytest.approx(
-                ricci_gauss(model, v), abs=1e-12
+                ricci_gauss_many(model, v.coeffs()), abs=1e-12
             )
 
     def test_extremes_frozen(self):
@@ -444,7 +458,8 @@ class TestScans:
     def test_gauss_numerator_zero_for_parallel(self):
         model = HypersurfaceModel.from_angle(0.4)
         v = TangentVector(a=1, t=0.5)
-        assert gauss_numerator(model, v, v) == pytest.approx(0.0, abs=1e-13)
+        num, _ = _plane_terms(model, v.coeffs(), v.coeffs())
+        assert num == pytest.approx(0.0, abs=1e-13)
 
 
 class TestAlgebraConstruction:

@@ -20,10 +20,10 @@ from solvgeom.hypersurface import (
     ambient_algebra,
     ambient_curvature,
     build_hypersurface_algebra,
+    nonpositivity_scan,
     random_orthonormal_pairs,
     random_unit_tangents,
     ricci_closed_many,
-    ricci_gauss,
     ricci_gauss_many,
     gauss_sectional,
 )
@@ -53,7 +53,7 @@ def test_ricci_gauss_vs_koszul(alpha):
     rng = np.random.default_rng(2)
     for _ in range(30):
         v = rng.standard_normal(7)
-        assert ricci_gauss(model, TangentVector.from_coeffs(v)) == pytest.approx(
+        assert ricci_gauss_many(model, v) == pytest.approx(
             alg.ricci(v), abs=1e-10
         )
 
@@ -127,6 +127,29 @@ def test_cheeger_monte_carlo_bound():
         step = best + 0.5 * grad
         best = step / math.sqrt(step @ g @ step)
     assert best @ tau == pytest.approx(target, abs=1e-6)
+
+
+@pytest.mark.parametrize("alpha", [0.0, math.pi / 6, math.pi / 3, 1.2, math.pi / 2])
+def test_gauss_tensor_matches_koszul(alpha):
+    """All 7^4 entries of <R(e_i, e_j) e_k, e_l> agree across the pipelines."""
+    gauss = HypersurfaceModel.from_angle(alpha)._curvature_tensor
+    alg = build_hypersurface_algebra(alpha)
+    koszul = np.einsum("ijkm,ml->ijkl", alg._riemann, alg.gram)
+    assert gauss.shape == koszul.shape == (7, 7, 7, 7)
+    assert np.max(np.abs(gauss - koszul)) <= 1e-12
+
+
+def test_gauss_pipeline_never_builds_an_algebra(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Gauss pipeline constructed a MetricLieAlgebra")
+
+    monkeypatch.setattr(MetricLieAlgebra, "__init__", refuse)
+    model = HypersurfaceModel.from_angle(0.9)
+    vecs = random_unit_tangents(np.random.default_rng(4), 20)
+    assert np.max(np.abs(ricci_gauss_many(model, vecs) - ricci_closed_many(0.9, vecs))) <= 1e-10
+    x, y = TangentVector(a=1), TangentVector(b=1)
+    assert math.isfinite(gauss_sectional(model, x, y))
+    assert nonpositivity_scan(0.9, samples=100, seed=1).samples == 100
 
 
 def test_koszul_ricci_basis_independent():
