@@ -52,6 +52,7 @@ __all__ = [
     "GRAM_EIGENVALUE_FLOOR",
     "CLOSURE_TOL",
     "DAMEK_RICCI_TOL",
+    "MAX_JSON_DIM",
 ]
 
 ANTISYMMETRY_TOL = 1e-12
@@ -59,6 +60,9 @@ JACOBI_TOL = 1e-10
 GRAM_EIGENVALUE_FLOOR = 1e-10
 CLOSURE_TOL = 1e-9
 DAMEK_RICCI_TOL = 1e-10
+# Largest 'dim' a JSON document may declare: the Jacobi check's n^4
+# intermediate stays at 8 MB.
+MAX_JSON_DIM = 32
 
 
 @dataclass(frozen=True)
@@ -85,8 +89,6 @@ class DamekRicciReport:
     axiom_3: AxiomCheck
     axiom_4: AxiomCheck
     axiom_5: AxiomCheck
-    j_squared_residual: float
-    is_two_step_nilpotent: bool
     overall: bool
 
 
@@ -157,19 +159,14 @@ class MetricLieAlgebra:
         return self._labels
 
     @classmethod
-    def from_matrix_basis(
-        cls,
-        basis,
-        inner=inner_solvable,
-        labels=None,
-        closure_tol: float = CLOSURE_TOL,
-    ) -> "MetricLieAlgebra":
+    def from_matrix_basis(cls, basis, labels=None) -> "MetricLieAlgebra":
         """Extract structure constants and Gram matrix from a matrix basis.
 
         Each pairwise commutator is expanded over the basis by real least
-        squares; a residual above ``closure_tol`` means the span is not a
-        subalgebra and raises ValueError.  ``inner`` is the inner product
-        used for the Gram matrix (defaults to the solvable-model one).
+        squares; a residual above CLOSURE_TOL means the span is not a
+        subalgebra and raises ValueError.  The Gram matrix is that of
+        ``inner_solvable``, so every basis matrix must lie in the solvable
+        algebra.
         """
         basis = list(basis)
         n = len(basis)
@@ -192,7 +189,7 @@ class MetricLieAlgebra:
         coeffs, *_ = np.linalg.lstsq(span, targets, rcond=None)
         residuals = np.linalg.norm(span @ coeffs - targets, axis=0)
         for (i, j), res in zip(pairs, residuals):
-            if res > closure_tol:
+            if res > CLOSURE_TOL:
                 raise ValueError(
                     f"not a subalgebra: [basis[{i}], basis[{j}]] leaves the span "
                     f"(residual {res:.3e})"
@@ -204,7 +201,7 @@ class MetricLieAlgebra:
         g = np.empty((n, n))
         for i in range(n):
             for j in range(i, n):
-                g[i, j] = g[j, i] = inner(basis[i], basis[j])
+                g[i, j] = g[j, i] = inner_solvable(basis[i], basis[j])
         return cls(c, g, labels=labels)
 
     # -- cached tensors ------------------------------------------------------
@@ -422,12 +419,7 @@ class MetricLieAlgebra:
         axiom_5 = AxiomCheck(bool(r5 <= tol), float(r5))
 
         checks = (axiom_1, axiom_2, axiom_3, axiom_4, axiom_5)
-        return DamekRicciReport(
-            *checks,
-            j_squared_residual=float(r4),
-            is_two_step_nilpotent=axiom_2.passed,
-            overall=all(ch.passed for ch in checks),
-        )
+        return DamekRicciReport(*checks, overall=all(ch.passed for ch in checks))
 
     def _subspace_orthonormal(self, indices) -> np.ndarray:
         """Gram-orthonormal rows spanning the given coordinate subspace."""
@@ -451,8 +443,9 @@ def load_algebra_json(source) -> MetricLieAlgebra:
 
     Expected document:  {"dim": n, "labels": [...], "gram": n*n,
     "structure": [[i, j, k, value], ...]} with sparse entries restricted to
-    i < j; antisymmetry is filled in.  ValueError names the first violated
-    invariant (format first, then the algebra invariants).
+    i < j and an integer n in [1, MAX_JSON_DIM]; antisymmetry is filled in.
+    ValueError names the first violated invariant (format first, then the
+    algebra invariants).
     """
     if hasattr(source, "read"):
         doc = json.load(source)
@@ -463,12 +456,11 @@ def load_algebra_json(source) -> MetricLieAlgebra:
         doc = source
     if not isinstance(doc, dict):
         raise ValueError("algebra document must be a JSON object")
-    try:
-        n = int(doc["dim"])
-    except (KeyError, TypeError, ValueError):
-        raise ValueError("missing or invalid 'dim'") from None
-    if n <= 0:
-        raise ValueError(f"'dim' must be positive, got {n}")
+    n = doc.get("dim")
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"missing or invalid 'dim': expected an integer, got {n!r}")
+    if not 0 < n <= MAX_JSON_DIM:
+        raise ValueError(f"'dim' must be positive and at most {MAX_JSON_DIM}, got {n}")
     labels = doc.get("labels")
     if labels is not None and (
         not isinstance(labels, list)

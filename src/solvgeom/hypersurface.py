@@ -152,6 +152,11 @@ class HypersurfaceModel:
             raise ValueError("axis/normal frame is not orthonormal")
 
     @cached_property
+    def algebra(self) -> MetricLieAlgebra:
+        """The tangent algebra as a metric Lie algebra (the Koszul pipeline)."""
+        return MetricLieAlgebra.from_matrix_basis(self.basis, labels=HYPERSURFACE_LABELS)
+
+    @cached_property
     def basis_stack(self) -> np.ndarray:
         return np.stack([m.entries for m in self.basis])
 
@@ -454,7 +459,7 @@ def classify(alpha: float, samples: int = 1000, seed: int = 0) -> CurvatureRepor
         raise ValueError(f"samples must be nonnegative, got {samples}")
     model = HypersurfaceModel.from_angle(alpha)
     mean = mean_curvature(model)
-    ch = build_hypersurface_algebra(alpha).cheeger()
+    ch = model.algebra.cheeger()
     rmin, rmax = ricci_extremes(alpha)
     k_sigma = gauss_sectional(model, *reference_plane())
     if alpha < HOROSPHERE_ONSET - ALPHA_BOUNDARY_TOL:
@@ -569,8 +574,7 @@ def volume_distortion(alpha: float, s: float) -> float:
 
 def build_hypersurface_algebra(alpha: float) -> MetricLieAlgebra:
     """The tangent algebra of the hypersurface as a metric Lie algebra."""
-    model = HypersurfaceModel.from_angle(alpha)
-    return MetricLieAlgebra.from_matrix_basis(model.basis, labels=HYPERSURFACE_LABELS)
+    return HypersurfaceModel.from_angle(alpha).algebra
 
 
 # -- sampling and scans ------------------------------------------------------------

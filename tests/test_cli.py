@@ -8,6 +8,7 @@ import math
 import pytest
 
 from solvgeom.cli import SWEEP_COLUMNS, main
+from solvgeom.engine import MetricLieAlgebra
 
 HEADER = (
     "alpha,mean_curvature,cheeger,ricci_min,ricci_max,k_sigma,"
@@ -127,6 +128,16 @@ class TestVerify:
         )
         assert rc == 1
         assert "FAIL" in out
+
+    def test_ricci_check_reads_the_koszul_engine(self, capsys, monkeypatch):
+        ricci = MetricLieAlgebra.ricci
+        monkeypatch.setattr(MetricLieAlgebra, "ricci", lambda self, x: ricci(self, x) + 1e-6)
+        rc, out, _ = run_cli(capsys, "verify", "--alpha", "0.7", "--samples", "50")
+        lines = out.splitlines()
+        assert rc == 1
+        assert len(lines) == 13
+        assert lines[2].startswith("Gauss vs Koszul Ricci: FAIL (residual 1.000e-06)")
+        assert sum("FAIL" in line for line in lines[:12]) == 1
 
 
 class TestFoliation:
@@ -264,6 +275,14 @@ class TestAlgebra:
         assert rc == 2
         assert out == ""
         assert "not all finite" in err
+
+    def test_non_integer_dim_rejected(self, capsys, tmp_path):
+        bad = tmp_path / "dim.json"
+        bad.write_text('{"dim": 2.7, "gram": [[1, 0], [0, 1]], "structure": []}')
+        rc, out, err = run_cli(capsys, "algebra", "cheeger", "--file", str(bad))
+        assert rc == 2
+        assert out == ""
+        assert "'dim'" in err
 
     def test_missing_file(self, capsys, tmp_path):
         missing = tmp_path / "absent.json"

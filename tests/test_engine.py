@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 
 from solvgeom.engine import (
+    MAX_JSON_DIM,
     MetricLieAlgebra,
     dump_algebra_json,
     load_algebra_json,
 )
-from solvgeom.matrices import SquareComplexMatrix, inner_ambient
+from solvgeom.matrices import SquareComplexMatrix
 
 
 def hyperbolic_plane():
@@ -101,26 +102,24 @@ class TestFromMatrixBasis:
     def test_dependent_basis_rejected(self):
         e = SquareComplexMatrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
         with pytest.raises(ValueError, match="linearly independent"):
-            MetricLieAlgebra.from_matrix_basis((e, 2 * e), inner=inner_ambient)
+            MetricLieAlgebra.from_matrix_basis((e, 2 * e))
 
     def test_non_subalgebra_rejected(self):
         e12 = SquareComplexMatrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
         e23 = SquareComplexMatrix([[0, 0, 0], [0, 0, 1], [0, 0, 0]])
         with pytest.raises(ValueError, match="not a subalgebra"):
-            MetricLieAlgebra.from_matrix_basis((e12, e23), inner=inner_ambient)
+            MetricLieAlgebra.from_matrix_basis((e12, e23))
 
     def test_heisenberg_structure_recovered(self):
         e12 = SquareComplexMatrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
         e23 = SquareComplexMatrix([[0, 0, 0], [0, 0, 1], [0, 0, 0]])
         e13 = SquareComplexMatrix([[0, 0, 1], [0, 0, 0], [0, 0, 0]])
-        alg = MetricLieAlgebra.from_matrix_basis(
-            (e12, e23, e13), inner=inner_ambient, labels=("x", "y", "z")
-        )
+        alg = MetricLieAlgebra.from_matrix_basis((e12, e23, e13), labels=("x", "y", "z"))
         expected = np.zeros((3, 3, 3))
         expected[0, 1, 2] = 1.0
         expected[1, 0, 2] = -1.0
         assert np.max(np.abs(alg.structure - expected)) <= 1e-12
-        assert np.max(np.abs(alg.gram - 2.0 * np.eye(3))) <= 1e-12
+        assert np.max(np.abs(alg.gram - np.eye(3))) <= 1e-12
         assert alg.labels == ("x", "y", "z")
 
 
@@ -279,7 +278,7 @@ class TestJOperatorAndAxioms:
     def test_complex_hyperbolic_plane_axioms(self):
         report = complex_hyperbolic_plane().damek_ricci_check((0, 1), (2,), 3)
         assert report.overall
-        assert report.is_two_step_nilpotent
+        assert report.axiom_2.passed
         for chk in (report.axiom_1, report.axiom_2, report.axiom_3,
                     report.axiom_4, report.axiom_5):
             assert chk.passed and chk.residual <= 1e-12
@@ -353,11 +352,21 @@ class TestJsonInterchange:
              "integers"),
             ({"dim": 2, "gram": [[float("nan"), 0], [0, 1]], "structure": []},
              "gram matrix entries are not all finite"),
+            ({"dim": 2.7, "gram": [[1, 0], [0, 1]], "structure": []}, "integer"),
+            ({"dim": True, "gram": [[1]], "structure": []}, "integer"),
+            ({"dim": "2", "gram": [[1, 0], [0, 1]], "structure": []}, "integer"),
+            # rejected by the bound alone, before any n*n*n allocation
+            ({"dim": MAX_JSON_DIM + 1, "gram": [], "structure": []},
+             f"at most {MAX_JSON_DIM}"),
         ],
     )
     def test_format_errors(self, doc, message):
         with pytest.raises(ValueError, match=message):
             load_algebra_json(doc)
+
+    def test_dim_ceiling_accepted(self):
+        doc = {"dim": MAX_JSON_DIM, "gram": np.eye(MAX_JSON_DIM).tolist(), "structure": []}
+        assert load_algebra_json(doc).dim == MAX_JSON_DIM
 
     def test_invariants_still_checked(self):
         doc = {

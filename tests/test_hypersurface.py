@@ -77,6 +77,11 @@ class TestModel:
         assert model.axis.allclose(H1)
         assert model.normal.allclose(H0)
 
+    def test_algebra_cached(self):
+        model = HypersurfaceModel.from_angle(0.4)
+        assert model.algebra is model.algebra
+        assert model.algebra.labels == ("E12", "iE12", "E23", "iE23", "E13", "iE13", "H")
+
 
 class TestTangentVector:
     def test_coeff_roundtrip(self):
@@ -359,6 +364,18 @@ class TestClassify:
         a = classify(0.7, samples=100, seed=9)
         b = classify(0.7, samples=100, seed=9)
         assert a == b
+
+    def test_one_model_per_angle(self, monkeypatch):
+        calls = []
+        from_angle = HypersurfaceModel.from_angle.__func__
+
+        def counted(cls, alpha):
+            calls.append(alpha)
+            return from_angle(cls, alpha)
+
+        monkeypatch.setattr(HypersurfaceModel, "from_angle", classmethod(counted))
+        classify(0.6, samples=10)
+        assert calls == [0.6]
 
 
 class TestFlowAndFoliation:
