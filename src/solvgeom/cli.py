@@ -8,8 +8,9 @@ Four subcommands:
 * ``algebra``    generic operations on a metric Lie algebra (built in or
                  loaded from JSON)
 
-Exit codes: 0 success, 1 a verification or residual threshold failed,
-2 bad usage or invalid input.  Output is deterministic for fixed arguments:
+Exit codes: 0 success, 1 a verification or residual threshold failed
+(``sweep`` then names the worst angle and its residual on stderr), 2 bad
+usage or invalid input.  Output is deterministic for fixed arguments:
 floats are formatted with explicit precision ('.12g' in CSV, '.17g' in
 JSON) and sampling is seeded.  No color or other terminal decoration is
 ever emitted.
@@ -132,8 +133,15 @@ def _cmd_sweep(args) -> int:
         _emit(buf.getvalue(), args.output)
     else:
         _emit(_json_text(rows) + "\n", args.output)
-    worst = max((row["cross_residual"] for row in rows), default=0.0)
-    return 0 if worst <= args.tol else 1
+    worst = max(rows, key=lambda row: row["cross_residual"])
+    if worst["cross_residual"] <= args.tol:
+        return 0
+    print(
+        f"sweep: FAIL: cross_residual {worst['cross_residual']:.3e} at alpha "
+        f"{worst['alpha']!r} exceeds --tol {args.tol:g}",
+        file=sys.stderr,
+    )
+    return 1
 
 
 def _curvature_symmetry_residual(alg: MetricLieAlgebra, rng, n: int) -> float:

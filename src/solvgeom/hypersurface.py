@@ -187,6 +187,13 @@ class HypersurfaceModel:
         return t
 
     @cached_property
+    def _bivector_form(self) -> np.ndarray:
+        """The ambient term as a 49x49 form on u (x) v; read-only."""
+        out = self._ambient_tensor.transpose(0, 1, 3, 2).reshape(49, 49)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
     def _curvature_tensor(self) -> np.ndarray:
         """R_ijkl = <R(e_i, e_j) e_k, e_l> by the Gauss equation:
         the ambient term plus II_il II_jk - II_ik II_jl."""
@@ -265,8 +272,7 @@ def _plane_terms(
     the second fundamental form term as II(u, u) II(v, v) - II(u, v)^2.
     """
     q = (u[..., :, None] * v[..., None, :]).reshape(u.shape[:-1] + (49,))
-    bivector = model._ambient_tensor.transpose(0, 1, 3, 2).reshape(49, 49)
-    amb = np.einsum("...a,...a->...", q @ bivector, q)
+    amb = np.einsum("...a,...a->...", q @ model._bivector_form, q)
     su, sv = u @ model._shape_matrix, v @ model._shape_matrix
     ii = np.sum(su * u, axis=-1) * np.sum(sv * v, axis=-1) - np.sum(su * v, axis=-1) ** 2
     den = np.sum(u * u, axis=-1) * np.sum(v * v, axis=-1) - np.sum(u * v, axis=-1) ** 2
@@ -604,6 +610,20 @@ def random_orthonormal_pairs(
     return u, v / norms
 
 
+# Rows per _plane_terms contraction, which bounds the (rows, 49) intermediates.
+_SCAN_BLOCK = 2048
+
+
+def _sectional_rows(model: HypersurfaceModel, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Sectional curvatures of the planes span{u_i, v_i} of (m, 7) rows,
+    contracted _SCAN_BLOCK rows at a time."""
+    k = np.empty(len(u))
+    for b in range(0, len(u), _SCAN_BLOCK):
+        num, den = _plane_terms(model, u[b:b + _SCAN_BLOCK], v[b:b + _SCAN_BLOCK])
+        k[b:b + _SCAN_BLOCK] = num / den
+    return k
+
+
 @dataclass(frozen=True)
 class PlaneScan:
     """Extremes of the sectional curvature over a sampled set of planes."""
@@ -621,6 +641,8 @@ def nonpositivity_scan(alpha: float, samples: int, seed: int = 0) -> PlaneScan:
     The reference plane is always appended to the sample set as a
     deterministic witness, so for alpha > 0 the scan reports positive
     curvature no matter the seed.  Also tracks the plane of smallest |K|.
+    Planes are drawn 20000 at a time and contracted in blocks of
+    _SCAN_BLOCK rows, so memory does not grow with ``samples``.
     """
     alpha = _validate_alpha(alpha)
     if samples < 0:
@@ -636,14 +658,14 @@ def nonpositivity_scan(alpha: float, samples: int, seed: int = 0) -> PlaneScan:
     while done < samples:
         m = min(chunk, samples - done)
         u, v = random_orthonormal_pairs(rng, m)
-        num, den = _plane_terms(model, u, v)
-        k = num / den
+        k = _sectional_rows(model, u, v)
         i = int(np.argmax(k))
         if k[i] > best_max:
             best_max, arg_max = float(k[i]), (u[i].copy(), v[i].copy())
         j = int(np.argmin(np.abs(k)))
         if abs(k[j]) < best_min:
             best_min, arg_min = abs(float(k[j])), (u[j].copy(), v[j].copy())
+        del u, v, k  # free this chunk before the next one is drawn
         done += m
     k_ref = gauss_sectional(model, s1, s2)
     if k_ref > best_max:
@@ -663,20 +685,29 @@ def nonpositivity_scan(alpha: float, samples: int, seed: int = 0) -> PlaneScan:
     )
 
 
-def _plane_abs_curvature(model: HypersurfaceModel, w: np.ndarray) -> float:
-    """|K| of the plane spanned by the two halves of w, or inf if degenerate."""
-    u, v = w[:7], w[7:]
-    nu = np.linalg.norm(u)
-    if nu < 1e-8:
-        return math.inf
-    u = u / nu
-    v = v - (u @ v) * u
-    nv = np.linalg.norm(v)
-    if nv < 1e-8:
-        return math.inf
-    v = v / nv
-    num, den = _plane_terms(model, u, v)
-    return abs(float(num) / float(den))
+def _plane_abs_curvature(model: HypersurfaceModel, w: np.ndarray) -> np.ndarray:
+    """|K| of the plane spanned by the two halves of each row of w (m, 14).
+
+    A row whose first half has norm below 1e-8, or whose second half does
+    after removing its component along the first, gives inf.
+    """
+    u, v = w[:, :7], w[:, 7:]
+    nu = np.linalg.norm(u, axis=1)
+    ok = nu >= 1e-8
+    u = u[ok] / nu[ok, None]
+    v = v[ok] - np.sum(u * v[ok], axis=1, keepdims=True) * u
+    nv = np.linalg.norm(v, axis=1)
+    spans = nv >= 1e-8
+    ok[ok] = spans
+    num, den = _plane_terms(model, u[spans], v[spans] / nv[spans, None])
+    out = np.full(len(w), math.inf)
+    out[ok] = np.abs(num / den)
+    return out
+
+
+# Coordinate moves of the descent in the order they are tried: +e0, -e0, +e1, ...
+_MOVES = np.kron(np.eye(14), [[1.0], [-1.0]])
+_MOVES.setflags(write=False)
 
 
 def zero_curvature_search(
@@ -690,33 +721,39 @@ def zero_curvature_search(
     """Search for a plane of (near) zero sectional curvature.
 
     Samples random orthonormal planes, then runs derivative-free coordinate
-    descent on the fourteen spanning coordinates of the best few starts,
-    minimising |K| with a shrinking step.  Returns the smallest |K| found
-    and the plane attaining it.
+    descent on the fourteen spanning coordinates of the ``starts`` best,
+    minimising |K| with a shrinking step.  A sweep tries the moves +e0,
+    -e0, +e1, ..., -e13 of the current step in that order and accepts the
+    first one that lowers |K|; the moves after it are then tried from the
+    new point, in one batched evaluation per accepted move.  A sweep with
+    no accepted move halves the step.  Returns the smallest |K| found and
+    the plane attaining it.
     """
     alpha = _validate_alpha(alpha)
     model = HypersurfaceModel.from_angle(alpha)
     rng = np.random.default_rng(seed)
     u, v = random_orthonormal_pairs(rng, samples)
-    num, den = _plane_terms(model, u, v)
-    order = np.argsort(np.abs(num / den))
+    order = np.argsort(np.abs(_sectional_rows(model, u, v)))
     best_val = math.inf
     best_w = None
     for idx in order[:starts]:
         w = np.concatenate([u[idx], v[idx]])
-        val = _plane_abs_curvature(model, w)
+        val = _plane_abs_curvature(model, w[None, :])[0]
         step = 0.05
         sweeps = 0
         while step > 1e-10 and val > target and sweeps < max_sweeps:
             improved = False
-            for i in range(14):
-                for sign in (1.0, -1.0):
-                    cand = w.copy()
-                    cand[i] += sign * step
-                    cval = _plane_abs_curvature(model, cand)
-                    if cval < val:
-                        w, val = cand, cval
-                        improved = True
+            k = 0
+            while k < len(_MOVES):
+                cands = w + step * _MOVES[k:]
+                cvals = _plane_abs_curvature(model, cands)
+                better = np.flatnonzero(cvals < val)
+                if not better.size:
+                    break
+                j = better[0]
+                w, val = cands[j], cvals[j]
+                improved = True
+                k += j + 1
             if not improved:
                 step *= 0.5
             sweeps += 1
@@ -728,4 +765,4 @@ def zero_curvature_search(
     uu = uu / np.linalg.norm(uu)
     vv = vv - (uu @ vv) * uu
     vv = vv / np.linalg.norm(vv)
-    return best_val, (TangentVector.from_coeffs(uu), TangentVector.from_coeffs(vv))
+    return float(best_val), (TangentVector.from_coeffs(uu), TangentVector.from_coeffs(vv))

@@ -90,6 +90,19 @@ class TestSweep:
         )
         assert rc == 1
 
+    def test_failed_tolerance_names_worst_angle(self, capsys):
+        args = ("sweep", "--steps", "5", "--samples", "50", "--format", "json")
+        rc_pass, out_pass, err_pass = run_cli(capsys, *args)
+        rc, out, err = run_cli(capsys, *args, "--tol", "0")
+        assert (rc_pass, rc) == (0, 1)
+        assert out == out_pass and err_pass == ""
+        worst = max(json.loads(out), key=lambda row: row["cross_residual"])
+        assert worst["cross_residual"] > 0.0
+        assert err == (
+            f"sweep: FAIL: cross_residual {worst['cross_residual']:.3e} "
+            f"at alpha {worst['alpha']!r} exceeds --tol 0\n"
+        )
+
     def test_bad_steps(self, capsys):
         rc, _, err = run_cli(capsys, "sweep", "--steps", "0")
         assert rc == 2

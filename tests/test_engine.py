@@ -3,7 +3,8 @@
 The hyperbolic plane (one-dimensional extension [e1, e2] = e2) and the
 bi-invariant 3-sphere (su(2) with the round metric) have textbook constant
 curvatures, giving oracles that are independent of everything else in the
-package.
+package.  The batched Damek-Ricci axiom 4 is also compared with a per-vector
+J_z on the hypersurface algebras.
 """
 
 import json
@@ -18,6 +19,7 @@ from solvgeom.engine import (
     dump_algebra_json,
     load_algebra_json,
 )
+from solvgeom.hypersurface import build_hypersurface_algebra
 from solvgeom.matrices import SquareComplexMatrix
 
 
@@ -52,6 +54,18 @@ def complex_hyperbolic_plane():
         c[i, j, k] = val
         c[j, i, k] = -val
     return MetricLieAlgebra(c, np.eye(4), labels=("v1", "v2", "z", "a"))
+
+
+def skewed_complex_hyperbolic_plane():
+    # the complex hyperbolic plane's brackets with a Gram matrix that couples
+    # every pair of basis vectors
+    g = np.array([
+        [2.0, 0.3, 0.1, 0.2],
+        [0.3, 1.5, 0.2, 0.1],
+        [0.1, 0.2, 1.2, 0.3],
+        [0.2, 0.1, 0.3, 1.0],
+    ])
+    return MetricLieAlgebra(complex_hyperbolic_plane().structure, g)
 
 
 class TestValidation:
@@ -299,6 +313,55 @@ class TestJOperatorAndAxioms:
     def test_partition_validated(self):
         with pytest.raises(ValueError, match="partition"):
             complex_hyperbolic_plane().damek_ricci_check((0, 1), (2,), 2)
+
+    @pytest.mark.parametrize(
+        "v_indices, z_indices, empty",
+        [((0, 1, 2), (), "z_indices"), ((), (0, 1, 2), "v_indices")],
+        ids=["empty_z", "empty_v"],
+    )
+    def test_empty_block_rejected(self, v_indices, z_indices, empty):
+        with pytest.raises(ValueError, match=f"{empty} is empty"):
+            complex_hyperbolic_plane().damek_ricci_check(v_indices, z_indices, 3)
+
+    @pytest.mark.parametrize(
+        "make, split",
+        [
+            (lambda: build_hypersurface_algebra(0.0), ((0, 1, 2, 3), (4, 5), 6)),
+            (lambda: build_hypersurface_algebra(0.3), ((0, 1, 2, 3), (4, 5), 6)),
+            (lambda: build_hypersurface_algebra(math.pi / 2), ((0, 1, 2, 3), (4, 5), 6)),
+            (complex_hyperbolic_plane, ((0, 1), (2,), 3)),
+            (skewed_complex_hyperbolic_plane, ((0, 1), (2,), 3)),
+        ],
+        ids=["alpha0", "alpha0.3", "alpha_pi/2", "CH2", "CH2_skewed_gram"],
+    )
+    def test_axiom_4_matches_per_z_j_operator(self, make, split):
+        alg = make()
+        vi, zi, a_index = split
+        seed = 5
+        report = alg.damek_ricci_check(vi, zi, a_index, seed=seed)
+        # the test vectors of z: a Gram-orthonormal frame, then 100 random units
+        g = alg.gram
+        z_frame = alg._subspace_orthonormal(zi)
+        rng = np.random.default_rng(seed)
+        zs = list(z_frame)
+        for _ in range(100):
+            w = rng.standard_normal(len(zi)) @ z_frame
+            zs.append(w / np.sqrt(w @ g @ w))
+        basis = np.eye(alg.dim)
+        worst = 0.0
+        for z in zs:
+            cols = []
+            for q in vi:
+                ju = alg.j_operator(z, basis[q], vi)
+                # the defining identity <J_z u, u'> = <z, [u, u']> on v
+                for p in vi:
+                    assert alg.inner(ju, basis[p]) == pytest.approx(
+                        alg.inner(z, alg.bracket_coeffs(basis[q], basis[p])), abs=1e-12
+                    )
+                cols.append(ju[list(vi)])
+            jm = np.stack(cols, axis=1)
+            worst = max(worst, float(np.max(np.abs(jm @ jm + (z @ g @ z) * np.eye(len(vi))))))
+        assert abs(report.axiom_4.residual - worst) <= 1e-14
 
 
 class TestJsonInterchange:

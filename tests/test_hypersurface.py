@@ -1,9 +1,11 @@
 """The hypersurface family: shape operator, curvature formulas, flow, scans."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from solvgeom.hypersurface import (
     E12,
@@ -16,6 +18,7 @@ from solvgeom.hypersurface import (
     Regime,
     TangentVector,
     _abelian_diagonals,
+    _plane_abs_curvature,
     _plane_terms,
     ambient_curvature,
     build_hypersurface_algebra,
@@ -25,6 +28,7 @@ from solvgeom.hypersurface import (
     leaf_conjugate,
     mean_curvature,
     nonpositivity_scan,
+    random_orthonormal_pairs,
     reference_plane,
     reference_plane_curvature,
     ricci_closed,
@@ -471,6 +475,100 @@ class TestScans:
         assert val <= 1e-6
         model = HypersurfaceModel.from_angle(0.0)
         assert abs(gauss_sectional(model, x1, x2)) == pytest.approx(val, abs=1e-12)
+
+    @pytest.mark.parametrize("samples", [0, 1, 2047, 2048, 5000, 20037, 45000])
+    def test_blocked_scan_matches_one_shot_contraction(self, samples):
+        alpha, seed = 0.3, 4
+        scan = nonpositivity_scan(alpha, samples, seed)
+        # the same draws, 20000 per call, each chunk contracted in one piece
+        model = HypersurfaceModel.from_angle(alpha)
+        rng = np.random.default_rng(seed)
+        chunks = [random_orthonormal_pairs(rng, min(20000, samples - d))
+                  for d in range(0, samples, 20000)]
+        u = np.concatenate([c[0] for c in chunks] + [np.empty((0, 7))])
+        v = np.concatenate([c[1] for c in chunks] + [np.empty((0, 7))])
+        k = np.concatenate([np.divide(*_plane_terms(model, *c)) for c in chunks] + [[]])
+        s1, s2 = reference_plane()
+        k_ref = gauss_sectional(model, s1, s2)
+        ref = (s1.coeffs(), s2.coeffs())
+        if samples and k.max() >= k_ref:
+            i = int(np.argmax(k))
+            want_max, want_max_plane = k[i], (u[i], v[i])
+        else:
+            want_max, want_max_plane = k_ref, ref
+        if samples and np.abs(k).min() <= abs(k_ref):
+            j = int(np.argmin(np.abs(k)))
+            want_min, want_min_plane = abs(k[j]), (u[j], v[j])
+        else:
+            want_min, want_min_plane = abs(k_ref), ref
+        assert scan.samples == samples
+        assert scan.max_curvature == want_max
+        assert scan.min_abs_curvature == want_min
+        for got, want in ((scan.max_plane, want_max_plane), (scan.min_abs_plane, want_min_plane)):
+            assert np.array_equal(got[0].coeffs(), want[0])
+            assert np.array_equal(got[1].coeffs(), want[1])
+
+    def test_scan_memory_does_not_grow_with_samples(self):
+        nonpositivity_scan(0.3, samples=10)  # build the cached ambient tensor
+        tracemalloc.start()
+        try:
+            nonpositivity_scan(0.3, samples=20000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6e6
+
+    @pytest.mark.parametrize(
+        "alpha, seed", [(0.0, 1), (0.2, 8), (0.7, 3), (math.pi / 3, 4), (1.2, 6), (1.5, 2)]
+    )
+    def test_zero_search_contract(self, alpha, seed):
+        target = 1e-8
+        val, (x1, x2) = zero_curvature_search(alpha, seed=seed, target=target)
+        assert val <= target
+        model = HypersurfaceModel.from_angle(alpha)
+        assert abs(gauss_sectional(model, x1, x2)) == pytest.approx(val, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from(["plane", "zero_u", "parallel"]),
+                st.lists(st.floats(-10, 10), min_size=14, max_size=14),
+                st.floats(-10, 10),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_row_wise_abs_curvature_matches_scalar(self, rows):
+        model = HypersurfaceModel.from_angle(0.4)
+        w = np.zeros((len(rows), 14))
+        for r, (kind, coords, lam) in enumerate(rows):
+            u, v = np.array(coords[:7]), np.array(coords[7:])
+            if kind == "zero_u":
+                u = np.zeros(7)
+            elif kind == "parallel":
+                v = lam * u
+            w[r] = np.concatenate([u, v])
+        got = _plane_abs_curvature(model, w)
+        for r, (kind, _, _) in enumerate(rows):
+            # the scalar evaluation, one plane at a time
+            u, v = w[r, :7], w[r, 7:]
+            nu = np.linalg.norm(u)
+            if nu < 1e-8:
+                assert got[r] == math.inf
+                continue
+            u = u / nu
+            v_perp = v - (u @ v) * u
+            nv = np.linalg.norm(v_perp)
+            if nv < 1e-8:
+                assert got[r] == math.inf
+                continue
+            assert kind == "plane"
+            num, den = _plane_terms(model, u, v_perp / nv)
+            # round-off in v_perp grows like |v| / |v_perp|
+            tol = 1e-12 * (1.0 + np.linalg.norm(v) / nv)
+            assert got[r] == pytest.approx(abs(float(num) / float(den)), rel=1e-12, abs=tol)
 
     def test_gauss_numerator_zero_for_parallel(self):
         model = HypersurfaceModel.from_angle(0.4)
