@@ -188,8 +188,11 @@ class HypersurfaceModel:
 
     @cached_property
     def _bivector_form(self) -> np.ndarray:
-        """The ambient term as a 49x49 form on u (x) v; read-only."""
-        out = self._ambient_tensor.transpose(0, 1, 3, 2).reshape(49, 49)
+        """The ambient curvature operator on Lambda^2 R^7 over the e_i ^ e_j
+        of _PAIRS: symmetric, read-only and 21x21, with R_ijkl at row
+        i < j and column l < k, so that w B w = <R(u, v) v, u> for w = u ^ v."""
+        i, j = _PAIRS
+        out = self._ambient_tensor[i[:, None], j[:, None], j[None, :], i[None, :]]
         out.setflags(write=False)
         return out
 
@@ -262,20 +265,31 @@ def _ambient_curvature_tensor() -> np.ndarray:
     return out
 
 
+# The pairs i < j indexing the bivector basis e_i ^ e_j of Lambda^2 R^7.
+_PAIRS = np.triu_indices(7, 1)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot product over the last axis."""
+    return np.einsum("...i,...i->...", a, b)
+
+
 def _plane_terms(
     model: HypersurfaceModel, u: np.ndarray, v: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sectional numerators <R(u, v) v, u> and plane Gram determinants.
 
     ``u`` and ``v`` are (..., 7) coefficient arrays; both returns have the
-    leading shape.  The ambient term is contracted as a 49x49 bivector form,
-    the second fundamental form term as II(u, u) II(v, v) - II(u, v)^2.
+    leading shape.  The ambient term is the curvature operator on Lambda^2
+    (``_bivector_form``) evaluated on the wedge u ^ v, the second
+    fundamental form term II(u, u) II(v, v) - II(u, v)^2.
     """
-    q = (u[..., :, None] * v[..., None, :]).reshape(u.shape[:-1] + (49,))
-    amb = np.einsum("...a,...a->...", q @ model._bivector_form, q)
+    i, j = _PAIRS
+    w = u[..., i] * v[..., j] - u[..., j] * v[..., i]
+    amb = _dot(w @ model._bivector_form, w)
     su, sv = u @ model._shape_matrix, v @ model._shape_matrix
-    ii = np.sum(su * u, axis=-1) * np.sum(sv * v, axis=-1) - np.sum(su * v, axis=-1) ** 2
-    den = np.sum(u * u, axis=-1) * np.sum(v * v, axis=-1) - np.sum(u * v, axis=-1) ** 2
+    ii = _dot(su, u) * _dot(sv, v) - _dot(su, v) ** 2
+    den = _dot(u, u) * _dot(v, v) - _dot(u, v) ** 2
     return amb + ii, den
 
 
@@ -597,20 +611,20 @@ def random_orthonormal_pairs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """n orthonormal pairs of coefficient vectors via Gram-Schmidt."""
     u = rng.standard_normal((n, dim))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    u /= np.sqrt(_dot(u, u))[:, None]
     v = rng.standard_normal((n, dim))
-    v -= np.sum(u * v, axis=1, keepdims=True) * u
-    norms = np.linalg.norm(v, axis=1, keepdims=True)
+    v -= _dot(u, v)[:, None] * u
+    norms = np.sqrt(_dot(v, v))[:, None]
     retry = norms[:, 0] < 1e-8
     while np.any(retry):
         v[retry] = rng.standard_normal((int(np.sum(retry)), dim))
-        v[retry] -= np.sum(u[retry] * v[retry], axis=1, keepdims=True) * u[retry]
-        norms = np.linalg.norm(v, axis=1, keepdims=True)
+        v[retry] -= _dot(u[retry], v[retry])[:, None] * u[retry]
+        norms = np.sqrt(_dot(v, v))[:, None]
         retry = norms[:, 0] < 1e-8
     return u, v / norms
 
 
-# Rows per _plane_terms contraction, which bounds the (rows, 49) intermediates.
+# Rows per _plane_terms contraction, which bounds the (rows, 21) intermediates.
 _SCAN_BLOCK = 2048
 
 
@@ -695,7 +709,7 @@ def _plane_abs_curvature(model: HypersurfaceModel, w: np.ndarray) -> np.ndarray:
     nu = np.linalg.norm(u, axis=1)
     ok = nu >= 1e-8
     u = u[ok] / nu[ok, None]
-    v = v[ok] - np.sum(u * v[ok], axis=1, keepdims=True) * u
+    v = v[ok] - _dot(u, v[ok])[:, None] * u
     nv = np.linalg.norm(v, axis=1)
     spans = nv >= 1e-8
     ok[ok] = spans
@@ -730,6 +744,9 @@ def zero_curvature_search(
     the plane attaining it.
     """
     alpha = _validate_alpha(alpha)
+    for name, count in (("samples", samples), ("starts", starts)):
+        if count < 1:
+            raise ValueError(f"{name} must be at least 1, got {count}")
     model = HypersurfaceModel.from_angle(alpha)
     rng = np.random.default_rng(seed)
     u, v = random_orthonormal_pairs(rng, samples)

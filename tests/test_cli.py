@@ -1,14 +1,23 @@
 """Command line interface: formats, determinism, exit codes."""
 
+import contextlib
 import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from solvgeom import cli
 from solvgeom.cli import SWEEP_COLUMNS, main
 from solvgeom.engine import MetricLieAlgebra
+from solvgeom.hypersurface import HypersurfaceModel
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 HEADER = (
     "alpha,mean_curvature,cheeger,ricci_min,ricci_max,k_sigma,"
@@ -151,6 +160,55 @@ class TestVerify:
         assert len(lines) == 13
         assert lines[2].startswith("Gauss vs Koszul Ricci: FAIL (residual 1.000e-06)")
         assert sum("FAIL" in line for line in lines[:12]) == 1
+
+
+class TestVerifyMutations:
+    """One tensor entry perturbed by 1e-6: the row comparing that tensor
+    fails, the exit code is 1, and stderr names the row and the entry."""
+
+    ENTRY = (1, 2, 3, 4)
+
+    @pytest.mark.parametrize(
+        "owner, attr, dim, row, label",
+        [
+            (HypersurfaceModel, "_curvature_tensor", None, 3, "Gauss vs Koszul sectional"),
+            (MetricLieAlgebra, "_riemann", 7, 1, "curvature tensor symmetries"),
+            (MetricLieAlgebra, "_riemann", 8, 4, "ambient bracket vs Koszul curvature"),
+        ],
+    )
+    def test_row_fails_and_names_the_entry(self, capsys, monkeypatch, owner, attr, dim,
+                                           row, label):
+        compute = vars(owner)[attr].func
+
+        def perturbed(obj):
+            t = compute(obj).copy()
+            if dim is None or obj.dim == dim:
+                t[self.ENTRY] += 1e-6
+            return t
+
+        monkeypatch.setattr(owner, attr, property(perturbed))
+        rc, out, err = run_cli(capsys, "verify", "--alpha", "0.7", "--samples", "50")
+        lines = out.splitlines()
+        assert rc == 1
+        assert len(lines) == 13 and lines[-1] == "some checks FAILED"
+        assert lines[row].startswith(f"{label}: FAIL (residual 1.000e-06)")
+        assert (
+            f"verify: FAIL: {label} at alpha 0.7: residual 1.000e-06 at entry "
+            f"{self.ENTRY} exceeds --tol 1e-08\n"
+        ) in err
+
+    def test_stderr_names_every_failing_row(self, capsys):
+        rc, out, err = run_cli(capsys, "verify", "--alpha", "0.4", "--samples", "20")
+        rc2, out2, err2 = run_cli(
+            capsys, "verify", "--alpha", "0.4", "--samples", "20", "--tol", "1e-30"
+        )
+        assert (rc, rc2, err) == (0, 1, "")
+        assert [line.rpartition(": ")[0] for line in out.splitlines()[:12]] == [
+            line.rpartition(": ")[0] for line in out2.splitlines()[:12]
+        ]
+        failed = [line for line in out2.splitlines()[:12] if "FAIL" in line]
+        assert len(err2.splitlines()) == len(failed)
+        assert "at entry (" in err2
 
 
 class TestFoliation:
@@ -339,3 +397,57 @@ class TestTopLevel:
         assert rc == rc2 == 0
         assert out == out2
         assert "\x1b[" not in out
+
+
+class TestSharedParser:
+    """main reuses one parser per process; a call sequence must behave as if
+    every call had a freshly built parser."""
+
+    CALLS = [
+        ("sweep", "--steps", "3", "--samples", "10"),
+        ("sweep", "--steps", "banana"),
+        ("verify", "--alpha", "0.7", "--samples", "30", "--format", "json"),
+        ("algebra", "einstein", "--ambient"),
+        ("sweep", "--steps", "2", "--samples", "5", "--format", "json"),
+    ]
+
+    @staticmethod
+    def call(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(list(argv))
+        return rc, out.getvalue()
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_sequence_matches_fresh_parsers(self, monkeypatch):
+        shared = [self.call(argv) for argv in self.CALLS]
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        fresh = [self.call(argv) for argv in self.CALLS]
+        assert [rc for rc, _ in shared] == [0, 2, 0, 0, 0]
+        assert shared == fresh
+
+
+class TestModuleEntryPoint:
+    @staticmethod
+    def python_m(*args):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+        return subprocess.run(
+            [sys.executable, "-m", *args], capture_output=True, text=True, env=env,
+            timeout=120,
+        )
+
+    def test_python_m_matches_main(self, capsys):
+        argv = ("sweep", "--steps", "3", "--samples", "10")
+        rc, out, _ = run_cli(capsys, *argv)
+        for module in ("solvgeom", "solvgeom.cli"):
+            proc = self.python_m(module, *argv)
+            assert (proc.returncode, proc.stdout) == (rc, out)
+
+    def test_python_m_bad_flag_exits_2(self):
+        proc = self.python_m("solvgeom", "sweep", "--no-such-flag")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "--no-such-flag" in proc.stderr

@@ -528,6 +528,12 @@ class TestScans:
         model = HypersurfaceModel.from_angle(alpha)
         assert abs(gauss_sectional(model, x1, x2)) == pytest.approx(val, abs=1e-12)
 
+    @pytest.mark.parametrize("name", ["samples", "starts"])
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_zero_search_needs_a_sample_and_a_start(self, name, count):
+        with pytest.raises(ValueError, match=f"^{name} must be at least 1, got {count}$"):
+            zero_curvature_search(0.3, **{name: count})
+
     @settings(max_examples=60, deadline=None)
     @given(
         rows=st.lists(
@@ -569,6 +575,31 @@ class TestScans:
             # round-off in v_perp grows like |v| / |v_perp|
             tol = 1e-12 * (1.0 + np.linalg.norm(v) / nv)
             assert got[r] == pytest.approx(abs(float(num) / float(den)), rel=1e-12, abs=tol)
+
+    @pytest.mark.parametrize("alpha", [0.0, math.pi / 6, math.pi / 3, 1.2, math.pi / 2])
+    def test_plane_terms_match_the_curvature_tensor(self, alpha):
+        model = HypersurfaceModel.from_angle(alpha)
+        rng = np.random.default_rng(11)
+        u, v = rng.standard_normal((2, 500, 7))
+        num, den = _plane_terms(model, u, v)
+        want = np.einsum("...i,...j,...k,...l,ijkl->...", u, v, v, u,
+                         model._curvature_tensor)
+        assert np.max(np.abs(num - want)) <= 1e-14 * np.max(np.abs(want))
+        gram = np.einsum("...i,...i->...", u, u) * np.einsum("...i,...i->...", v, v)
+        assert np.allclose(den, gram - np.einsum("...i,...i->...", u, v) ** 2,
+                           rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.7, math.pi / 2])
+    def test_bivector_form_is_the_curvature_operator(self, alpha):
+        model = HypersurfaceModel.from_angle(alpha)
+        form = model._bivector_form
+        assert form.shape == (21, 21)
+        assert np.array_equal(form, form.T)
+        assert not form.flags.writeable
+        pairs = [(i, j) for i in range(7) for j in range(i + 1, 7)]
+        for p, (i, j) in enumerate(pairs):
+            for q, (l, k) in enumerate(pairs):
+                assert form[p, q] == model._ambient_tensor[i, j, k, l]
 
     def test_gauss_numerator_zero_for_parallel(self):
         model = HypersurfaceModel.from_angle(0.4)
