@@ -37,6 +37,7 @@ from .hypersurface import (
     GroupElement,
     HypersurfaceModel,
     _ambient_curvature_tensor,
+    _validate_alpha,
     ambient_algebra,
     build_hypersurface_algebra,
     classify,
@@ -108,15 +109,22 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _endpoint(args, flag: str, value: float) -> float:
+    """An angle given on the command line, in radians and inside [0, pi/2]."""
+    try:
+        return _validate_alpha(math.radians(value) if args.degrees else value)
+    except ValueError:
+        bounds = "[0, 90] degrees" if args.degrees else "[0, pi/2]"
+        raise ValueError(f"{flag} must lie in {bounds}, got {value!r}") from None
+
+
 def _angles(args) -> np.ndarray:
-    start, end = args.alpha_start, args.alpha_end
-    if args.degrees:
-        start, end = math.radians(start), math.radians(end)
     if args.steps < 1:
         raise ValueError(f"steps must be at least 1, got {args.steps}")
+    start = _endpoint(args, "--alpha-start", args.alpha_start)
     if args.steps == 1:
         return np.array([start])
-    return np.linspace(start, end, args.steps)
+    return np.linspace(start, _endpoint(args, "--alpha-end", args.alpha_end), args.steps)
 
 
 def _cmd_sweep(args) -> int:
@@ -151,6 +159,8 @@ def _worst_entry(residual: np.ndarray) -> tuple[float, tuple[int, ...]]:
 
 
 def _cmd_verify(args) -> int:
+    if args.samples < 0:
+        raise ValueError(f"--samples must be nonnegative, got {args.samples}")
     alpha = math.radians(args.alpha) if args.degrees else args.alpha
     model = HypersurfaceModel.from_angle(alpha)
     alg = model.algebra
@@ -159,9 +169,7 @@ def _cmd_verify(args) -> int:
     s, c = math.sin(alpha), math.cos(alpha)
 
     vecs = random_unit_tangents(rng, max(args.samples, 1))
-    ricci_dev = float(
-        np.max(np.abs(ricci_gauss_many(model, vecs) - [alg.ricci(v) for v in vecs]))
-    )
+    ricci_dev = float(np.max(np.abs(ricci_gauss_many(model, vecs) - alg.ricci(vecs))))
     r = alg._riemann @ alg.gram  # the Koszul <R(e_i, e_j) e_k, e_l>
     symmetries = np.maximum.reduce([
         np.abs(r + r.transpose(1, 0, 2, 3)),
@@ -319,13 +327,24 @@ def _cmd_algebra(args) -> int:
     return 0
 
 
+def _tolerance(text: str) -> float:
+    """The --tol value: a finite, nonnegative float."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and nonnegative, got {text!r}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser, *, samples: int) -> None:
     parser.add_argument("--samples", type=int, default=samples,
                         help=f"random sample count (default {samples})")
     parser.add_argument("--seed", type=int, default=0,
                         help="random seed (default 0)")
-    parser.add_argument("--tol", type=float, default=1e-8,
-                        help="residual tolerance (default 1e-8)")
+    parser.add_argument("--tol", type=_tolerance, default=1e-8,
+                        help="residual tolerance, finite and nonnegative (default 1e-8)")
     parser.add_argument("--degrees", action="store_true",
                         help="interpret angles in degrees")
     parser.add_argument("--output", default=None, metavar="PATH",

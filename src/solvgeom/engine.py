@@ -92,6 +92,11 @@ class DamekRicciReport:
     overall: bool
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 def jacobi_residual(structure) -> float:
     """Largest entry of [[e_i, e_j], e_k] + cyclic over all basis triples."""
     c = np.asarray(structure, dtype=float)
@@ -103,7 +108,7 @@ class MetricLieAlgebra:
     """Finite-dimensional real Lie algebra with an inner product.
 
     Instances are immutable; derived tensors (connection, curvature) are
-    cached lazily on first use.  Construction validates antisymmetry of the
+    cached lazily on first use, read-only like the structure constants.  Construction validates antisymmetry of the
     structure constants, the Jacobi identity, and positive definiteness of
     the Gram matrix, raising ValueError naming the first violated invariant.
     """
@@ -132,10 +137,8 @@ class MetricLieAlgebra:
         lo = float(np.min(np.linalg.eigvalsh(g)))
         if lo <= GRAM_EIGENVALUE_FLOOR:
             raise ValueError(f"gram matrix is not positive definite (min eigenvalue {lo:.3e})")
-        c.setflags(write=False)
-        g.setflags(write=False)
-        self._structure = c
-        self._gram = g
+        self._structure = _read_only(c)
+        self._gram = _read_only(g)
         self._labels = tuple(labels) if labels is not None else None
         if self._labels is not None and len(self._labels) != n:
             raise ValueError(f"expected {n} labels, got {len(self._labels)}")
@@ -208,7 +211,7 @@ class MetricLieAlgebra:
 
     @cached_property
     def _gram_inv(self) -> np.ndarray:
-        return np.linalg.inv(self._gram)
+        return _read_only(np.linalg.inv(self._gram))
 
     @cached_property
     def _connection(self) -> np.ndarray:
@@ -219,13 +222,13 @@ class MetricLieAlgebra:
             - np.einsum("jlm,mi->ijl", c, g)
             - np.einsum("ilm,mj->ijl", c, g)
         )
-        return 0.5 * np.einsum("ijl,lk->ijk", w, self._gram_inv)
+        return _read_only(0.5 * np.einsum("ijl,lk->ijk", w, self._gram_inv))
 
     @cached_property
     def _riemann(self) -> np.ndarray:
         """R[i, j, k, :] = coefficients of R(e_i, e_j) e_k."""
         c, gam = self._structure, self._connection
-        return (
+        return _read_only(
             np.einsum("jkm,iml->ijkl", gam, gam)
             - np.einsum("ikm,jml->ijkl", gam, gam)
             - np.einsum("ijm,mkl->ijkl", c, gam)
@@ -235,7 +238,7 @@ class MetricLieAlgebra:
     def _ricci_form(self) -> np.ndarray:
         """Ric[j, k] = sum_i R_ijk^i, the metric-free trace, symmetrised."""
         ric = np.einsum("ijki->jk", self._riemann)
-        return 0.5 * (ric + ric.T)
+        return _read_only(0.5 * (ric + ric.T))
 
     # -- vector helpers ------------------------------------------------------
 
@@ -280,8 +283,16 @@ class MetricLieAlgebra:
             raise ValueError(f"degenerate plane (gram determinant {den:.3e})")
         return self.curvature_inner(x, y, y, x) / den
 
-    def ricci(self, x) -> float:
-        """Ricci curvature Ric(x, x), the trace of y -> R(y, x) x."""
+    def ricci(self, x):
+        """Ricci curvature Ric(x, x), the trace of y -> R(y, x) x.
+
+        A vector gives a float; an (m, dim) stack of vectors gives the array
+        of its m values, each bit for bit the float its row would give.
+        """
+        v = np.asarray(x, dtype=float)
+        if v.ndim == 2 and v.shape[1] == self.dim:
+            # one batched matmul per row, the float path's summation order
+            return (v[:, None, :] @ self._ricci_form @ v[:, :, None])[:, 0, 0]
         x = self._vec(x)
         return float(x @ self._ricci_form @ x)
 

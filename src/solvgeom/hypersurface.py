@@ -17,6 +17,11 @@ corresponding subgroup orbit is a homogeneous hypersurface with unit normal
 T(alpha) = sin(alpha) H0 - cos(alpha) H1.  alpha = 0 gives the minimal
 Einstein member (a Damek-Ricci space) and alpha = pi/2 a horosphere.
 
+``HypersurfaceModel.from_angle`` memoises the last few models it built, so
+every caller in a process shares one model per angle, and with it one
+tangent algebra and one curvature tensor; the model's cached arrays are
+read-only.
+
 Curvature of the hypersurface is computed two independent ways and compared
 throughout the test suite:
 
@@ -43,14 +48,14 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .engine import MetricLieAlgebra
+from .engine import MetricLieAlgebra, _read_only
 from .matrices import (
     SquareComplexMatrix,
     bracket,
     hermitian_part,
     inner_ambient,
-    inner_solvable,
     sl_matrix,
+    solvable_gram,
     solvable_parts,
 )
 
@@ -135,20 +140,12 @@ class HypersurfaceModel:
 
     @classmethod
     def from_angle(cls, alpha: float) -> "HypersurfaceModel":
-        alpha = _validate_alpha(alpha)
-        c, s = math.cos(alpha), math.sin(alpha)
-        axis = c * H0 + s * H1
-        normal = s * H0 + (-c) * H1
-        basis = (E12, 1j * E12, E23, 1j * E23, E13, 1j * E13, axis)
-        return cls(alpha=alpha, axis=axis, normal=normal, basis=basis)
+        """The model at ``alpha``, shared: see ``_model_at``."""
+        return _model_at(cls, _validate_alpha(alpha))
 
     def __post_init__(self):
-        checks = [
-            abs(inner_solvable(self.axis, self.axis) - 1.0),
-            abs(inner_solvable(self.normal, self.normal) - 1.0),
-            abs(inner_solvable(self.axis, self.normal)),
-        ]
-        if max(checks) > 1e-14:
+        gram = solvable_gram(np.stack([self.axis.entries, self.normal.entries]))
+        if np.max(np.abs(gram - np.eye(2))) > 1e-14:
             raise ValueError("axis/normal frame is not orthonormal")
 
     @cached_property
@@ -158,22 +155,22 @@ class HypersurfaceModel:
 
     @cached_property
     def basis_stack(self) -> np.ndarray:
-        return np.stack([m.entries for m in self.basis])
+        return _read_only(np.stack([m.entries for m in self.basis]))
 
     @cached_property
     def _phi_stack(self) -> np.ndarray:
-        return _phi(self.basis_stack)
+        return _read_only(_phi(self.basis_stack))
 
     @cached_property
     def _phi_normal_brackets(self) -> np.ndarray:
         t = self.normal.entries
-        return _phi(self.basis_stack @ t - t @ self.basis_stack)
+        return _read_only(_phi(self.basis_stack @ t - t @ self.basis_stack))
 
     @cached_property
     def _shape_matrix(self) -> np.ndarray:
         p, q = self._phi_stack, self._phi_normal_brackets
         m = 2.0 * np.real(np.einsum("iab,jab->ij", p, np.conj(q)))
-        return 0.5 * (m + m.T)
+        return _read_only(0.5 * (m + m.T))
 
     @cached_property
     def _ambient_tensor(self) -> np.ndarray:
@@ -184,7 +181,7 @@ class HypersurfaceModel:
         t = _ambient_curvature_tensor()
         for _ in range(4):
             t = np.tensordot(t, frame, axes=([0], [1]))
-        return t
+        return _read_only(t)
 
     @cached_property
     def _bivector_form(self) -> np.ndarray:
@@ -192,20 +189,32 @@ class HypersurfaceModel:
         of _PAIRS: symmetric, read-only and 21x21, with R_ijkl at row
         i < j and column l < k, so that w B w = <R(u, v) v, u> for w = u ^ v."""
         i, j = _PAIRS
-        out = self._ambient_tensor[i[:, None], j[:, None], j[None, :], i[None, :]]
-        out.setflags(write=False)
-        return out
+        t = self._ambient_tensor
+        return _read_only(t[i[:, None], j[:, None], j[None, :], i[None, :]])
 
     @cached_property
     def _curvature_tensor(self) -> np.ndarray:
         """R_ijkl = <R(e_i, e_j) e_k, e_l> by the Gauss equation:
         the ambient term plus II_il II_jk - II_ik II_jl."""
         s = self._shape_matrix
-        return (
+        return _read_only(
             self._ambient_tensor
             + np.einsum("il,jk->ijkl", s, s)
             - np.einsum("ik,jl->ijkl", s, s)
         )
+
+
+# Four models: verify reads two (its alpha and the alpha = 0 leaf), and a
+# caller that asks for two more angles in between still finds both.
+@lru_cache(maxsize=4)
+def _model_at(cls: type, alpha: float) -> HypersurfaceModel:
+    """The model at a validated ``alpha``, built once and then shared while
+    it stays among the last four angles asked for."""
+    c, s = math.cos(alpha), math.sin(alpha)
+    axis = c * H0 + s * H1
+    normal = s * H0 + (-c) * H1
+    basis = (E12, 1j * E12, E23, 1j * E23, E13, 1j * E13, axis)
+    return cls(alpha=alpha, axis=axis, normal=normal, basis=basis)
 
 
 @dataclass(frozen=True)
@@ -260,9 +269,7 @@ def _ambient_curvature_tensor() -> np.ndarray:
     b = b - np.swapaxes(b, 0, 1)
     nested = b[:, :, None] @ p - p @ b[:, :, None]
     flat = nested.reshape(n**3, 9) @ np.conj(p).reshape(n, 9).T
-    out = -2.0 * np.real(flat).reshape(n, n, n, n)
-    out.setflags(write=False)
-    return out
+    return _read_only(-2.0 * np.real(flat).reshape(n, n, n, n))
 
 
 # The pairs i < j indexing the bivector basis e_i ^ e_j of Lambda^2 R^7.
@@ -514,12 +521,15 @@ def classify(alpha: float, samples: int = 1000, seed: int = 0) -> CurvatureRepor
 # -- normal flow and foliation ---------------------------------------------------
 
 
+_H0_DIAG = _read_only(np.diag(H0.entries).real)
+_H1_DIAG = _read_only(np.diag(H1.entries).real)
+
+
 def _abelian_diagonals(alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal entries of the axis H(alpha) and the normal T(alpha)."""
     alpha = _validate_alpha(alpha)
     c, s = math.cos(alpha), math.sin(alpha)
-    h0, h1 = np.diag(H0.entries).real, np.diag(H1.entries).real
-    return c * h0 + s * h1, s * h0 - c * h1
+    return c * _H0_DIAG + s * _H1_DIAG, s * _H0_DIAG - c * _H1_DIAG
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,9 @@ products agree through the Hermitian-part map:
 
     inner_solvable(X, Y) == inner_ambient(hermitian_part(X), hermitian_part(Y))
 
+``solvable_gram`` evaluates ``inner_solvable`` over a whole stack of matrices
+at once.
+
 Complex scalars are kept in Cartesian form throughout; nothing here touches
 polar decompositions.
 """
@@ -35,6 +38,7 @@ __all__ = [
     "hermitian_part",
     "solvable_parts",
     "inner_solvable",
+    "solvable_gram",
     "sl_matrix",
 ]
 
@@ -186,6 +190,30 @@ def inner_solvable(x: SquareComplexMatrix, y: SquareComplexMatrix) -> float:
     u1, d1 = solvable_parts(x)
     u2, d2 = solvable_parts(y)
     return float(np.real(np.sum(u1 * np.conj(u2)))) + 2.0 * float(np.dot(d1, d2))
+
+
+def solvable_gram(stack, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
+    """``inner_solvable`` between every two matrices of an (m, n, n) stack.
+
+    One contraction of the stacked strict upper parts and real diagonals;
+    every matrix must pass the membership tests of ``solvable_parts``.
+    """
+    e = np.asarray(stack, dtype=complex)
+    n = e.shape[-1]
+    lo, up = np.tril_indices(n, -1), np.triu_indices(n, 1)
+    d = np.diagonal(e, axis1=-2, axis2=-1)
+    if np.max(np.abs(e[:, lo[0], lo[1]]), initial=0.0) > tol:
+        raise ValueError(
+            "matrix is not in the solvable algebra: nonzero strictly lower part"
+        )
+    if np.max(np.abs(d.imag)) > tol:
+        raise ValueError("matrix is not in the solvable algebra: diagonal is not real")
+    if np.max(np.abs(np.sum(d.real, axis=-1))) > tol:
+        raise ValueError("matrix is not in the solvable algebra: nonzero trace")
+    u = e[:, up[0], up[1]]
+    parts = np.concatenate([u.real, u.imag, d.real], axis=-1)
+    weights = np.repeat([1.0, 2.0], [2 * len(up[0]), n])
+    return (parts * weights) @ parts.T
 
 
 def sl_matrix(entries) -> SquareComplexMatrix:

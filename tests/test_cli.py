@@ -14,8 +14,15 @@ import pytest
 
 from solvgeom import cli
 from solvgeom.cli import SWEEP_COLUMNS, main
-from solvgeom.engine import MetricLieAlgebra
-from solvgeom.hypersurface import HypersurfaceModel
+from solvgeom.engine import MetricLieAlgebra, dump_algebra_json
+from solvgeom.hypersurface import (
+    HypersurfaceModel,
+    _model_at,
+    ambient_algebra,
+    build_hypersurface_algebra,
+    nonpositivity_scan,
+    zero_curvature_search,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -122,8 +129,58 @@ class TestSweep:
         assert rc == 2
         assert "alpha" in err
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("--alpha-end", "inf"), "--alpha-end must lie in [0, pi/2], got inf"),
+            (("--alpha-end=-inf",), "--alpha-end must lie in [0, pi/2], got -inf"),
+            (("--alpha-start", "nan"), "--alpha-start must lie in [0, pi/2], got nan"),
+            (("--alpha-end", "3.5"), "--alpha-end must lie in [0, pi/2], got 3.5"),
+            (("--alpha-end", "100", "--degrees"),
+             "--alpha-end must lie in [0, 90] degrees, got 100.0"),
+        ],
+    )
+    def test_bad_endpoint_is_named_as_given(self, capsys, args, message):
+        rc, out, err = run_cli(capsys, "sweep", "--steps", "3", "--samples", "2", *args)
+        assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+    def test_negative_samples_rejected(self, capsys):
+        rc, out, err = run_cli(capsys, "sweep", "--steps", "2", "--samples", "-1")
+        assert (rc, out) == (2, "")
+        assert "samples" in err
+
+
+TOL_ARGV = {
+    "sweep": ("sweep", "--steps", "2", "--samples", "2"),
+    "verify": ("verify", "--samples", "5"),
+    "foliation": ("foliation",),
+    "algebra dr-check": ("algebra", "dr-check", "--alpha", "0", "--v-indices", "0,1,2,3",
+                         "--z-indices", "4,5", "--a-index", "6"),
+    "algebra einstein": ("algebra", "einstein", "--ambient"),
+}
+
+
+class TestTolerance:
+    """--tol must be a finite, nonnegative number on every subcommand."""
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf", "-inf", "-0.5e-8", "abc"])
+    @pytest.mark.parametrize("command", sorted(TOL_ARGV))
+    def test_bad_tol_exits_2_naming_the_flag(self, capsys, command, value):
+        rc, out, err = run_cli(capsys, *TOL_ARGV[command], f"--tol={value}")
+        assert (rc, out) == (2, "")
+        assert "argument --tol:" in err and repr(value) in err
+
+    @pytest.mark.parametrize("command", ["foliation", "algebra dr-check"])
+    def test_zero_tol_is_valid(self, capsys, command):
+        rc, out, _ = run_cli(capsys, *TOL_ARGV[command], "--tol", "0")
+        assert rc == 0 and json.loads(out)
+
 
 class TestVerify:
+    def test_negative_samples_rejected(self, capsys):
+        rc, out, err = run_cli(capsys, "verify", "--samples", "-4")
+        assert (rc, out, err) == (2, "", "error: --samples must be nonnegative, got -4\n")
+
     def test_passes_at_zero(self, capsys):
         rc, out, _ = run_cli(capsys, "verify", "--samples", "50")
         assert rc == 0
@@ -377,6 +434,46 @@ class TestAlgebra:
         )
         assert rc == 2
         assert "comma-separated" in err
+
+
+class TestOneLeafPerProcess:
+    """The alpha = 0 leaf is built once per process: a round of engine queries
+    (verify, dr-check, einstein and ricci on a file, plane scans) builds only
+    the algebras of angles it has not met before."""
+
+    @staticmethod
+    def round_of_queries(capsys, path, alpha, scan_alpha, zero_alpha):
+        for argv in (
+            ("algebra", "einstein", "--ambient"),
+            ("verify", "--alpha", repr(alpha), "--samples", "20"),
+            ("algebra", "dr-check", "--alpha", "0", "--v-indices", "0,1,2,3",
+             "--z-indices", "4,5", "--a-index", "6"),
+            ("algebra", "einstein", "--file", str(path)),
+            ("algebra", "ricci", "--file", str(path), "--vector", "1,0,0,0,0,0,0"),
+        ):
+            assert run_cli(capsys, *argv)[0] == 0
+        nonpositivity_scan(scan_alpha, 200)
+        zero_curvature_search(zero_alpha, samples=50, starts=1, max_sweeps=2)
+
+    def test_one_algebra_build_per_new_angle(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "leaf.json"
+        dump_algebra_json(build_hypersurface_algebra(0.3), path)
+        ambient_algebra()
+        _model_at.cache_clear()
+        built = []
+        from_matrix_basis = MetricLieAlgebra.from_matrix_basis.__func__
+
+        def counted(cls, basis, labels=None):
+            built.append(labels)
+            return from_matrix_basis(cls, basis, labels=labels)
+
+        monkeypatch.setattr(MetricLieAlgebra, "from_matrix_basis", classmethod(counted))
+        self.round_of_queries(capsys, path, 0.7, 0.2, 1.1)
+        assert len(built) == 2  # verify's alpha and the alpha = 0 leaf
+        for alpha, scan_alpha, zero_alpha in ((0.9, 0.0, 0.4), (0.5, 1.3, 0.8)):
+            built.clear()
+            self.round_of_queries(capsys, path, alpha, scan_alpha, zero_alpha)
+            assert len(built) == 1  # verify's alpha only
 
 
 class TestTopLevel:

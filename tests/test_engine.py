@@ -222,6 +222,28 @@ class TestConnectionAndCurvature:
         with pytest.raises(ValueError, match="degenerate"):
             alg.sectional(1e3 * e0, 1e3 * e0 + 1e-4 * e1)  # 1e-7 rad apart
 
+    @pytest.mark.parametrize("alg", [complex_hyperbolic_plane(),
+                                     skewed_complex_hyperbolic_plane()])
+    def test_ricci_of_a_stack_matches_each_row(self, alg):
+        rows = np.random.default_rng(12).standard_normal((50, alg.dim))
+        stacked = alg.ricci(rows)
+        assert isinstance(stacked, np.ndarray) and stacked.shape == (50,)
+        assert stacked.tolist() == [alg.ricci(x) for x in rows]
+        assert type(alg.ricci(rows[0])) is float
+
+    @pytest.mark.parametrize(
+        "attr", ["structure", "gram", "_gram_inv", "_connection", "_riemann", "_ricci_form"]
+    )
+    def test_cached_tensors_are_read_only(self, attr):
+        # hypersurface algebras are shared by every caller of one angle
+        array = getattr(build_hypersurface_algebra(0.3), attr)
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 1.0
+
+    def test_ricci_rejects_a_stack_of_the_wrong_width(self):
+        with pytest.raises(ValueError, match="length 4"):
+            complex_hyperbolic_plane().ricci(np.ones((3, 5)))
+
     def test_ricci_on_skewed_gram_matches_frame_trace(self):
         c = np.zeros((2, 2, 2))
         c[0, 1, 1] = 1.0

@@ -18,12 +18,14 @@ from solvgeom.hypersurface import (
     Regime,
     TangentVector,
     _abelian_diagonals,
+    _model_at,
     _plane_abs_curvature,
     _plane_terms,
     ambient_curvature,
     build_hypersurface_algebra,
     classify,
     flow_point,
+    foliation_residual,
     gauss_sectional,
     leaf_conjugate,
     mean_curvature,
@@ -41,7 +43,7 @@ from solvgeom.hypersurface import (
     volume_distortion,
     zero_curvature_search,
 )
-from solvgeom.matrices import inner_solvable
+from solvgeom.matrices import SquareComplexMatrix, inner_solvable
 
 HALF_SQRT3 = math.sqrt(3.0) / 2.0
 
@@ -85,6 +87,58 @@ class TestModel:
         model = HypersurfaceModel.from_angle(0.4)
         assert model.algebra is model.algebra
         assert model.algebra.labels == ("E12", "iE12", "E23", "iE23", "E13", "iE13", "H")
+
+    def test_one_shared_model_per_angle(self):
+        model = HypersurfaceModel.from_angle(0.0)
+        assert HypersurfaceModel.from_angle(0) is model
+        assert HypersurfaceModel.from_angle(np.float64(0.0)) is model
+        assert build_hypersurface_algebra(0.0) is model.algebra
+        assert HypersurfaceModel.from_angle(0.5) is not model
+
+    def test_model_memo_is_small(self):
+        # verify reads two angles; a few models must not grow with a sweep
+        assert 2 <= _model_at.cache_info().maxsize <= 8
+        for alpha in np.linspace(0.0, math.pi / 2, 50):
+            HypersurfaceModel.from_angle(alpha)
+        assert _model_at.cache_info().currsize == _model_at.cache_info().maxsize
+
+    @pytest.mark.parametrize(
+        "attr",
+        ["basis_stack", "_phi_stack", "_phi_normal_brackets", "_shape_matrix",
+         "_ambient_tensor", "_bivector_form", "_curvature_tensor"],
+    )
+    def test_shared_arrays_are_read_only(self, attr):
+        array = getattr(HypersurfaceModel.from_angle(0.3), attr)
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 1.0
+
+    def test_second_fundamental_matrix_is_a_writable_copy(self):
+        model = HypersurfaceModel.from_angle(0.3)
+        m = second_fundamental_matrix(model)
+        m[0, 0] = 5.0
+        assert model._shape_matrix[0, 0] != 5.0
+
+    @staticmethod
+    def _direct(axis, normal):
+        basis = (E12, 1j * E12, E23, 1j * E23, E13, 1j * E13, axis)
+        return HypersurfaceModel(alpha=0.0, axis=axis, normal=normal, basis=basis)
+
+    def test_direct_constructor_accepts_the_frame(self):
+        assert self._direct(H0, -1.0 * H1).axis is H0
+
+    def test_direct_constructor_rejects_a_non_unit_axis(self):
+        with pytest.raises(ValueError, match="orthonormal"):
+            self._direct(2.0 * H0, -1.0 * H1)
+
+    def test_direct_constructor_rejects_a_non_orthogonal_normal(self):
+        tilted = math.cos(0.1) * (-1.0 * H1) + math.sin(0.1) * H0
+        with pytest.raises(ValueError, match="orthonormal"):
+            self._direct(H0, tilted)
+
+    def test_direct_constructor_rejects_a_strictly_lower_entry(self):
+        lower = SquareComplexMatrix([[0, 0, 0], [1e-6, 0, 0], [0, 0, 0]])
+        with pytest.raises(ValueError, match="strictly lower"):
+            self._direct(H0 + lower, -1.0 * H1)
 
 
 class TestTangentVector:
@@ -419,6 +473,20 @@ class TestFlowAndFoliation:
             lhs = exp_t @ leaf_conjugate(q, s).matrix()
             rhs = q.matrix() @ exp_t
             assert np.max(np.abs(lhs - rhs)) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "q, s, residual",
+        [
+            (GroupElement(x=1 + 2j, t=0.5, alpha=0.0), 1.0, 4.965068306494546e-16),
+            (GroupElement(x=1 - 1j, y=0.3j, z=2.0, t=-0.4, alpha=0.9), 0.7,
+             2.220446049250313e-16),
+            (GroupElement(x=0.5 + 1j, y=-2 + 0.25j, z=1.5 - 3j, t=1.25, alpha=1.2, s=0.3),
+             -1.5, 9.930136612989092e-16),
+        ],
+    )
+    def test_foliation_residual_pinned(self, q, s, residual):
+        # exact round-off values: `foliation` and `verify` print them
+        assert foliation_residual(q, s) == residual
 
     def test_flow_point_matrix(self):
         q = GroupElement(x=1 - 1j, y=0.25j, z=3.0, t=0.5, alpha=0.9)

@@ -15,6 +15,7 @@ from solvgeom.matrices import (
     inner_solvable,
     killing_form,
     sl_matrix,
+    solvable_gram,
     solvable_parts,
 )
 from solvgeom.hypersurface import AMBIENT_BASIS, E12, E13, E23, H0, H1
@@ -231,6 +232,22 @@ class TestSolvableParts:
     def test_rejects_nonzero_trace(self):
         with pytest.raises(ValueError, match="trace"):
             solvable_parts(SquareComplexMatrix(np.eye(3)))
+
+    @pytest.mark.parametrize(
+        "entries, reason",
+        [([[0, 0], [1, 0]], "lower"), ([[1j, 0], [0, -1j]], "real"), (np.eye(3), "trace")],
+    )
+    def test_gram_applies_the_same_membership_tests(self, entries, reason):
+        stack = np.stack([np.zeros_like(entries, dtype=complex), entries])
+        with pytest.raises(ValueError, match=reason):
+            solvable_gram(stack)
+
+    @given(st.lists(coeff_vectors, min_size=1, max_size=4))
+    def test_gram_of_a_stack_is_inner_solvable(self, coeffs):
+        mats = [span(u) for u in coeffs]
+        gram = solvable_gram(np.stack([m.entries for m in mats]))
+        want = np.array([[inner_solvable(x, y) for y in mats] for x in mats])
+        assert np.max(np.abs(gram - want)) <= 1e-12
 
     @given(coeff_vectors, coeff_vectors)
     def test_bracket_closure(self, u, v):
