@@ -55,7 +55,6 @@ from .matrices import (
     hermitian_part,
     inner_ambient,
     sl_matrix,
-    solvable_gram,
     solvable_parts,
 )
 
@@ -100,7 +99,7 @@ def _validate_alpha(alpha: float) -> float:
     alpha = float(alpha)
     if not 0.0 <= alpha <= math.pi / 2.0:
         raise ValueError(f"alpha must lie in [0, pi/2], got {alpha}")
-    return alpha
+    return alpha + 0.0  # -0.0 becomes 0.0, so each angle has one memo key
 
 
 @lru_cache(maxsize=1)
@@ -144,7 +143,8 @@ class HypersurfaceModel:
         return _model_at(cls, _validate_alpha(alpha))
 
     def __post_init__(self):
-        gram = solvable_gram(np.stack([self.axis.entries, self.normal.entries]))
+        u, d = solvable_parts(np.stack([self.axis.entries, self.normal.entries]))
+        gram = np.real(np.einsum("iab,jab->ij", u, np.conj(u))) + 2.0 * d @ d.T
         if np.max(np.abs(gram - np.eye(2))) > 1e-14:
             raise ValueError("axis/normal frame is not orthonormal")
 

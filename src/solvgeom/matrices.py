@@ -17,8 +17,7 @@ products agree through the Hermitian-part map:
 
     inner_solvable(X, Y) == inner_ambient(hermitian_part(X), hermitian_part(Y))
 
-``solvable_gram`` evaluates ``inner_solvable`` over a whole stack of matrices
-at once.
+``solvable_parts`` also splits a whole (..., n, n) stack of matrices at once.
 
 Complex scalars are kept in Cartesian form throughout; nothing here touches
 polar decompositions.
@@ -38,7 +37,6 @@ __all__ = [
     "hermitian_part",
     "solvable_parts",
     "inner_solvable",
-    "solvable_gram",
     "sl_matrix",
 ]
 
@@ -152,26 +150,25 @@ def hermitian_part(x: SquareComplexMatrix) -> SquareComplexMatrix:
     return SquareComplexMatrix(0.5 * (x.entries + x.entries.conj().T))
 
 
-def solvable_parts(
-    x: SquareComplexMatrix, tol: float = MEMBERSHIP_TOL
-) -> tuple[np.ndarray, np.ndarray]:
+def solvable_parts(x, tol: float = MEMBERSHIP_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Split an upper triangular traceless matrix into nilpotent and diagonal parts.
 
     Returns (strictly upper triangle, real diagonal vector).  Raises
     ValueError if the argument is not in the solvable algebra: a nonzero
     strictly lower triangular part, a non-real diagonal, or a trace beyond
-    ``tol`` all disqualify it.
+    ``tol`` all disqualify it.  ``x`` may also be an (..., n, n) stack of
+    matrices; the tests then cover every matrix and the parts are stacked.
     """
-    e = x.entries
+    e = x.entries if isinstance(x, SquareComplexMatrix) else np.asarray(x, complex)
     low = np.tril(e, -1)
     if np.max(np.abs(low)) > tol:
         raise ValueError(
             "matrix is not in the solvable algebra: nonzero strictly lower part"
         )
-    d = np.diagonal(e)
+    d = np.diagonal(e, axis1=-2, axis2=-1)
     if np.max(np.abs(d.imag)) > tol:
         raise ValueError("matrix is not in the solvable algebra: diagonal is not real")
-    if abs(float(np.sum(d.real))) > tol:
+    if np.abs(d.real.sum(axis=-1)).max() > tol:
         raise ValueError("matrix is not in the solvable algebra: nonzero trace")
     return np.triu(e, 1), d.real.copy()
 
@@ -190,30 +187,6 @@ def inner_solvable(x: SquareComplexMatrix, y: SquareComplexMatrix) -> float:
     u1, d1 = solvable_parts(x)
     u2, d2 = solvable_parts(y)
     return float(np.real(np.sum(u1 * np.conj(u2)))) + 2.0 * float(np.dot(d1, d2))
-
-
-def solvable_gram(stack, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
-    """``inner_solvable`` between every two matrices of an (m, n, n) stack.
-
-    One contraction of the stacked strict upper parts and real diagonals;
-    every matrix must pass the membership tests of ``solvable_parts``.
-    """
-    e = np.asarray(stack, dtype=complex)
-    n = e.shape[-1]
-    lo, up = np.tril_indices(n, -1), np.triu_indices(n, 1)
-    d = np.diagonal(e, axis1=-2, axis2=-1)
-    if np.max(np.abs(e[:, lo[0], lo[1]]), initial=0.0) > tol:
-        raise ValueError(
-            "matrix is not in the solvable algebra: nonzero strictly lower part"
-        )
-    if np.max(np.abs(d.imag)) > tol:
-        raise ValueError("matrix is not in the solvable algebra: diagonal is not real")
-    if np.max(np.abs(np.sum(d.real, axis=-1))) > tol:
-        raise ValueError("matrix is not in the solvable algebra: nonzero trace")
-    u = e[:, up[0], up[1]]
-    parts = np.concatenate([u.real, u.imag, d.real], axis=-1)
-    weights = np.repeat([1.0, 2.0], [2 * len(up[0]), n])
-    return (parts * weights) @ parts.T
 
 
 def sl_matrix(entries) -> SquareComplexMatrix:

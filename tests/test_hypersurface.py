@@ -89,7 +89,11 @@ class TestModel:
         assert model.algebra.labels == ("E12", "iE12", "E23", "iE23", "E13", "iE13", "H")
 
     def test_one_shared_model_per_angle(self):
-        model = HypersurfaceModel.from_angle(0.0)
+        # -0.0 == 0.0 with one hash: asked first, it must still give alpha 0.0
+        _model_at.cache_clear()
+        model = HypersurfaceModel.from_angle(-0.0)
+        assert repr(model.alpha) == "0.0"
+        assert HypersurfaceModel.from_angle(0.0) is model
         assert HypersurfaceModel.from_angle(0) is model
         assert HypersurfaceModel.from_angle(np.float64(0.0)) is model
         assert build_hypersurface_algebra(0.0) is model.algebra

@@ -15,7 +15,6 @@ from solvgeom.matrices import (
     inner_solvable,
     killing_form,
     sl_matrix,
-    solvable_gram,
     solvable_parts,
 )
 from solvgeom.hypersurface import AMBIENT_BASIS, E12, E13, E23, H0, H1
@@ -237,17 +236,18 @@ class TestSolvableParts:
         "entries, reason",
         [([[0, 0], [1, 0]], "lower"), ([[1j, 0], [0, -1j]], "real"), (np.eye(3), "trace")],
     )
-    def test_gram_applies_the_same_membership_tests(self, entries, reason):
+    def test_stack_applies_the_membership_tests_to_each_matrix(self, entries, reason):
         stack = np.stack([np.zeros_like(entries, dtype=complex), entries])
         with pytest.raises(ValueError, match=reason):
-            solvable_gram(stack)
+            solvable_parts(stack)
 
     @given(st.lists(coeff_vectors, min_size=1, max_size=4))
-    def test_gram_of_a_stack_is_inner_solvable(self, coeffs):
+    def test_parts_of_a_stack_are_the_stacked_parts(self, coeffs):
         mats = [span(u) for u in coeffs]
-        gram = solvable_gram(np.stack([m.entries for m in mats]))
-        want = np.array([[inner_solvable(x, y) for y in mats] for x in mats])
-        assert np.max(np.abs(gram - want)) <= 1e-12
+        upper, diag = solvable_parts(np.stack([m.entries for m in mats]))
+        for k, m in enumerate(mats):
+            u, d = solvable_parts(m)
+            assert np.array_equal(upper[k], u) and np.array_equal(diag[k], d)
 
     @given(coeff_vectors, coeff_vectors)
     def test_bracket_closure(self, u, v):
