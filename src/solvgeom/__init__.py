@@ -1,12 +1,13 @@
 """Left-invariant geometry of a rank-two solvable model and its hypersurfaces.
 
-The package has three layers: ``matrices`` holds the 3x3 complex matrix
-arithmetic and the relevant bilinear forms, ``engine`` computes connection
-and curvature tensors of an arbitrary metric Lie algebra from structure
-constants, and ``hypersurface`` specialises both to the homogeneous
-hypersurface family of the model, where every curvature quantity has an
-independent closed form to test against.  ``cli`` exposes the sweep,
-verify, foliation and algebra subcommands.
+The package has three layers: ``matrices`` holds the Lie bracket and the
+bilinear forms on complex matrices, plain ndarrays taken one at a time or
+as stacks; ``engine`` computes connection and curvature tensors of an
+arbitrary metric Lie algebra from structure constants; and
+``hypersurface`` specialises both to the homogeneous hypersurface family
+of the model, where every curvature quantity has an independent closed
+form to test against.  ``cli`` exposes the sweep, verify, foliation and
+algebra subcommands.
 """
 
 from .engine import (
@@ -52,23 +53,20 @@ from .hypersurface import (
     zero_curvature_search,
 )
 from .matrices import (
-    SquareComplexMatrix,
     bracket,
     cartan_involution,
     hermitian_part,
     inner_ambient,
     inner_solvable,
     killing_form,
-    sl_matrix,
     solvable_parts,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "SquareComplexMatrix", "bracket", "cartan_involution", "killing_form",
+    "bracket", "cartan_involution", "killing_form",
     "inner_ambient", "inner_solvable", "hermitian_part", "solvable_parts",
-    "sl_matrix",
     "MetricLieAlgebra", "AxiomCheck", "DamekRicciReport",
     "load_algebra_json", "dump_algebra_json",
     "E12", "E23", "E13", "H0", "H1",

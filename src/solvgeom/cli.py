@@ -338,11 +338,12 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _add_common(parser: argparse.ArgumentParser, *, samples: int) -> None:
-    parser.add_argument("--samples", type=int, default=samples,
-                        help=f"random sample count (default {samples})")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="random seed (default 0)")
+def _add_common(parser: argparse.ArgumentParser, *, samples: int | None = None) -> None:
+    if samples is not None:  # a sampling subcommand: the count and its seed
+        parser.add_argument("--samples", type=int, default=samples,
+                            help=f"random sample count (default {samples})")
+        parser.add_argument("--seed", type=int, default=0,
+                            help="random seed (default 0)")
     parser.add_argument("--tol", type=_tolerance, default=1e-8,
                         help="residual tolerance, finite and nonnegative (default 1e-8)")
     parser.add_argument("--degrees", action="store_true",
@@ -384,7 +385,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, default=0.0, help="axis coordinate")
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--s", type=float, default=1.0, help="flow time")
-    _add_common(p, samples=0)
+    _add_common(p)
     p.set_defaults(func=_cmd_foliation)
 
     p = sub.add_parser("algebra", help="operations on a metric Lie algebra")
@@ -404,7 +405,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated indices of z (op dr-check)")
     p.add_argument("--a-index", type=int, default=None,
                    help="index of the abelian direction (op dr-check)")
-    _add_common(p, samples=100)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the random vectors of z (op dr-check, default 0)")
+    _add_common(p)
     p.set_defaults(func=_cmd_algebra)
     return parser
 

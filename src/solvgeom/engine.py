@@ -38,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .matrices import SquareComplexMatrix, bracket, inner_solvable
+from .matrices import bracket, inner_solvable
 
 __all__ = [
     "MetricLieAlgebra",
@@ -98,10 +98,11 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def jacobi_residual(structure) -> float:
-    """Largest entry of [[e_i, e_j], e_k] + cyclic over all basis triples."""
+    """Largest entry of [[e_i, e_j], e_k] + cyclic over all basis triples (nan on overflow)."""
     c = np.asarray(structure, dtype=float)
-    cyc = np.einsum("ijm,mkl->ijkl", c, c)
-    return float(np.max(np.abs(cyc + cyc.transpose(1, 2, 0, 3) + cyc.transpose(2, 0, 1, 3))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        cyc = np.einsum("ijm,mkl->ijkl", c, c)
+        return float(np.max(np.abs(cyc + cyc.transpose(1, 2, 0, 3) + cyc.transpose(2, 0, 1, 3))))
 
 
 class MetricLieAlgebra:
@@ -110,7 +111,8 @@ class MetricLieAlgebra:
     Instances are immutable; derived tensors (connection, curvature) are
     cached lazily on first use, read-only like the structure constants.  Construction validates antisymmetry of the
     structure constants, the Jacobi identity, and positive definiteness of
-    the Gram matrix, raising ValueError naming the first violated invariant.
+    the Gram matrix, raising ValueError naming the first violated invariant
+    (a nan residual, from an overflow, fails its check).
     """
 
     def __init__(self, structure, gram, labels=None):
@@ -126,13 +128,13 @@ class MetricLieAlgebra:
         if not np.all(np.isfinite(g)):
             raise ValueError("gram matrix entries are not all finite")
         anti = float(np.max(np.abs(c + np.swapaxes(c, 0, 1))))
-        if anti > ANTISYMMETRY_TOL:
+        if not anti <= ANTISYMMETRY_TOL:
             raise ValueError(f"structure constants are not antisymmetric (residual {anti:.3e})")
         jres = jacobi_residual(c)
-        if jres > JACOBI_TOL:
+        if not jres <= JACOBI_TOL:
             raise ValueError(f"Jacobi identity violated (residual {jres:.3e})")
         sym = float(np.max(np.abs(g - g.T)))
-        if sym > ANTISYMMETRY_TOL:
+        if not sym <= ANTISYMMETRY_TOL:
             raise ValueError(f"gram matrix is not symmetric (residual {sym:.3e})")
         lo = float(np.min(np.linalg.eigvalsh(g)))
         if lo <= GRAM_EIGENVALUE_FLOOR:
@@ -165,42 +167,45 @@ class MetricLieAlgebra:
     def from_matrix_basis(cls, basis, labels=None) -> "MetricLieAlgebra":
         """Extract structure constants and Gram matrix from a matrix basis.
 
-        Each pairwise commutator is expanded over the basis by real least
-        squares; a residual above CLOSURE_TOL means the span is not a
-        subalgebra and raises ValueError.  The Gram matrix is that of
-        ``inner_solvable``, so every basis matrix must lie in the solvable
-        algebra.
+        ``basis`` is an (n, d, d) stack of complex matrices, or a sequence
+        of n (d, d) arrays.  Each pairwise commutator is expanded over the
+        basis by real least squares; a residual above CLOSURE_TOL means the
+        span is not a subalgebra and raises ValueError.  The Gram matrix is
+        that of ``inner_solvable``, so every basis matrix must lie in the
+        solvable algebra.
         """
-        basis = list(basis)
+        try:
+            basis = np.asarray(basis, dtype=complex)
+        except ValueError:
+            shapes = [np.shape(m) for m in basis]
+            raise ValueError(f"basis matrices have mixed shapes {shapes}") from None
+        if basis.ndim != 3 or not basis.shape[0] or basis.shape[1] != basis.shape[2]:
+            raise ValueError(
+                f"expected a nonempty (n, d, d) stack of square matrices, got shape {basis.shape}"
+            )
         n = len(basis)
-        if n == 0:
-            raise ValueError("empty basis")
-        d = basis[0].dim
-        if any(m.dim != d for m in basis):
-            raise ValueError("basis matrices have mixed dimensions")
 
-        def flat(m: SquareComplexMatrix) -> np.ndarray:
-            v = m.entries.ravel()
-            return np.concatenate([v.real, v.imag])
+        def flat(stack: np.ndarray) -> np.ndarray:
+            v = stack.reshape(len(stack), -1)
+            return np.concatenate([v.real, v.imag], axis=1).T
 
-        span = np.stack([flat(m) for m in basis], axis=1)
+        span = flat(basis)
         if np.linalg.matrix_rank(span) < n:
             raise ValueError("basis is not linearly independent")
 
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        targets = np.stack([flat(bracket(basis[i], basis[j])) for i, j in pairs], axis=1)
+        iu, ju = np.triu_indices(n, 1)
+        targets = flat(bracket(basis[iu], basis[ju]))
         coeffs, *_ = np.linalg.lstsq(span, targets, rcond=None)
         residuals = np.linalg.norm(span @ coeffs - targets, axis=0)
-        for (i, j), res in zip(pairs, residuals):
+        for i, j, res in zip(iu, ju, residuals):
             if res > CLOSURE_TOL:
                 raise ValueError(
                     f"not a subalgebra: [basis[{i}], basis[{j}]] leaves the span "
                     f"(residual {res:.3e})"
                 )
         c = np.zeros((n, n, n))
-        for (i, j), col in zip(pairs, coeffs.T):
-            c[i, j] = col
-            c[j, i] = -col
+        c[iu, ju] = coeffs.T
+        c[ju, iu] = -coeffs.T
         g = np.empty((n, n))
         for i in range(n):
             for j in range(i, n):

@@ -49,14 +49,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .engine import MetricLieAlgebra, _read_only
-from .matrices import (
-    SquareComplexMatrix,
-    bracket,
-    hermitian_part,
-    inner_ambient,
-    sl_matrix,
-    solvable_parts,
-)
+from .matrices import bracket, hermitian_part, inner_ambient, solvable_parts
 
 __all__ = [
     "E12", "E23", "E13", "H0", "H1",
@@ -79,13 +72,15 @@ __all__ = [
 
 _SQRT3 = math.sqrt(3.0)
 
-E12 = sl_matrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
-E23 = sl_matrix([[0, 0, 0], [0, 0, 1], [0, 0, 0]])
-E13 = sl_matrix([[0, 0, 1], [0, 0, 0], [0, 0, 0]])
-H0 = sl_matrix(np.diag([0.5, 0.0, -0.5]))
-H1 = sl_matrix(np.diag([1.0 / (2.0 * _SQRT3), -1.0 / _SQRT3, 1.0 / (2.0 * _SQRT3)]))
+E12 = _read_only(np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]], dtype=complex))
+E23 = _read_only(np.array([[0, 0, 0], [0, 0, 1], [0, 0, 0]], dtype=complex))
+E13 = _read_only(np.array([[0, 0, 1], [0, 0, 0], [0, 0, 0]], dtype=complex))
+H0 = _read_only(np.diag([0.5, 0.0, -0.5]).astype(complex))
+H1 = _read_only(
+    np.diag([1.0 / (2.0 * _SQRT3), -1.0 / _SQRT3, 1.0 / (2.0 * _SQRT3)]).astype(complex)
+)
 
-AMBIENT_BASIS = (E12, 1j * E12, E23, 1j * E23, E13, 1j * E13, H0, H1)
+AMBIENT_BASIS = _read_only(np.stack([E12, 1j * E12, E23, 1j * E23, E13, 1j * E13, H0, H1]))
 AMBIENT_LABELS = ("E12", "iE12", "E23", "iE23", "E13", "iE13", "H0", "H1")
 HYPERSURFACE_LABELS = ("E12", "iE12", "E23", "iE23", "E13", "iE13", "H")
 
@@ -108,7 +103,7 @@ def ambient_algebra() -> MetricLieAlgebra:
     return MetricLieAlgebra.from_matrix_basis(AMBIENT_BASIS, labels=AMBIENT_LABELS)
 
 
-def ambient_curvature(x1: SquareComplexMatrix, x2: SquareComplexMatrix) -> float:
+def ambient_curvature(x1: np.ndarray, x2: np.ndarray) -> float:
     """<R(X1, X2) X2, X1> of the ambient space, unnormalised.
 
     Both arguments must lie in the solvable algebra.  The value is the
@@ -123,19 +118,23 @@ def ambient_curvature(x1: SquareComplexMatrix, x2: SquareComplexMatrix) -> float
 # -- the hypersurface family ---------------------------------------------------
 
 
-@dataclass(frozen=True)
+# eq=False: ndarray fields cannot be compared or hashed as values, and
+# from_angle shares each model by identity anyway.
+@dataclass(frozen=True, eq=False)
 class HypersurfaceModel:
     """One member of the hypersurface family: angle, axis, normal, basis.
 
     ``axis`` is the unit diagonal H(alpha) completing the nilpotent part to
-    the tangent algebra, ``normal`` the unit normal T(alpha), and ``basis``
-    the orthonormal 7-tuple (E12, iE12, E23, iE23, E13, iE13, H).
+    the tangent algebra and ``normal`` the unit normal T(alpha), both (3, 3)
+    complex arrays; ``basis`` is the (7, 3, 3) stack of the orthonormal
+    basis (E12, iE12, E23, iE23, E13, iE13, H).  ``from_angle`` makes all
+    three read-only.
     """
 
     alpha: float
-    axis: SquareComplexMatrix
-    normal: SquareComplexMatrix
-    basis: tuple[SquareComplexMatrix, ...]
+    axis: np.ndarray
+    normal: np.ndarray
+    basis: np.ndarray
 
     @classmethod
     def from_angle(cls, alpha: float) -> "HypersurfaceModel":
@@ -143,7 +142,7 @@ class HypersurfaceModel:
         return _model_at(cls, _validate_alpha(alpha))
 
     def __post_init__(self):
-        u, d = solvable_parts(np.stack([self.axis.entries, self.normal.entries]))
+        u, d = solvable_parts(np.stack([self.axis, self.normal]))
         gram = np.real(np.einsum("iab,jab->ij", u, np.conj(u))) + 2.0 * d @ d.T
         if np.max(np.abs(gram - np.eye(2))) > 1e-14:
             raise ValueError("axis/normal frame is not orthonormal")
@@ -154,17 +153,12 @@ class HypersurfaceModel:
         return MetricLieAlgebra.from_matrix_basis(self.basis, labels=HYPERSURFACE_LABELS)
 
     @cached_property
-    def basis_stack(self) -> np.ndarray:
-        return _read_only(np.stack([m.entries for m in self.basis]))
-
-    @cached_property
     def _phi_stack(self) -> np.ndarray:
-        return _read_only(_phi(self.basis_stack))
+        return _read_only(hermitian_part(self.basis))
 
     @cached_property
     def _phi_normal_brackets(self) -> np.ndarray:
-        t = self.normal.entries
-        return _read_only(_phi(self.basis_stack @ t - t @ self.basis_stack))
+        return _read_only(hermitian_part(bracket(self.basis, self.normal)))
 
     @cached_property
     def _shape_matrix(self) -> np.ndarray:
@@ -211,9 +205,9 @@ def _model_at(cls: type, alpha: float) -> HypersurfaceModel:
     """The model at a validated ``alpha``, built once and then shared while
     it stays among the last four angles asked for."""
     c, s = math.cos(alpha), math.sin(alpha)
-    axis = c * H0 + s * H1
-    normal = s * H0 + (-c) * H1
-    basis = (E12, 1j * E12, E23, 1j * E23, E13, 1j * E13, axis)
+    axis = _read_only(c * H0 + s * H1)
+    normal = _read_only(s * H0 + (-c) * H1)
+    basis = _read_only(np.concatenate([AMBIENT_BASIS[:6], axis[None]]))
     return cls(alpha=alpha, axis=axis, normal=normal, basis=basis)
 
 
@@ -244,30 +238,17 @@ class TangentVector:
     def norm_sq(self) -> float:
         return abs(self.a) ** 2 + abs(self.b) ** 2 + abs(self.c) ** 2 + self.t**2
 
-    def matrix(self, model: HypersurfaceModel) -> SquareComplexMatrix:
-        m = self.t * model.axis.entries.copy()
-        m[0, 1] += self.a
-        m[1, 2] += self.b
-        m[0, 2] += self.c
-        return SquareComplexMatrix(m)
-
 
 # -- the curvature tensor ---------------------------------------------------------
-
-
-def _phi(batch: np.ndarray) -> np.ndarray:
-    return 0.5 * (batch + np.conj(np.swapaxes(batch, -1, -2)))
 
 
 @lru_cache(maxsize=1)
 def _ambient_curvature_tensor() -> np.ndarray:
     """<R(E_i, E_j) E_k, E_l> = -<[[phi E_i, phi E_j], phi E_k], phi E_l> over
     AMBIENT_BASIS; independent of alpha, read-only."""
-    p = _phi(np.stack([m.entries for m in AMBIENT_BASIS]))
+    p = hermitian_part(AMBIENT_BASIS)
     n = len(p)
-    b = p[:, None] @ p[None, :]
-    b = b - np.swapaxes(b, 0, 1)
-    nested = b[:, :, None] @ p - p @ b[:, :, None]
+    nested = bracket(bracket(p[:, None], p[None, :])[:, :, None], p)
     flat = nested.reshape(n**3, 9) @ np.conj(p).reshape(n, 9).T
     return _read_only(-2.0 * np.real(flat).reshape(n, n, n, n))
 
@@ -521,8 +502,8 @@ def classify(alpha: float, samples: int = 1000, seed: int = 0) -> CurvatureRepor
 # -- normal flow and foliation ---------------------------------------------------
 
 
-_H0_DIAG = _read_only(np.diag(H0.entries).real)
-_H1_DIAG = _read_only(np.diag(H1.entries).real)
+_H0_DIAG = _read_only(np.diag(H0).real)
+_H1_DIAG = _read_only(np.diag(H1).real)
 
 
 def _abelian_diagonals(alpha: float) -> tuple[np.ndarray, np.ndarray]:

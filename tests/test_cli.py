@@ -8,9 +8,11 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from solvgeom import cli
 from solvgeom.cli import SWEEP_COLUMNS, main
@@ -174,6 +176,37 @@ class TestTolerance:
     def test_zero_tol_is_valid(self, capsys, command):
         rc, out, _ = run_cli(capsys, *TOL_ARGV[command], "--tol", "0")
         assert rc == 0 and json.loads(out)
+
+
+class TestSamplingOptions:
+    """--samples and --seed exist only on the subcommands that read them."""
+
+    DR_CHECK = TOL_ARGV["algebra dr-check"]
+
+    @pytest.mark.parametrize("argv", [
+        ("foliation", "--samples", "5"),
+        ("foliation", "--seed", "9"),
+        (*DR_CHECK, "--samples", "-5"),
+        ("algebra", "einstein", "--ambient", "--samples", "5"),
+    ])
+    def test_unread_option_is_a_usage_error(self, capsys, argv):
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, out) == (2, "")
+        assert "unrecognized arguments: " + " ".join(argv[-2:]) in err
+
+    def test_dr_check_reads_its_seed(self, capsys, monkeypatch):
+        # axiom 4 draws its random vectors of z from --seed
+        seeds = []
+        check = MetricLieAlgebra.damek_ricci_check
+
+        def recording(self, *args, **kwargs):
+            seeds.append(kwargs["seed"])
+            return check(self, *args, **kwargs)
+
+        monkeypatch.setattr(MetricLieAlgebra, "damek_ricci_check", recording)
+        rc, out, _ = run_cli(capsys, *self.DR_CHECK, "--seed", "9")
+        assert rc == 0 and json.loads(out)["overall"] is True
+        assert seeds == [9]
 
 
 class TestVerify:
@@ -434,6 +467,63 @@ class TestAlgebra:
         )
         assert rc == 2
         assert "comma-separated" in err
+
+    def test_overflowing_jacobi_residual_rejected(self, tmp_path):
+        # the Jacobi products overflow to a nan residual, which must not pass
+        bad = tmp_path / "overflow.json"
+        bad.write_text(json.dumps(OVERFLOW_DOC))
+        proc = TestModuleEntryPoint.python_m(
+            "solvgeom", "algebra", "einstein", "--file", str(bad))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: Jacobi identity violated (residual nan)\n"
+
+
+OVERFLOW_DOC = {"dim": 3, "gram": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                "structure": [[0, 1, 2, 1e200], [1, 2, 0, 1e200]]}
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def algebra_documents(draw):
+    """Documents of dim 1-4 with arbitrary finite Gram and structure values.
+
+    The Gram matrix is drawn symmetric, so that documents reach the checks
+    past the symmetry test.
+    """
+    n = draw(st.integers(1, 4))
+    upper = {(i, j): draw(FINITE) for i in range(n) for j in range(i, n)}
+    gram = [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+    slots = [(i, j, k) for i in range(n) for j in range(i + 1, n) for k in range(n)]
+    chosen = draw(st.lists(st.sampled_from(slots), unique=True)) if slots else []
+    return {"dim": n, "gram": gram,
+            "structure": [[i, j, k, draw(FINITE)] for i, j, k in chosen]}
+
+
+def _reject_constant(name):
+    raise AssertionError(f"non-finite JSON number {name}")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(doc=OVERFLOW_DOC)
+@given(doc=algebra_documents())
+def test_json_input_exits_0_or_2(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["algebra", "einstein", "--file", str(path)])
+    assert rc in (0, 2)
+    if rc == 0:
+        result = json.loads(out.getvalue(), parse_constant=_reject_constant)
+        assert all(math.isfinite(v) for v in result.values() if isinstance(v, float))
+        # a result computed through an overflow is not a success
+        assert not caught, [str(w.message) for w in caught]
+    else:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
 
 
 class TestOneLeafPerProcess:

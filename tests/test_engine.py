@@ -9,6 +9,7 @@ J_z on the hypersurface algebras.
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,8 +20,15 @@ from solvgeom.engine import (
     dump_algebra_json,
     load_algebra_json,
 )
-from solvgeom.hypersurface import build_hypersurface_algebra
-from solvgeom.matrices import SquareComplexMatrix
+from solvgeom.hypersurface import (
+    AMBIENT_BASIS,
+    E12,
+    E13,
+    E23,
+    HypersurfaceModel,
+    ambient_algebra,
+    build_hypersurface_algebra,
+)
 
 
 def hyperbolic_plane():
@@ -114,27 +122,47 @@ class TestValidation:
 
 class TestFromMatrixBasis:
     def test_dependent_basis_rejected(self):
-        e = SquareComplexMatrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
         with pytest.raises(ValueError, match="linearly independent"):
-            MetricLieAlgebra.from_matrix_basis((e, 2 * e))
+            MetricLieAlgebra.from_matrix_basis((E12, 2 * E12))
 
     def test_non_subalgebra_rejected(self):
-        e12 = SquareComplexMatrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
-        e23 = SquareComplexMatrix([[0, 0, 0], [0, 0, 1], [0, 0, 0]])
         with pytest.raises(ValueError, match="not a subalgebra"):
-            MetricLieAlgebra.from_matrix_basis((e12, e23))
+            MetricLieAlgebra.from_matrix_basis((E12, E23))
 
     def test_heisenberg_structure_recovered(self):
-        e12 = SquareComplexMatrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
-        e23 = SquareComplexMatrix([[0, 0, 0], [0, 0, 1], [0, 0, 0]])
-        e13 = SquareComplexMatrix([[0, 0, 1], [0, 0, 0], [0, 0, 0]])
-        alg = MetricLieAlgebra.from_matrix_basis((e12, e23, e13), labels=("x", "y", "z"))
+        alg = MetricLieAlgebra.from_matrix_basis((E12, E23, E13), labels=("x", "y", "z"))
         expected = np.zeros((3, 3, 3))
         expected[0, 1, 2] = 1.0
         expected[1, 0, 2] = -1.0
         assert np.max(np.abs(alg.structure - expected)) <= 1e-12
         assert np.max(np.abs(alg.gram - np.eye(3))) <= 1e-12
         assert alg.labels == ("x", "y", "z")
+
+    @pytest.mark.parametrize("alpha", [None, 0.0, 0.4, 1.0, math.pi / 2])
+    def test_stack_and_list_give_the_same_algebra(self, alpha):
+        basis = AMBIENT_BASIS if alpha is None else HypersurfaceModel.from_angle(alpha).basis
+        from_stack = MetricLieAlgebra.from_matrix_basis(basis)
+        from_list = MetricLieAlgebra.from_matrix_basis([np.array(m) for m in basis])
+        assert np.array_equal(from_stack.structure, from_list.structure)
+        assert np.array_equal(from_stack.gram, from_list.gram)
+        if alpha is None:
+            assert np.array_equal(from_stack.structure, ambient_algebra().structure)
+
+    @pytest.mark.parametrize(
+        "basis, shape",
+        [
+            ([], "(0,)"),
+            (np.zeros((0, 3, 3)), "(0, 3, 3)"),
+            (E12, "(3, 3)"),
+            (np.zeros((2, 3, 2)), "(2, 3, 2)"),
+            (np.zeros((1, 2, 3, 3)), "(1, 2, 3, 3)"),
+            ([E12, np.zeros((2, 2))], "[(3, 3), (2, 2)]"),
+        ],
+        ids=["empty", "empty_stack", "one_matrix", "non_square", "four_axes", "ragged"],
+    )
+    def test_bad_shapes_rejected_by_name(self, basis, shape):
+        with pytest.raises(ValueError, match=re.escape(shape)):
+            MetricLieAlgebra.from_matrix_basis(basis)
 
 
 class TestConnectionAndCurvature:
@@ -443,6 +471,9 @@ class TestJsonInterchange:
             # rejected by the bound alone, before any n*n*n allocation
             ({"dim": MAX_JSON_DIM + 1, "gram": [], "structure": []},
              f"at most {MAX_JSON_DIM}"),
+            # the Jacobi products overflow: a nan residual must not pass
+            ({"dim": 3, "gram": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+              "structure": [[0, 1, 2, 1e200], [1, 2, 0, 1e200]]}, "Jacobi identity"),
         ],
     )
     def test_format_errors(self, doc, message):

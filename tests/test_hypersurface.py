@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from solvgeom.hypersurface import (
+    AMBIENT_BASIS,
     E12,
     E13,
     E23,
@@ -43,7 +44,7 @@ from solvgeom.hypersurface import (
     volume_distortion,
     zero_curvature_search,
 )
-from solvgeom.matrices import SquareComplexMatrix, inner_solvable
+from solvgeom.matrices import inner_solvable
 
 HALF_SQRT3 = math.sqrt(3.0) / 2.0
 
@@ -75,13 +76,30 @@ class TestModel:
 
     def test_axis_normal_at_zero(self):
         model = HypersurfaceModel.from_angle(0.0)
-        assert model.axis.allclose(H0)
-        assert model.normal.allclose(-1.0 * H1)
+        assert np.max(np.abs(model.axis - H0)) <= 1e-12
+        assert np.max(np.abs(model.normal + H1)) <= 1e-12
 
     def test_axis_normal_at_right_angle(self):
         model = HypersurfaceModel.from_angle(math.pi / 2)
-        assert model.axis.allclose(H1)
-        assert model.normal.allclose(H0)
+        assert np.max(np.abs(model.axis - H1)) <= 1e-12
+        assert np.max(np.abs(model.normal - H0)) <= 1e-12
+
+    @pytest.mark.parametrize("attr, shape", [("axis", (3, 3)), ("normal", (3, 3)),
+                                             ("basis", (7, 3, 3))])
+    def test_frame_arrays_have_their_shapes(self, attr, shape):
+        array = getattr(HypersurfaceModel.from_angle(0.3), attr)
+        assert array.shape == shape and array.dtype == complex
+
+    def test_basis_is_the_nilpotent_part_then_the_axis(self):
+        model = HypersurfaceModel.from_angle(0.3)
+        assert np.array_equal(model.basis[:6], AMBIENT_BASIS[:6])
+        assert np.array_equal(model.basis[6], model.axis)
+
+    def test_model_hashes_by_identity(self):
+        model = HypersurfaceModel.from_angle(0.3)
+        assert hash(model) == hash(model)
+        assert {model: 1}[HypersurfaceModel.from_angle(0.3)] == 1
+        assert model != HypersurfaceModel(model.alpha, model.axis, model.normal, model.basis)
 
     def test_algebra_cached(self):
         model = HypersurfaceModel.from_angle(0.4)
@@ -108,7 +126,7 @@ class TestModel:
 
     @pytest.mark.parametrize(
         "attr",
-        ["basis_stack", "_phi_stack", "_phi_normal_brackets", "_shape_matrix",
+        ["axis", "normal", "basis", "_phi_stack", "_phi_normal_brackets", "_shape_matrix",
          "_ambient_tensor", "_bivector_form", "_curvature_tensor"],
     )
     def test_shared_arrays_are_read_only(self, attr):
@@ -124,7 +142,7 @@ class TestModel:
 
     @staticmethod
     def _direct(axis, normal):
-        basis = (E12, 1j * E12, E23, 1j * E23, E13, 1j * E13, axis)
+        basis = np.concatenate([AMBIENT_BASIS[:6], axis[None]])
         return HypersurfaceModel(alpha=0.0, axis=axis, normal=normal, basis=basis)
 
     def test_direct_constructor_accepts_the_frame(self):
@@ -140,7 +158,7 @@ class TestModel:
             self._direct(H0, tilted)
 
     def test_direct_constructor_rejects_a_strictly_lower_entry(self):
-        lower = SquareComplexMatrix([[0, 0, 0], [1e-6, 0, 0], [0, 0, 0]])
+        lower = np.array([[0, 0, 0], [1e-6, 0, 0], [0, 0, 0]])
         with pytest.raises(ValueError, match="strictly lower"):
             self._direct(H0 + lower, -1.0 * H1)
 
@@ -155,19 +173,17 @@ class TestTangentVector:
             TangentVector.from_coeffs(np.zeros(6))
 
     def test_matrix_embedding(self):
+        # coeffs() are the coordinates over the rows of model.basis
         model = HypersurfaceModel.from_angle(0.3)
         v = TangentVector(a=2j, b=1.0, c=-1j, t=0.5)
-        m = v.matrix(model)
-        expected = (
-            2j * E12.entries + E23.entries - 1j * E13.entries
-            + 0.5 * model.axis.entries
-        )
-        assert np.max(np.abs(m.entries - expected)) <= 1e-15
+        m = np.tensordot(v.coeffs(), model.basis, axes=1)
+        expected = 2j * E12 + E23 - 1j * E13 + 0.5 * model.axis
+        assert np.max(np.abs(m - expected)) <= 1e-15
 
     def test_norm_matches_inner(self):
         model = HypersurfaceModel.from_angle(1.0)
         v = TangentVector(a=1 + 1j, b=-2.0, c=0.5j, t=0.7)
-        m = v.matrix(model)
+        m = np.tensordot(v.coeffs(), model.basis, axes=1)
         assert v.norm_sq() == pytest.approx(inner_solvable(m, m), abs=1e-13)
 
 
@@ -255,9 +271,7 @@ class TestCurvature:
             gauss_sectional(model, x, y)
 
     def test_ambient_curvature_validates_membership(self):
-        from solvgeom.matrices import SquareComplexMatrix
-
-        low = SquareComplexMatrix([[0, 0, 0], [1, 0, 0], [0, 0, 0]])
+        low = np.array([[0, 0, 0], [1, 0, 0], [0, 0, 0]])
         with pytest.raises(ValueError, match="solvable"):
             ambient_curvature(low, E12)
 

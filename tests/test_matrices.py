@@ -7,16 +7,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from solvgeom.matrices import (
-    SquareComplexMatrix,
     bracket,
     cartan_involution,
     hermitian_part,
     inner_ambient,
     inner_solvable,
     killing_form,
-    sl_matrix,
     solvable_parts,
 )
+from solvgeom import hypersurface
 from solvgeom.hypersurface import AMBIENT_BASIS, E12, E13, E23, H0, H1
 
 V, W, Z0 = E12, E23, E13
@@ -24,8 +23,15 @@ V, W, Z0 = E12, E23, E13
 
 def span(coeffs):
     """Real linear combination of the ambient orthonormal basis."""
-    entries = sum(c * m.entries for c, m in zip(coeffs, AMBIENT_BASIS))
-    return SquareComplexMatrix(entries)
+    return np.tensordot(coeffs, AMBIENT_BASIS, axes=1)
+
+
+def close(x, y, tol=1e-12):
+    return x.shape == y.shape and np.max(np.abs(x - y)) <= tol
+
+
+def max_abs(x):
+    return np.max(np.abs(x))
 
 
 coeff_vectors = st.lists(
@@ -33,64 +39,26 @@ coeff_vectors = st.lists(
 )
 
 
-class TestSquareComplexMatrix:
-    def test_entries_read_only(self):
-        m = SquareComplexMatrix(np.eye(2))
-        with pytest.raises(ValueError):
-            m.entries[0, 0] = 5.0
-
-    def test_immutable_attributes(self):
-        m = SquareComplexMatrix(np.eye(2))
-        with pytest.raises(AttributeError):
-            m.entries = np.zeros((2, 2))
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError, match="square"):
-            SquareComplexMatrix(np.zeros((2, 3)))
-
-    def test_dim_trace(self):
-        m = SquareComplexMatrix([[1, 2], [3, 4j]])
-        assert m.dim == 2
-        assert m.trace == 1 + 4j
-
-    def test_arithmetic(self):
-        a = SquareComplexMatrix([[1, 0], [0, 1]])
-        b = SquareComplexMatrix([[0, 1], [1, 0]])
-        assert (a + b).allclose(SquareComplexMatrix([[1, 1], [1, 1]]))
-        assert (a - b).allclose(SquareComplexMatrix([[1, -1], [-1, 1]]))
-        assert (-a).allclose(SquareComplexMatrix([[-1, 0], [0, -1]]))
-        assert (2j * b).allclose(SquareComplexMatrix([[0, 2j], [2j, 0]]))
-        assert (b * 2j).allclose(SquareComplexMatrix([[0, 2j], [2j, 0]]))
-        assert (b @ b).allclose(a)
-
-    def test_dimension_mismatch(self):
-        a = SquareComplexMatrix(np.eye(2))
-        b = SquareComplexMatrix(np.eye(3))
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            a + b
-
-    def test_conjugate_transpose(self):
-        m = SquareComplexMatrix([[1j, 2], [0, 0]])
-        assert m.conjugate_transpose().allclose(
-            SquareComplexMatrix([[-1j, 0], [2, 0]])
-        )
-
-    def test_max_abs(self):
-        assert SquareComplexMatrix([[3j, 0], [0, -4]]).max_abs() == 4.0
-
-
 class TestConstants:
+    @pytest.mark.parametrize("name", ["E12", "E23", "E13", "H0", "H1", "AMBIENT_BASIS"])
+    def test_read_only_complex_arrays(self, name):
+        array = getattr(hypersurface, name)
+        assert array.shape == ((8, 3, 3) if name == "AMBIENT_BASIS" else (3, 3))
+        assert array.dtype == complex
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 5.0
+
+    def test_ambient_basis_holds_the_constants_in_order(self):
+        expected = [E12, 1j * E12, E23, 1j * E23, E13, 1j * E13, H0, H1]
+        assert np.array_equal(AMBIENT_BASIS, np.stack(expected))
+
     def test_basis_traceless(self):
         for m in AMBIENT_BASIS:
-            assert abs(m.trace) <= 1e-15
+            assert abs(np.trace(m)) <= 1e-15
 
     def test_h1_trace_exactly_zero(self):
         # 1/(2 sqrt 3) doubles exactly in binary, so the cancellation is exact
-        assert H1.trace == 0.0
-
-    def test_sl_matrix_rejects_trace(self):
-        with pytest.raises(ValueError, match="traceless"):
-            sl_matrix(np.eye(3))
+        assert np.trace(H1) == 0.0
 
     def test_ambient_basis_orthonormal(self):
         g = np.array(
@@ -101,38 +69,52 @@ class TestConstants:
 
 class TestBracketsAndInvolution:
     def test_root_vector_brackets(self):
-        assert bracket(V, W).allclose(Z0)
-        assert bracket(1j * V, W).allclose(1j * Z0)
-        assert bracket(V, 1j * W).allclose(1j * Z0)
-        assert bracket(1j * V, 1j * W).allclose(-Z0)
-        assert bracket(V, Z0).max_abs() <= 1e-15
-        assert bracket(W, Z0).max_abs() <= 1e-15
+        assert close(bracket(V, W), Z0)
+        assert close(bracket(1j * V, W), 1j * Z0)
+        assert close(bracket(V, 1j * W), 1j * Z0)
+        assert close(bracket(1j * V, 1j * W), -Z0)
+        assert max_abs(bracket(V, Z0)) <= 1e-15
+        assert max_abs(bracket(W, Z0)) <= 1e-15
 
     def test_diagonal_adjoint_eigenvalues(self):
-        assert bracket(H0, V).allclose(0.5 * V)
-        assert bracket(H0, W).allclose(0.5 * W)
-        assert bracket(H0, Z0).allclose(1.0 * Z0)
+        assert close(bracket(H0, V), 0.5 * V)
+        assert close(bracket(H0, W), 0.5 * W)
+        assert close(bracket(H0, Z0), 1.0 * Z0)
         r = 1.0 / (2.0 * math.sqrt(3.0))
-        assert bracket(H1, V).allclose(3.0 * r * V)
-        assert bracket(H1, W).allclose(-3.0 * r * W)
-        assert bracket(H1, Z0).max_abs() <= 1e-15
+        assert close(bracket(H1, V), 3.0 * r * V)
+        assert close(bracket(H1, W), -3.0 * r * W)
+        assert max_abs(bracket(H1, Z0)) <= 1e-15
 
     def test_involution_squares_to_identity(self):
-        m = SquareComplexMatrix([[1j, 2 + 1j, 0], [0, -2j, 1], [0, 0, 1j]])
-        assert cartan_involution(cartan_involution(m)).allclose(m)
+        m = np.array([[1j, 2 + 1j, 0], [0, -2j, 1], [0, 0, 1j]])
+        assert close(cartan_involution(cartan_involution(m)), m)
 
     @given(coeff_vectors, coeff_vectors)
     def test_involution_is_automorphism(self, u, v):
         x, y = span(u), span(v)
         lhs = cartan_involution(bracket(x, y))
         rhs = bracket(cartan_involution(x), cartan_involution(y))
-        assert lhs.allclose(rhs, tol=1e-10)
+        assert close(lhs, rhs, tol=1e-10)
+
+    def test_stack_maps_equal_the_per_matrix_maps(self):
+        # the maps act on the last two axes: a stack gives each matrix's result
+        rng = np.random.default_rng(5)
+        x = span(rng.standard_normal((4, 8)))
+        y = span(rng.standard_normal((4, 8)))
+        assert x.shape == y.shape == (4, 3, 3)
+        for stacked, single in (
+            (bracket(x, y), lambda k: bracket(x[k], y[k])),
+            (bracket(x, H0), lambda k: bracket(x[k], H0)),
+            (hermitian_part(x), lambda k: hermitian_part(x[k])),
+            (cartan_involution(x), lambda k: cartan_involution(x[k])),
+        ):
+            for k in range(len(x)):
+                assert np.array_equal(stacked[k], single(k))
 
     def test_jacobi_identity_on_random_triples(self):
-        stack = np.stack([m.entries for m in AMBIENT_BASIS])
         rng = np.random.default_rng(17)
         x, y, z = np.einsum(
-            "tnc,cij->tnij", rng.uniform(-2.0, 2.0, (3, 1000, 8)), stack
+            "tnc,cij->tnij", rng.uniform(-2.0, 2.0, (3, 1000, 8)), AMBIENT_BASIS
         )
 
         def comm(a, b):
@@ -194,10 +176,10 @@ class TestForms:
             assert n > 0.0
 
     def test_hermitian_part_projects(self):
-        m = SquareComplexMatrix([[1j, 2], [3, -1j]])
+        m = np.array([[1j, 2], [3, -1j]])
         p = hermitian_part(m)
-        assert p.allclose(p.conjugate_transpose())
-        assert hermitian_part(p).allclose(p)
+        assert close(p, p.conj().T)
+        assert close(hermitian_part(p), p)
 
     @given(coeff_vectors, coeff_vectors)
     def test_inner_solvable_via_hermitian_part(self, u, v):
@@ -214,7 +196,7 @@ class TestForms:
 
 class TestSolvableParts:
     def test_decomposition(self):
-        m = SquareComplexMatrix([[1.0, 2j, 3], [0, -2.0, 1j], [0, 0, 1.0]])
+        m = np.array([[1.0, 2j, 3], [0, -2.0, 1j], [0, 0, 1.0]])
         upper, diag = solvable_parts(m)
         assert np.allclose(diag, [1.0, -2.0, 1.0])
         assert upper[0, 1] == 2j and upper[1, 2] == 1j and upper[0, 2] == 3
@@ -222,15 +204,15 @@ class TestSolvableParts:
 
     def test_rejects_lower_entries(self):
         with pytest.raises(ValueError, match="lower"):
-            solvable_parts(SquareComplexMatrix([[0, 0], [1, 0]]))
+            solvable_parts(np.array([[0, 0], [1, 0]]))
 
     def test_rejects_complex_diagonal(self):
         with pytest.raises(ValueError, match="real"):
-            solvable_parts(SquareComplexMatrix([[1j, 0], [0, -1j]]))
+            solvable_parts(np.array([[1j, 0], [0, -1j]]))
 
     def test_rejects_nonzero_trace(self):
         with pytest.raises(ValueError, match="trace"):
-            solvable_parts(SquareComplexMatrix(np.eye(3)))
+            solvable_parts(np.eye(3))
 
     @pytest.mark.parametrize(
         "entries, reason",
@@ -244,7 +226,7 @@ class TestSolvableParts:
     @given(st.lists(coeff_vectors, min_size=1, max_size=4))
     def test_parts_of_a_stack_are_the_stacked_parts(self, coeffs):
         mats = [span(u) for u in coeffs]
-        upper, diag = solvable_parts(np.stack([m.entries for m in mats]))
+        upper, diag = solvable_parts(np.stack(mats))
         for k, m in enumerate(mats):
             u, d = solvable_parts(m)
             assert np.array_equal(upper[k], u) and np.array_equal(diag[k], d)
