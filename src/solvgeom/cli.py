@@ -12,8 +12,8 @@ Four subcommands:
 
 Also runs as ``python -m solvgeom``.  Exit codes: 0 success, 1 a
 verification or residual threshold failed (stderr then names the worst
-angle, or the failing ``verify`` row and its worst tensor entry, with the
-residual), 2 bad usage or invalid input.  Output is deterministic for
+angle, or the failing ``verify`` row, its worst tensor entry or sample and
+the residual), 2 bad usage or invalid input.  Output is deterministic for
 fixed arguments:
 floats are formatted with explicit precision ('.12g' in CSV, '.17g' in
 JSON) and sampling is seeded.  No color or other terminal decoration is
@@ -43,6 +43,7 @@ from .hypersurface import (
     classify,
     flow_point,
     foliation_residual,
+    foliation_residual_many,
     leaf_conjugate,
     mean_curvature,
     random_unit_tangents,
@@ -152,10 +153,12 @@ def _cmd_sweep(args) -> int:
     return 1
 
 
-def _worst_entry(residual: np.ndarray) -> tuple[float, tuple[int, ...]]:
-    """The largest entry of a residual tensor and its index (i, j, k, l)."""
-    idx = np.unravel_index(int(np.argmax(residual)), residual.shape)
-    return float(residual[idx]), tuple(int(i) for i in idx)
+def _worst(residual: np.ndarray) -> tuple[float, str]:
+    """The largest entry of a residual array and where it is: " at entry
+    (i, j, k, l)" of a tensor, " at sample n" of a row of samples."""
+    idx = tuple(int(i) for i in np.unravel_index(int(np.argmax(residual)), residual.shape))
+    where = f"entry {idx}" if residual.ndim > 1 else f"sample {idx[0]}"
+    return float(residual[idx]), f" at {where}"
 
 
 def _cmd_verify(args) -> int:
@@ -169,7 +172,7 @@ def _cmd_verify(args) -> int:
     s, c = math.sin(alpha), math.cos(alpha)
 
     vecs = random_unit_tangents(rng, max(args.samples, 1))
-    ricci_dev = float(np.max(np.abs(ricci_gauss_many(model, vecs) - alg.ricci(vecs))))
+    ricci_dev = np.abs(ricci_gauss_many(model, vecs) - alg.ricci(vecs))
     r = alg._riemann @ alg.gram  # the Koszul <R(e_i, e_j) e_k, e_l>
     symmetries = np.maximum.reduce([
         np.abs(r + r.transpose(1, 0, 2, 3)),
@@ -188,33 +191,29 @@ def _cmd_verify(args) -> int:
     dr = build_hypersurface_algebra(0.0).damek_ricci_check(
         (0, 1, 2, 3), (4, 5), 6, seed=args.seed
     )
-    fol_dev = 0.0
-    for _ in range(max(args.samples // 10, 1)):
-        coords = rng.standard_normal(8)
-        q = GroupElement(
-            x=complex(coords[0], coords[1]), y=complex(coords[2], coords[3]),
-            z=complex(coords[4], coords[5]), t=coords[6], alpha=alpha,
-        )
-        fol_dev = max(fol_dev, foliation_residual(q, float(coords[7])))
+    # rows (Re x, Im x, Re y, Im y, Re z, Im z, t, s): a point and a flow time
+    coords = rng.standard_normal((max(args.samples // 10, 1), 8))
+    xyz = coords[:, :6].view(complex)
+    fol_dev = foliation_residual_many(alpha, xyz, coords[:, 6], coords[:, 7])
 
-    # (name, residual, worst entry (i, j, k, l) of a whole-tensor row or None)
+    # (name, residual, where a sampled or whole-tensor row is worst, or "")
     checks = [
-        ("Jacobi identity", max(jacobi_residual(a.structure) for a in (alg, amb)), None),
-        ("curvature tensor symmetries", *_worst_entry(symmetries)),
-        ("Gauss vs Koszul Ricci", ricci_dev, None),
-        ("Gauss vs Koszul sectional", *_worst_entry(np.abs(model._curvature_tensor - r))),
+        ("Jacobi identity", max(jacobi_residual(a.structure) for a in (alg, amb)), ""),
+        ("curvature tensor symmetries", *_worst(symmetries)),
+        ("Gauss vs Koszul Ricci", *_worst(ricci_dev)),
+        ("Gauss vs Koszul sectional", *_worst(np.abs(model._curvature_tensor - r))),
         ("ambient bracket vs Koszul curvature",
-         *_worst_entry(np.abs(_ambient_curvature_tensor() - amb._riemann @ amb.gram))),
-        ("mean curvature trace identity", abs(mean_curvature(model) + 4.0 * s), None),
-        ("Cheeger closed form", abs(alg.cheeger() - 4.0 * c), None),
-        ("shape spectrum closed form", shape_dev, None),
-        ("Ricci extremes vs operator", max(abs(ric_ev[0] - lo), abs(ric_ev[-1] - hi)), None),
+         *_worst(np.abs(_ambient_curvature_tensor() - amb._riemann @ amb.gram))),
+        ("mean curvature trace identity", abs(mean_curvature(model) + 4.0 * s), ""),
+        ("Cheeger closed form", abs(alg.cheeger() - 4.0 * c), ""),
+        ("shape spectrum closed form", shape_dev, ""),
+        ("Ricci extremes vs operator", max(abs(ric_ev[0] - lo), abs(ric_ev[-1] - hi)), ""),
         ("Heber vector = 4 H0",
-         float(np.max(np.abs(amb.trace_form_vector() - 4.0 * np.eye(8)[6]))), None),
+         float(np.max(np.abs(amb.trace_form_vector() - 4.0 * np.eye(8)[6]))), ""),
         ("Damek-Ricci axioms at alpha=0", max(
             a.residual for a in (dr.axiom_1, dr.axiom_2, dr.axiom_3, dr.axiom_4, dr.axiom_5)
-        ), None),
-        ("foliation matrix identity", fol_dev, None),
+        ), ""),
+        ("foliation matrix identity", *_worst(fol_dev)),
     ]
     passed = [dev <= args.tol for _, dev, _ in checks]
     if args.format == "json":
@@ -235,9 +234,8 @@ def _cmd_verify(args) -> int:
         ]
         lines.append("all checks passed" if all(passed) else "some checks FAILED")
         _emit("\n".join(lines) + "\n", args.output)
-    for (name, dev, entry), ok in zip(checks, passed):
+    for (name, dev, where), ok in zip(checks, passed):
         if not ok:
-            where = f" at entry {entry}" if entry else ""
             print(f"verify: FAIL: {name} at alpha {alpha!r}: residual {dev:.3e}{where} "
                   f"exceeds --tol {args.tol:g}", file=sys.stderr)
     return 0 if all(passed) else 1
@@ -305,16 +303,11 @@ def _cmd_algebra(args) -> int:
             _parse_ints(args.v_indices), _parse_ints(args.z_indices), args.a_index,
             tol=args.tol, seed=args.seed,
         )
+        axioms = [getattr(report, f"axiom_{n}") for n in range(1, 6)]
         payload = {
             "dim": alg.dim,
-            **{
-                name: {"passed": chk.passed, "residual": chk.residual}
-                for name, chk in (
-                    ("axiom_1", report.axiom_1), ("axiom_2", report.axiom_2),
-                    ("axiom_3", report.axiom_3), ("axiom_4", report.axiom_4),
-                    ("axiom_5", report.axiom_5),
-                )
-            },
+            **{f"axiom_{n}": {"passed": chk.passed, "residual": chk.residual}
+               for n, chk in enumerate(axioms, 1)},
             "j_squared_residual": report.axiom_4.residual,
             "is_two_step_nilpotent": report.axiom_2.passed,
             "overall": report.overall,

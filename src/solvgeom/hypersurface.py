@@ -27,8 +27,9 @@ throughout the test suite:
 
 * extrinsically, by the Gauss equation: each model caches the curvature
   tensor R_ijkl = <R(e_i, e_j) e_k, e_l> of its basis, the ambient term
-  -<[[phi e_i, phi e_j], phi e_k], phi e_l> plus II_il II_jk - II_ik II_jl,
-  and Ricci and sectional curvatures are contractions of it, and
+  -<[[phi e_i, phi e_j], phi e_k], phi e_l> plus II_il II_jk - II_ik II_jl;
+  Ricci curvatures contract it, and the sectional curvature of span{u, v}
+  is w R w / w . w for its 21x21 operator R on the wedges w = u ^ v, and
 * intrinsically, by handing the seven-dimensional subalgebra to the generic
   Koszul engine.
 
@@ -62,7 +63,8 @@ __all__ = [
     "ricci_polynomial", "ricci_extremes",
     "reference_plane", "reference_plane_curvature",
     "Regime", "CurvatureReport", "classify",
-    "GroupElement", "flow_point", "leaf_conjugate", "foliation_residual",
+    "GroupElement", "flow_point", "leaf_conjugate",
+    "foliation_residual", "foliation_residual_many",
     "volume_distortion",
     "build_hypersurface_algebra", "HYPERSURFACE_LABELS",
     "PlaneScan", "nonpositivity_scan", "zero_curvature_search",
@@ -178,15 +180,6 @@ class HypersurfaceModel:
         return _read_only(t)
 
     @cached_property
-    def _bivector_form(self) -> np.ndarray:
-        """The ambient curvature operator on Lambda^2 R^7 over the e_i ^ e_j
-        of _PAIRS: symmetric, read-only and 21x21, with R_ijkl at row
-        i < j and column l < k, so that w B w = <R(u, v) v, u> for w = u ^ v."""
-        i, j = _PAIRS
-        t = self._ambient_tensor
-        return _read_only(t[i[:, None], j[:, None], j[None, :], i[None, :]])
-
-    @cached_property
     def _curvature_tensor(self) -> np.ndarray:
         """R_ijkl = <R(e_i, e_j) e_k, e_l> by the Gauss equation:
         the ambient term plus II_il II_jk - II_ik II_jl."""
@@ -196,6 +189,15 @@ class HypersurfaceModel:
             + np.einsum("il,jk->ijkl", s, s)
             - np.einsum("ik,jl->ijkl", s, s)
         )
+
+    @cached_property
+    def _curvature_operator(self) -> np.ndarray:
+        """The Gauss curvature operator on Lambda^2 R^7 over the e_i ^ e_j of
+        _PAIRS: symmetric, read-only and 21x21, with R_ijkl at row i < j and
+        column l < k, so that w R w = <R(u, v) v, u> for w = u ^ v."""
+        i, j = _PAIRS
+        t = self._curvature_tensor
+        return _read_only(t[i[:, None], j[:, None], j[None, :], i[None, :]])
 
 
 # Four models: verify reads two (its alpha and the alpha = 0 leaf), and a
@@ -265,20 +267,12 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _plane_terms(
     model: HypersurfaceModel, u: np.ndarray, v: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sectional numerators <R(u, v) v, u> and plane Gram determinants.
-
-    ``u`` and ``v`` are (..., 7) coefficient arrays; both returns have the
-    leading shape.  The ambient term is the curvature operator on Lambda^2
-    (``_bivector_form``) evaluated on the wedge u ^ v, the second
-    fundamental form term II(u, u) II(v, v) - II(u, v)^2.
-    """
+    """Sectional numerators <R(u, v) v, u> = w R w and plane Gram determinants
+    w . w = |u|^2 |v|^2 - (u . v)^2 (Lagrange) of the wedges w = u ^ v, for
+    (..., 7) arrays u, v and R = ``_curvature_operator``; shape (...,) each."""
     i, j = _PAIRS
     w = u[..., i] * v[..., j] - u[..., j] * v[..., i]
-    amb = _dot(w @ model._bivector_form, w)
-    su, sv = u @ model._shape_matrix, v @ model._shape_matrix
-    ii = _dot(su, u) * _dot(sv, v) - _dot(su, v) ** 2
-    den = _dot(u, u) * _dot(v, v) - _dot(u, v) ** 2
-    return amb + ii, den
+    return _dot(w @ model._curvature_operator, w), _dot(w, w)
 
 
 # -- second fundamental form and curvature ---------------------------------------
@@ -568,11 +562,30 @@ def leaf_conjugate(q: GroupElement, s: float) -> GroupElement:
     )
 
 
+# leaf_conjugate's math.exp elementwise; np.exp differs from it in the last bit
+_math_exp = np.vectorize(math.exp, otypes=[float])
+
+
+def foliation_residual_many(alpha: float, xyz, t, s, q_s=0.0) -> np.ndarray:
+    """``foliation_residual`` of the points with unipotent entries ``xyz``
+    (m, 3), axis and normal coordinates ``t`` and ``q_s`` and flow times
+    ``s``, each a scalar or (m,); bit for bit the residual of each row."""
+    axis, normal = _abelian_diagonals(alpha)
+    xyz = np.asarray(xyz, dtype=complex)
+    t, s, q_s = (np.asarray(a, dtype=float)[..., None] for a in (t, s, q_s))
+    tau = s * normal
+    e = np.exp(tau)  # the diagonal of exp(s T)
+    d = np.exp(t * axis + q_s * normal)  # the diagonal of q and of q'
+    # x, y, z sit at the entries (0, 1), (1, 2), (0, 2) of the matrices
+    i, j = [0, 1, 0], [1, 2, 2]
+    conj = xyz * _math_exp(tau[..., j] - tau[..., i])  # leaf_conjugate's entries
+    res = np.abs(e[..., i] * (conj * d[..., j]) - (xyz * d[..., j]) * e[..., j])
+    return np.max(res, axis=-1)
+
+
 def foliation_residual(q: GroupElement, s: float) -> float:
     """Largest entry of exp(s T) q' - q exp(s T) for q' = leaf_conjugate(q, s)."""
-    _, normal = _abelian_diagonals(q.alpha)
-    exp_t = np.diag(np.exp(float(s) * normal))
-    return float(np.max(np.abs(exp_t @ leaf_conjugate(q, s).matrix() - q.matrix() @ exp_t)))
+    return float(foliation_residual_many(q.alpha, [[q.x, q.y, q.z]], q.t, s, q.s)[0])
 
 
 def volume_distortion(alpha: float, s: float) -> float:
@@ -600,11 +613,14 @@ def random_unit_tangents(rng: np.random.Generator, n: int) -> np.ndarray:
 def random_orthonormal_pairs(
     rng: np.random.Generator, n: int, dim: int = 7
 ) -> tuple[np.ndarray, np.ndarray]:
-    """n orthonormal pairs of coefficient vectors via Gram-Schmidt."""
+    """n orthonormal pairs of coefficient vectors via Gram-Schmidt, projected
+    _SCAN_BLOCK rows at a time, so the pairs are the only (n, dim) arrays made."""
     u = rng.standard_normal((n, dim))
     u /= np.sqrt(_dot(u, u))[:, None]
     v = rng.standard_normal((n, dim))
-    v -= _dot(u, v)[:, None] * u
+    for b in range(0, n, _SCAN_BLOCK):
+        ub, vb = u[b:b + _SCAN_BLOCK], v[b:b + _SCAN_BLOCK]
+        vb -= _dot(ub, vb)[:, None] * ub
     norms = np.sqrt(_dot(v, v))[:, None]
     retry = norms[:, 0] < 1e-8
     while np.any(retry):
@@ -612,11 +628,12 @@ def random_orthonormal_pairs(
         v[retry] -= _dot(u[retry], v[retry])[:, None] * u[retry]
         norms = np.sqrt(_dot(v, v))[:, None]
         retry = norms[:, 0] < 1e-8
-    return u, v / norms
+    v /= norms
+    return u, v
 
 
-# Rows per _plane_terms contraction, which bounds the (rows, 21) intermediates.
-_SCAN_BLOCK = 2048
+# Rows per block of _plane_terms and of the Gram-Schmidt projection.
+_SCAN_BLOCK = 512
 
 
 def _sectional_rows(model: HypersurfaceModel, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -655,8 +672,7 @@ def nonpositivity_scan(alpha: float, samples: int, seed: int = 0) -> PlaneScan:
     model = HypersurfaceModel.from_angle(alpha)
     rng = np.random.default_rng(seed)
     s1, s2 = reference_plane()
-    best_max = -math.inf
-    best_min = math.inf
+    best_max, best_min = -math.inf, math.inf
     arg_max = arg_min = (s1.coeffs(), s2.coeffs())
     chunk = 20000
     done = 0
@@ -677,10 +693,7 @@ def nonpositivity_scan(alpha: float, samples: int, seed: int = 0) -> PlaneScan:
         best_max, arg_max = k_ref, (s1.coeffs(), s2.coeffs())
     if abs(k_ref) < best_min:
         best_min, arg_min = abs(k_ref), (s1.coeffs(), s2.coeffs())
-    pack = lambda pair: (
-        TangentVector.from_coeffs(pair[0]),
-        TangentVector.from_coeffs(pair[1]),
-    )
+    pack = lambda pair: tuple(TangentVector.from_coeffs(x) for x in pair)
     return PlaneScan(
         max_curvature=best_max,
         max_plane=pack(arg_max),
@@ -691,23 +704,13 @@ def nonpositivity_scan(alpha: float, samples: int, seed: int = 0) -> PlaneScan:
 
 
 def _plane_abs_curvature(model: HypersurfaceModel, w: np.ndarray) -> np.ndarray:
-    """|K| of the plane spanned by the two halves of each row of w (m, 14).
-
-    A row whose first half has norm below 1e-8, or whose second half does
-    after removing its component along the first, gives inf.
-    """
+    """|K| of the plane spanned by the two halves u, v of each row of w (m, 14),
+    which need not be orthonormal; inf where the plane is degenerate, its
+    Gram determinant at most 1e-12 |u|^2 |v|^2."""
     u, v = w[:, :7], w[:, 7:]
-    nu = np.linalg.norm(u, axis=1)
-    ok = nu >= 1e-8
-    u = u[ok] / nu[ok, None]
-    v = v[ok] - _dot(u, v[ok])[:, None] * u
-    nv = np.linalg.norm(v, axis=1)
-    spans = nv >= 1e-8
-    ok[ok] = spans
-    num, den = _plane_terms(model, u[spans], v[spans] / nv[spans, None])
-    out = np.full(len(w), math.inf)
-    out[ok] = np.abs(num / den)
-    return out
+    num, den = _plane_terms(model, u, v)
+    spans = den > 1e-12 * _dot(u, u) * _dot(v, v)
+    return np.abs(np.divide(num, den, out=np.full(len(w), math.inf), where=spans))
 
 
 # Coordinate moves of the descent in the order they are tried: +e0, -e0, +e1, ...

@@ -11,6 +11,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
@@ -18,11 +19,15 @@ from solvgeom import cli
 from solvgeom.cli import SWEEP_COLUMNS, main
 from solvgeom.engine import MetricLieAlgebra, dump_algebra_json
 from solvgeom.hypersurface import (
+    GroupElement,
     HypersurfaceModel,
     _model_at,
     ambient_algebra,
     build_hypersurface_algebra,
+    foliation_residual,
     nonpositivity_scan,
+    random_unit_tangents,
+    ricci_gauss_many,
     zero_curvature_search,
 )
 
@@ -252,6 +257,47 @@ class TestVerify:
         assert sum("FAIL" in line for line in lines[:12]) == 1
 
 
+class TestVerifySampledRows:
+    """A failing sampled row names its worst sample on stderr."""
+
+    def test_stderr_names_the_worst_sample(self, capsys):
+        alpha, samples, seed = 0.4, 60, 3
+        rc, _, err = run_cli(capsys, "verify", "--alpha", repr(alpha), "--samples",
+                             str(samples), "--seed", str(seed), "--tol", "1e-30")
+        assert rc == 1
+        # the same draws, one sample at a time
+        rng = np.random.default_rng(seed)
+        vecs = random_unit_tangents(rng, samples)
+        alg = build_hypersurface_algebra(alpha)
+        model = HypersurfaceModel.from_angle(alpha)
+        ricci = [abs(ricci_gauss_many(model, x[None])[0] - alg.ricci(x)) for x in vecs]
+        fol = []
+        for coords in rng.standard_normal((samples // 10, 8)):
+            q = GroupElement(x=complex(coords[0], coords[1]), y=complex(coords[2], coords[3]),
+                             z=complex(coords[4], coords[5]), t=coords[6], alpha=alpha)
+            fol.append(foliation_residual(q, float(coords[7])))
+        for label, residuals in (("Gauss vs Koszul Ricci", ricci),
+                                 ("foliation matrix identity", fol)):
+            worst = int(np.argmax(residuals))
+            assert residuals[worst] > 0.0
+            assert (
+                f"verify: FAIL: {label} at alpha {alpha!r}: residual {residuals[worst]:.3e} "
+                f"at sample {worst} exceeds --tol 1e-30\n"
+            ) in err
+
+    def test_perturbed_ricci_sample_is_named(self, capsys, monkeypatch):
+        ricci = MetricLieAlgebra.ricci
+        bump = np.zeros(50)
+        bump[17] = 1e-6
+        monkeypatch.setattr(MetricLieAlgebra, "ricci", lambda self, x: ricci(self, x) + bump)
+        rc, _, err = run_cli(capsys, "verify", "--alpha", "0.7", "--samples", "50")
+        assert rc == 1
+        assert err == (
+            "verify: FAIL: Gauss vs Koszul Ricci at alpha 0.7: residual 1.000e-06 "
+            "at sample 17 exceeds --tol 1e-08\n"
+        )
+
+
 class TestVerifyMutations:
     """One tensor entry perturbed by 1e-6: the row comparing that tensor
     fails, the exit code is 1, and stderr names the row and the entry."""
@@ -347,6 +393,19 @@ class TestFoliation:
         rc, _, err = run_cli(capsys, "foliation", "--alpha", "2.0")
         assert rc == 2
         assert "alpha" in err
+
+
+# Positive definite in exact arithmetic, singular to working precision.
+RANK_ONE_GRAM_DOC = {"dim": 2, "gram": [[1e205, 3e205], [3e205, 9e205]],
+                     "structure": [[0, 1, 0, 1.0]]}
+RANK_ONE_BLOCK_GRAM_DOC = {
+    "dim": 4, "gram": [[1e205, 3e205, 1, 0], [3e205, 9e205, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1]],
+    "structure": [[0, 1, 0, 1.0]],
+}
+# A valid algebra whose Koszul products exceed the float range.
+HUGE_GRAM_DOC = {"dim": 2, "gram": [[1.7976931348623157e308, -6.6e15],
+                                    [-6.6e15, 1.7976931348623157e308]],
+                 "structure": [[0, 1, 0, -6.6e15]]}
 
 
 class TestAlgebra:
@@ -477,9 +536,40 @@ class TestAlgebra:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == "error: Jacobi identity violated (residual nan)\n"
 
+    @pytest.mark.parametrize(
+        "doc, op",
+        [
+            (RANK_ONE_GRAM_DOC, "einstein"),
+            (RANK_ONE_GRAM_DOC, "cheeger"),
+            (RANK_ONE_GRAM_DOC, "ricci"),
+            (RANK_ONE_BLOCK_GRAM_DOC, "einstein"),
+            (RANK_ONE_BLOCK_GRAM_DOC, "cheeger"),
+        ],
+        ids=["2x2-einstein", "2x2-cheeger", "2x2-ricci", "4x4-einstein", "4x4-cheeger"],
+    )
+    def test_gram_singular_to_working_precision_rejected(self, capsys, tmp_path, doc, op):
+        bad = tmp_path / "gram.json"
+        bad.write_text(json.dumps(doc))
+        vector = ",".join(["1"] * doc["dim"])
+        rc, out, err = run_cli(capsys, "algebra", op, "--file", str(bad), "--vector", vector)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: gram matrix is too ill-conditioned (eigenvalues ")
+
+    def test_overflowing_connection_rejected(self, tmp_path):
+        bad = tmp_path / "huge.json"
+        bad.write_text(json.dumps(HUGE_GRAM_DOC))
+        proc = TestModuleEntryPoint.python_m(
+            "solvgeom", "algebra", "einstein", "--file", str(bad))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            "error: Levi-Civita connection overflows the float range for this structure "
+            "and gram matrix\n"
+        )
+
 
 OVERFLOW_DOC = {"dim": 3, "gram": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
                 "structure": [[0, 1, 2, 1e200], [1, 2, 0, 1e200]]}
+
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 

@@ -4,12 +4,14 @@ The hyperbolic plane (one-dimensional extension [e1, e2] = e2) and the
 bi-invariant 3-sphere (su(2) with the round metric) have textbook constant
 curvatures, giving oracles that are independent of everything else in the
 package.  The batched Damek-Ricci axiom 4 is also compared with a per-vector
-J_z on the hypersurface algebras.
+J_z on the hypersurface algebras, and the stacked draws of axioms 4 and 5
+with a per-vector loop, bit for bit.
 """
 
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -109,6 +111,37 @@ class TestValidation:
     def test_gram_definiteness_checked(self):
         with pytest.raises(ValueError, match="positive definite"):
             MetricLieAlgebra(np.zeros((2, 2, 2)), -np.eye(2))
+
+    @pytest.mark.parametrize(
+        "gram",
+        [
+            [[1e205, 3e205], [3e205, 9e205]],
+            [[1e205, 3e205, 1, 0], [3e205, 9e205, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1]],
+            [[1e10, 0.0], [0.0, 1e-3]],
+        ],
+        ids=["rank_one_at_1e205", "rank_one_block_at_1e205", "condition_1e13"],
+    )
+    def test_ill_conditioned_gram_rejected(self, gram):
+        # every computed eigenvalue clears the absolute floor; the first two
+        # matrices are singular to working precision
+        n = len(gram)
+        with pytest.raises(ValueError, match=r"^gram matrix is too ill-conditioned \(eigenvalues"):
+            MetricLieAlgebra(np.zeros((n, n, n)), gram)
+
+    def test_well_conditioned_gram_of_any_scale_accepted(self):
+        for scale in (1e-9, 1.0, 1e200):
+            g = scale * np.array([[2.0, 0.5], [0.5, 1.0]])
+            assert np.array_equal(MetricLieAlgebra(np.zeros((2, 2, 2)), g).gram, g)
+
+    def test_overflowing_connection_rejected(self):
+        top = 1.7976931348623157e308
+        c = np.zeros((2, 2, 2))
+        c[0, 1, 0], c[1, 0, 0] = -6.6e15, 6.6e15
+        alg = MetricLieAlgebra(c, [[top, -6.6e15], [-6.6e15, top]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^Levi-Civita connection overflows"):
+                alg.ricci_matrix()
 
     def test_label_count_checked(self):
         with pytest.raises(ValueError, match="labels"):
@@ -412,6 +445,88 @@ class TestJOperatorAndAxioms:
             jm = np.stack(cols, axis=1)
             worst = max(worst, float(np.max(np.abs(jm @ jm + (z @ g @ z) * np.eye(len(vi))))))
         assert abs(report.axiom_4.residual - worst) <= 1e-14
+
+
+def quaternionic_hyperbolic_line():
+    # v = H, z = Im H acting by left multiplication, ad_a = 1/2 on v, 1 on z
+    # L e_q = sign e_p for the left multiplications L_i, L_j, L_k on (1, i, j, k)
+    tables = [[(1, 1), (0, -1), (3, 1), (2, -1)],
+              [(2, 1), (3, -1), (0, -1), (1, 1)],
+              [(3, 1), (2, 1), (1, -1), (0, -1)]]
+    left = np.zeros((3, 4, 4))
+    for m, table in enumerate(tables):
+        for q, (p, sign) in enumerate(table):
+            left[m, p, q] = sign
+    c = np.zeros((8, 8, 8))
+    c[:4, :4, 4:7] = 0.5 * left.transpose(2, 1, 0)
+    c[7, range(7), range(7)] = [0.5] * 4 + [1.0] * 3
+    return MetricLieAlgebra(c - c.swapaxes(0, 1), np.eye(8))
+
+
+def skewed(alg, sizes):
+    """``alg`` in a random basis that keeps the v, z, A blocks of ``sizes``,
+    so that the z frame, the draws and the Gram norms all round."""
+    rng = np.random.default_rng(9)
+    p = np.zeros((alg.dim, alg.dim))
+    start = 0
+    for n in sizes:
+        p[start:start + n, start:start + n] = np.eye(n) + 0.3 * rng.standard_normal((n, n))
+        start += n
+    c = np.einsum("ai,bj,ijk,kc->abc", p, p, alg.structure, np.linalg.inv(p))
+    return MetricLieAlgebra(0.5 * (c - c.swapaxes(0, 1)), p @ alg.gram @ p.T)
+
+
+def per_vector_axioms_4_and_5(alg, vi, zi, a_index, n_random, seed):
+    """Axioms 4 and 5 with one draw, one norm and one bracket per vector."""
+    g = alg.gram
+    z_frame = alg._subspace_orthonormal(zi)
+    rng = np.random.default_rng(seed)
+    zs = list(z_frame)
+    for _ in range(n_random):
+        w = rng.standard_normal(len(zi)) @ z_frame
+        nw = np.sqrt(w @ g @ w)
+        if nw > 1e-12:
+            zs.append(w / nw)
+    zs = np.stack(zs)
+    jm = alg._j_matrices(zs, list(vi))
+    zz = np.einsum("mk,kl,ml->m", zs, g, zs)
+    r4 = float(np.max(np.abs(jm @ jm + zz[:, None, None] * np.eye(len(vi)))))
+    basis = np.eye(alg.dim)
+    r5 = 0.0
+    for i, weight in [(i, 0.5) for i in vi] + [(i, 1.0) for i in zi]:
+        r5 = max(r5, alg.norm(alg.bracket_coeffs(basis[a_index], basis[i]) - weight * basis[i]))
+    return r4, r5
+
+
+class TestStackedAxioms:
+    def test_negative_draw_count_rejected(self):
+        with pytest.raises(ValueError, match="^n_random must be nonnegative, got -3$"):
+            complex_hyperbolic_plane().damek_ricci_check((0, 1), (2,), 3, n_random=-3)
+
+    def test_quaternionic_hyperbolic_line_is_damek_ricci(self):
+        assert quaternionic_hyperbolic_line().damek_ricci_check(
+            (0, 1, 2, 3), (4, 5, 6), 7).overall
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize(
+        "make, split",
+        [
+            (lambda: build_hypersurface_algebra(0.0), ((0, 1, 2, 3), (4, 5), 6)),
+            (lambda: skewed(build_hypersurface_algebra(0.0), (4, 2, 1)),
+             ((0, 1, 2, 3), (4, 5), 6)),
+            (skewed_complex_hyperbolic_plane, ((0, 1), (2,), 3)),
+            (quaternionic_hyperbolic_line, ((0, 1, 2, 3), (4, 5, 6), 7)),
+            (lambda: skewed(quaternionic_hyperbolic_line(), (4, 3, 1)),
+             ((0, 1, 2, 3), (4, 5, 6), 7)),
+        ],
+        ids=["alpha0", "alpha0_skewed_basis", "CH2_skewed_gram", "HH1", "HH1_skewed_basis"],
+    )
+    def test_stacked_draw_equals_the_per_vector_loop(self, make, split, seed):
+        alg = make()
+        for n_random in (0, 1, 100, 3000):
+            report = alg.damek_ricci_check(*split, n_random=n_random, seed=seed)
+            r4, r5 = per_vector_axioms_4_and_5(alg, *split, n_random, seed)
+            assert (report.axiom_4.residual, report.axiom_5.residual) == (r4, r5)
 
 
 class TestJsonInterchange:

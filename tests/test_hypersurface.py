@@ -27,6 +27,7 @@ from solvgeom.hypersurface import (
     classify,
     flow_point,
     foliation_residual,
+    foliation_residual_many,
     gauss_sectional,
     leaf_conjugate,
     mean_curvature,
@@ -127,7 +128,7 @@ class TestModel:
     @pytest.mark.parametrize(
         "attr",
         ["axis", "normal", "basis", "_phi_stack", "_phi_normal_brackets", "_shape_matrix",
-         "_ambient_tensor", "_bivector_form", "_curvature_tensor"],
+         "_ambient_tensor", "_curvature_tensor", "_curvature_operator"],
     )
     def test_shared_arrays_are_read_only(self, attr):
         array = getattr(HypersurfaceModel.from_angle(0.3), attr)
@@ -506,6 +507,24 @@ class TestFlowAndFoliation:
         # exact round-off values: `foliation` and `verify` print them
         assert foliation_residual(q, s) == residual
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.4, 0.9, math.pi / 2])
+    def test_stacked_residuals_match_the_scalar_residual(self, alpha):
+        rng = np.random.default_rng(21)
+        coords = rng.standard_normal((40, 9))
+        xyz = coords[:, :6].view(complex)
+        t, q_s, s = coords[:, 6], coords[:, 7], coords[:, 8]
+        got = foliation_residual_many(alpha, xyz, t, s, q_s)
+        assert got.shape == (40,)
+        _, normal = _abelian_diagonals(alpha)
+        for r in range(40):
+            q = GroupElement(x=xyz[r, 0], y=xyz[r, 1], z=xyz[r, 2], t=t[r], alpha=alpha,
+                             s=q_s[r])
+            assert got[r] == foliation_residual(q, s[r])
+            # the identity as matrices, evaluated one point at a time
+            exp_t = np.diag(np.exp(float(s[r]) * normal))
+            lhs = exp_t @ leaf_conjugate(q, s[r]).matrix()
+            assert got[r] == np.max(np.abs(lhs - q.matrix() @ exp_t))
+
     def test_flow_point_matrix(self):
         q = GroupElement(x=1 - 1j, y=0.25j, z=3.0, t=0.5, alpha=0.9)
         _, normal = _abelian_diagonals(0.9)
@@ -604,6 +623,17 @@ class TestScans:
             tracemalloc.stop()
         assert peak <= 6e6
 
+    def test_scan_high_water_mark(self):
+        # blockwise Gram-Schmidt and contraction: the pairs and K dominate
+        nonpositivity_scan(0.7, samples=10)
+        tracemalloc.start()
+        try:
+            nonpositivity_scan(0.7, samples=20000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.0e6
+
     @pytest.mark.parametrize(
         "alpha, seed", [(0.0, 1), (0.2, 8), (0.7, 3), (math.pi / 3, 4), (1.2, 6), (1.5, 2)]
     )
@@ -644,23 +674,61 @@ class TestScans:
             w[r] = np.concatenate([u, v])
         got = _plane_abs_curvature(model, w)
         for r, (kind, _, _) in enumerate(rows):
-            # the scalar evaluation, one plane at a time
+            # the scalar evaluation, one plane at a time, on an orthonormal basis
             u, v = w[r, :7], w[r, 7:]
-            nu = np.linalg.norm(u)
-            if nu < 1e-8:
+            if kind != "plane" or (u @ u) * (v @ v) == 0.0:
                 assert got[r] == math.inf
                 continue
-            u = u / nu
+            u = u / np.linalg.norm(u)
             v_perp = v - (u @ v) * u
-            nv = np.linalg.norm(v_perp)
-            if nv < 1e-8:
+            sin = np.linalg.norm(v_perp) / np.linalg.norm(v)
+            if sin < 0.5e-6:  # Gram determinant below 1e-12 |u|^2 |v|^2
                 assert got[r] == math.inf
-                continue
-            assert kind == "plane"
-            num, den = _plane_terms(model, u, v_perp / nv)
-            # round-off in v_perp grows like |v| / |v_perp|
-            tol = 1e-12 * (1.0 + np.linalg.norm(v) / nv)
-            assert got[r] == pytest.approx(abs(float(num) / float(den)), rel=1e-12, abs=tol)
+            elif sin > 2e-6:
+                num, den = _plane_terms(model, u, v_perp / np.linalg.norm(v_perp))
+                # round-off in the wedge grows like 1 / sin
+                tol = 1e-12 * (1.0 + 1.0 / sin)
+                assert got[r] == pytest.approx(abs(float(num) / float(den)), rel=1e-12, abs=tol)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.7, math.pi / 2])
+    def test_abs_curvature_ignores_the_basis_of_the_plane(self, alpha):
+        model = HypersurfaceModel.from_angle(alpha)
+        w = np.concatenate(random_orthonormal_pairs(np.random.default_rng(5), 200), axis=1)
+        base = _plane_abs_curvature(model, w)
+        assert np.all(np.isfinite(base))
+        for scale in (4.0, 0.125):  # exact in binary
+            scaled = w.copy()
+            scaled[:, :7] *= scale
+            assert np.array_equal(_plane_abs_curvature(model, scaled), base)
+        for scale, lam in ((3.7, 0.0), (1e-3, 0.0), (1e3, 0.0), (1.0, 0.3), (1.0, -2.5),
+                           (1.0, 10.0), (2.9, 1.7)):
+            moved = w.copy()
+            moved[:, 7:] += lam * moved[:, :7]
+            moved[:, :7] *= scale
+            got = _plane_abs_curvature(model, moved)
+            assert np.max(np.abs(got - base)) <= 1e-14 * (1.0 + abs(lam))
+
+    def test_abs_curvature_is_inf_exactly_on_degenerate_rows(self):
+        # Gram determinant / (|u|^2 |v|^2) = sin^2 of the angle; the bound is 1e-12
+        model = HypersurfaceModel.from_angle(0.4)
+        u, e = np.eye(7)[0] * 3.0, np.eye(7)[2]
+        rows = [(0 * u, e), (u, 0 * e), (u, -2.0 * u), (u, u + 1e-7 * e), (u, u + 1e-5 * e),
+                (u, e)]
+        got = _plane_abs_curvature(model, np.array([np.concatenate(r) for r in rows]))
+        assert list(got[:4]) == [math.inf] * 4
+        want = abs(gauss_sectional(model, TangentVector.from_coeffs(u),
+                                   TangentVector.from_coeffs(e)))
+        assert got[4] == pytest.approx(want, rel=1e-9)
+        assert got[5] == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize("alpha", [0.0, math.pi / 6, math.pi / 3, 1.2, math.pi / 2])
+    def test_operator_sectional_matches_koszul(self, alpha):
+        model = HypersurfaceModel.from_angle(alpha)
+        rng = np.random.default_rng(12)
+        u, v = rng.standard_normal((2, 500, 7))
+        num, den = _plane_terms(model, u, v)
+        want = np.array([model.algebra.sectional(x, y) for x, y in zip(u, v)])
+        assert np.max(np.abs(num / den - want)) <= 1e-14 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("alpha", [0.0, math.pi / 6, math.pi / 3, 1.2, math.pi / 2])
     def test_plane_terms_match_the_curvature_tensor(self, alpha):
@@ -677,15 +745,16 @@ class TestScans:
 
     @pytest.mark.parametrize("alpha", [0.0, 0.7, math.pi / 2])
     def test_bivector_form_is_the_curvature_operator(self, alpha):
+        # the form on bivectors is the Gauss curvature operator R-hat
         model = HypersurfaceModel.from_angle(alpha)
-        form = model._bivector_form
+        form = model._curvature_operator
         assert form.shape == (21, 21)
         assert np.array_equal(form, form.T)
         assert not form.flags.writeable
         pairs = [(i, j) for i in range(7) for j in range(i + 1, 7)]
         for p, (i, j) in enumerate(pairs):
             for q, (l, k) in enumerate(pairs):
-                assert form[p, q] == model._ambient_tensor[i, j, k, l]
+                assert form[p, q] == model._curvature_tensor[i, j, k, l]
 
     def test_gauss_numerator_zero_for_parallel(self):
         model = HypersurfaceModel.from_angle(0.4)
