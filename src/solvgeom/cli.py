@@ -247,14 +247,18 @@ def _group_dict(q: GroupElement) -> dict:
 
 def _cmd_foliation(args) -> int:
     alpha = math.radians(args.alpha) if args.degrees else args.alpha
+    _validate_alpha(alpha)  # so that a ValueError below is the flow time's
     q = GroupElement(x=args.x, y=args.y, z=args.z, t=args.t, alpha=alpha)
-    moved = flow_point(q, args.s)
+    try:  # both overflow for a long flow time alone, whatever the point
+        conj, volume = leaf_conjugate(q, args.s), volume_distortion(alpha, args.s)
+    except ValueError as exc:
+        raise ValueError(f"--s is too long: {exc}") from None
     payload = {
         "point": _group_dict(q),
         "flow_time": args.s,
-        "flow_point": _group_dict(moved),
-        "leaf_conjugate": _group_dict(leaf_conjugate(q, args.s)),
-        "volume_distortion": volume_distortion(alpha, args.s),
+        "flow_point": _group_dict(flow_point(q, args.s)),
+        "leaf_conjugate": _group_dict(conj),
+        "volume_distortion": volume,
         "matrix_identity_residual": foliation_residual(q, args.s),
     }
     _emit(_json_text(payload) + "\n", args.output)

@@ -33,6 +33,15 @@ throughout the test suite:
 * intrinsically, by handing the seven-dimensional subalgebra to the generic
   Koszul engine.
 
+Since w R w / w . w does not change when u, v are replaced by another basis
+of their plane, the sampled-plane queries (``nonpositivity_scan``,
+``zero_curvature_search``) read K straight off the wedges of raw Gaussian
+pairs and orthonormalise only the planes they return or start a descent
+from.  All of them, and ``random_orthonormal_pairs``, draw one stream: for n
+planes, the n rows of u in one draw, then the rows of v 768 at a time.  The
+scan draws 20000 planes at a time and holds one draw of u (1.1 MB) and one
+block of v with its wedges, so its memory does not grow with the samples.
+
 A closed form of the Ricci curvature, its extremes over the unit sphere, the
 Cheeger constant and the shape spectrum make the family's regime changes at
 alpha = pi/3 explicit.  The last section implements the unit-normal flow,
@@ -44,6 +53,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -552,14 +562,17 @@ def leaf_conjugate(q: GroupElement, s: float) -> GroupElement:
     """
     _, normal = _abelian_diagonals(q.alpha)
     tau = float(s) * normal
-    return GroupElement(
-        x=q.x * math.exp(tau[1] - tau[0]),
-        y=q.y * math.exp(tau[2] - tau[1]),
-        z=q.z * math.exp(tau[2] - tau[0]),
-        t=q.t,
-        alpha=q.alpha,
-        s=q.s,
-    )
+    try:
+        return GroupElement(
+            x=q.x * math.exp(tau[1] - tau[0]),
+            y=q.y * math.exp(tau[2] - tau[1]),
+            z=q.z * math.exp(tau[2] - tau[0]),
+            t=q.t,
+            alpha=q.alpha,
+            s=q.s,
+        )
+    except OverflowError:
+        raise ValueError(f"flow time s = {s!r} overflows the float range") from None
 
 
 # leaf_conjugate's math.exp elementwise; np.exp differs from it in the last bit
@@ -569,28 +582,45 @@ _math_exp = np.vectorize(math.exp, otypes=[float])
 def foliation_residual_many(alpha: float, xyz, t, s, q_s=0.0) -> np.ndarray:
     """``foliation_residual`` of the points with unipotent entries ``xyz``
     (m, 3), axis and normal coordinates ``t`` and ``q_s`` and flow times
-    ``s``, each a scalar or (m,); bit for bit the residual of each row."""
+    ``s``, each a scalar or (m,); bit for bit the residual of each row.
+    A product that overflows the float range, through a long flow or large
+    point coordinates, raises ValueError naming the longest flow time."""
     axis, normal = _abelian_diagonals(alpha)
     xyz = np.asarray(xyz, dtype=complex)
     t, s, q_s = (np.asarray(a, dtype=float)[..., None] for a in (t, s, q_s))
     tau = s * normal
-    e = np.exp(tau)  # the diagonal of exp(s T)
-    d = np.exp(t * axis + q_s * normal)  # the diagonal of q and of q'
     # x, y, z sit at the entries (0, 1), (1, 2), (0, 2) of the matrices
     i, j = [0, 1, 0], [1, 2, 2]
-    conj = xyz * _math_exp(tau[..., j] - tau[..., i])  # leaf_conjugate's entries
-    res = np.abs(e[..., i] * (conj * d[..., j]) - (xyz * d[..., j]) * e[..., j])
-    return np.max(res, axis=-1)
+    try:
+        with np.errstate(over="raise"):
+            conj = xyz * _math_exp(tau[..., j] - tau[..., i])  # leaf_conjugate's entries
+            e = np.exp(tau)  # the diagonal of exp(s T)
+            d = np.exp(t * axis + q_s * normal)  # the diagonal of q and of q'
+            lhs = e[..., i] * (conj * d[..., j])  # exp(s T) q'
+            rhs = (xyz * d[..., j]) * e[..., j]  # q exp(s T)
+            # the diagonal e d of both products is positive, so scale is too
+            scale = np.maximum(np.max(e * d, axis=-1),
+                               np.max(np.abs(np.concatenate([lhs, rhs], axis=-1)), axis=-1))
+            return np.max(np.abs(lhs - rhs), axis=-1) / scale
+    except (OverflowError, FloatingPointError):
+        longest = float(s.flat[np.argmax(np.abs(s))]) if s.size else 0.0
+        raise ValueError(
+            f"the foliation identity at flow time s = {longest!r} overflows the float range"
+        ) from None
 
 
 def foliation_residual(q: GroupElement, s: float) -> float:
-    """Largest entry of exp(s T) q' - q exp(s T) for q' = leaf_conjugate(q, s)."""
+    """Largest entry of exp(s T) q' - q exp(s T) for q' = leaf_conjugate(q, s),
+    relative to the largest entry of the two products."""
     return float(foliation_residual_many(q.alpha, [[q.x, q.y, q.z]], q.t, s, q.s)[0])
 
 
 def volume_distortion(alpha: float, s: float) -> float:
     """Leafwise volume factor exp(-4 s sin alpha) of the time-s flow."""
-    return math.exp(-4.0 * float(s) * math.sin(alpha))
+    try:
+        return math.exp(-4.0 * float(s) * math.sin(alpha))
+    except OverflowError:
+        raise ValueError(f"flow time s = {s!r} overflows the float range") from None
 
 
 # -- the intrinsic pipeline -------------------------------------------------------
@@ -610,40 +640,84 @@ def random_unit_tangents(rng: np.random.Generator, n: int) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def random_orthonormal_pairs(
-    rng: np.random.Generator, n: int, dim: int = 7
-) -> tuple[np.ndarray, np.ndarray]:
-    """n orthonormal pairs of coefficient vectors via Gram-Schmidt, projected
-    _SCAN_BLOCK rows at a time, so the pairs are the only (n, dim) arrays made."""
-    u = rng.standard_normal((n, dim))
-    u /= np.sqrt(_dot(u, u))[:, None]
-    v = rng.standard_normal((n, dim))
-    for b in range(0, n, _SCAN_BLOCK):
-        ub, vb = u[b:b + _SCAN_BLOCK], v[b:b + _SCAN_BLOCK]
-        vb -= _dot(ub, vb)[:, None] * ub
-    norms = np.sqrt(_dot(v, v))[:, None]
-    retry = norms[:, 0] < 1e-8
-    while np.any(retry):
-        v[retry] = rng.standard_normal((int(np.sum(retry)), dim))
-        v[retry] -= _dot(u[retry], v[retry])[:, None] * u[retry]
-        norms = np.sqrt(_dot(v, v))[:, None]
-        retry = norms[:, 0] < 1e-8
-    v /= norms
-    return u, v
+# Rows per block of the plane stream: one draw of v, its wedges and their K.
+_SCAN_BLOCK = 768
 
 
-# Rows per block of _plane_terms and of the Gram-Schmidt projection.
-_SCAN_BLOCK = 512
+def _gaussian_planes(
+    rng: np.random.Generator, n: int, model: HypersurfaceModel | None = None
+) -> tuple[np.ndarray, Iterator[tuple]]:
+    """n random planes span{u, v}: u (n, 7) and the blocks (rows, v, k).
+
+    The stream: all n rows of u in one draw, made here, then v _SCAN_BLOCK
+    rows at a time as the blocks are read (chunked draws repeat the one-shot
+    draw bit for bit).  u and v are the raw Gaussian rows, and k is the
+    sectional curvature under ``model`` (None without one), w R w / w . w on
+    the wedge w = u ^ v: K does not depend on the basis of the plane.  A row
+    whose v lies within 1e-8 of the line of u (w . w < 1e-16 |u|^2) gets
+    k = -inf, and after the last block those rows draw v again together,
+    ``rows`` then an index array, until each spans a plane.
+    """
+    u = rng.standard_normal((n, 7))
+    i, j = _PAIRS
+    col_dot = lambda a, b: np.einsum("ij,ij->j", a, b)
+
+    def planes(rows, v):
+        # one row per coordinate, so the pair gathers copy whole rows; the
+        # sums are _plane_terms' own, bit for bit
+        ut, vt = u[rows].T.copy(), v.T.copy()
+        w, t = ut[i], ut[j]  # w = u ^ v in place, to keep the block's peak low
+        w *= vt[j]
+        t *= vt[i]
+        w -= t
+        den = col_dot(w, w)
+        flat = den < 1e-16 * col_dot(ut, ut)
+        k = None if model is None else np.divide(
+            col_dot(model._curvature_operator @ w, w), den,
+            out=np.full(len(v), -math.inf), where=~flat,
+        )
+        return (rows, v, k), flat
+
+    def blocks():
+        redo = [np.empty(0, dtype=int)]
+        for b in range(0, n, _SCAN_BLOCK):
+            block, flat = planes(slice(b, b + _SCAN_BLOCK),
+                                 rng.standard_normal((min(_SCAN_BLOCK, n - b), 7)))
+            yield block
+            redo.append(b + np.flatnonzero(flat))
+        rows = np.concatenate(redo)
+        while rows.size:
+            block, flat = planes(rows, rng.standard_normal((rows.size, 7)))
+            yield block
+            rows = rows[flat]
+
+    return u, blocks()
 
 
-def _sectional_rows(model: HypersurfaceModel, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Sectional curvatures of the planes span{u_i, v_i} of (m, 7) rows,
-    contracted _SCAN_BLOCK rows at a time."""
-    k = np.empty(len(u))
-    for b in range(0, len(u), _SCAN_BLOCK):
-        num, den = _plane_terms(model, u[b:b + _SCAN_BLOCK], v[b:b + _SCAN_BLOCK])
-        k[b:b + _SCAN_BLOCK] = num / den
-    return k
+def _sample_planes(
+    rng: np.random.Generator, n: int, model: HypersurfaceModel | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Every plane of ``_gaussian_planes`` at once: u, v (n, 7) and k (n,)."""
+    u, blocks = _gaussian_planes(rng, n, model)
+    v, k = np.empty((n, 7)), None if model is None else np.empty(n)
+    for rows, vb, kb in blocks:
+        v[rows] = vb
+        if k is not None:
+            k[rows] = kb
+    return u, v, k
+
+
+def _gram_schmidt(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The orthonormal pairs of Gram-Schmidt on the rows of u, v (..., 7)."""
+    u = u / np.sqrt(_dot(u, u))[..., None]
+    v = v - _dot(u, v)[..., None] * u
+    return u, v / np.sqrt(_dot(v, v))[..., None]
+
+
+def random_orthonormal_pairs(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n orthonormal pairs of coefficient vectors, (n, 7) each: the planes of
+    the scans' stream, ``_gaussian_planes``, after Gram-Schmidt."""
+    return _gram_schmidt(*_sample_planes(rng, n)[:2])
 
 
 @dataclass(frozen=True)
@@ -663,42 +737,38 @@ def nonpositivity_scan(alpha: float, samples: int, seed: int = 0) -> PlaneScan:
     The reference plane is always appended to the sample set as a
     deterministic witness, so for alpha > 0 the scan reports positive
     curvature no matter the seed.  Also tracks the plane of smallest |K|.
-    Planes are drawn 20000 at a time and contracted in blocks of
-    _SCAN_BLOCK rows, so memory does not grow with ``samples``.
+    Planes come from ``_gaussian_planes``, 20000 per draw of u and
+    _SCAN_BLOCK per draw of v, so memory does not grow with ``samples``;
+    K is read off the raw wedges, and only the two planes returned are
+    orthonormalised.
     """
     alpha = _validate_alpha(alpha)
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
     model = HypersurfaceModel.from_angle(alpha)
     rng = np.random.default_rng(seed)
-    s1, s2 = reference_plane()
     best_max, best_min = -math.inf, math.inf
-    arg_max = arg_min = (s1.coeffs(), s2.coeffs())
+    arg_max = arg_min = None
     chunk = 20000
-    done = 0
-    while done < samples:
-        m = min(chunk, samples - done)
-        u, v = random_orthonormal_pairs(rng, m)
-        k = _sectional_rows(model, u, v)
-        i = int(np.argmax(k))
-        if k[i] > best_max:
-            best_max, arg_max = float(k[i]), (u[i].copy(), v[i].copy())
-        j = int(np.argmin(np.abs(k)))
-        if abs(k[j]) < best_min:
-            best_min, arg_min = abs(float(k[j])), (u[j].copy(), v[j].copy())
-        del u, v, k  # free this chunk before the next one is drawn
-        done += m
+    for done in range(0, samples, chunk):
+        u, blocks = _gaussian_planes(rng, min(chunk, samples - done), model)
+        for rows, v, k in blocks:
+            i = int(np.argmax(k))
+            if k[i] > best_max:  # copies, so no row keeps its chunk alive
+                best_max, arg_max = float(k[i]), (u[rows][i].copy(), v[i].copy())
+            j = int(np.argmin(np.abs(k)))
+            if abs(k[j]) < best_min:
+                best_min, arg_min = abs(float(k[j])), (u[rows][j].copy(), v[j].copy())
+        del u, v  # free this chunk's u before the next one is drawn
+    s1, s2 = reference_plane()
+    ref = (s1.coeffs(), s2.coeffs())
     k_ref = gauss_sectional(model, s1, s2)
-    if k_ref > best_max:
-        best_max, arg_max = k_ref, (s1.coeffs(), s2.coeffs())
-    if abs(k_ref) < best_min:
-        best_min, arg_min = abs(k_ref), (s1.coeffs(), s2.coeffs())
     pack = lambda pair: tuple(TangentVector.from_coeffs(x) for x in pair)
     return PlaneScan(
-        max_curvature=best_max,
-        max_plane=pack(arg_max),
-        min_abs_curvature=best_min,
-        min_abs_plane=pack(arg_min),
+        max_curvature=max(best_max, k_ref),  # ties keep the sampled plane
+        max_plane=pack(ref if k_ref > best_max else _gram_schmidt(*arg_max)),
+        min_abs_curvature=min(best_min, abs(k_ref)),
+        min_abs_plane=pack(ref if abs(k_ref) < best_min else _gram_schmidt(*arg_min)),
         samples=samples,
     )
 
@@ -728,9 +798,10 @@ def zero_curvature_search(
 ) -> tuple[float, tuple[TangentVector, TangentVector]]:
     """Search for a plane of (near) zero sectional curvature.
 
-    Samples random orthonormal planes, then runs derivative-free coordinate
-    descent on the fourteen spanning coordinates of the ``starts`` best,
-    minimising |K| with a shrinking step.  A sweep tries the moves +e0,
+    Samples random planes from ``_gaussian_planes``, then runs
+    derivative-free coordinate descent on the fourteen spanning coordinates
+    of the ``starts`` best, orthonormalised, minimising |K| with a shrinking
+    step.  A sweep tries the moves +e0,
     -e0, +e1, ..., -e13 of the current step in that order and accepts the
     first one that lowers |K|; the moves after it are then tried from the
     new point, in one batched evaluation per accepted move.  A sweep with
@@ -743,12 +814,11 @@ def zero_curvature_search(
             raise ValueError(f"{name} must be at least 1, got {count}")
     model = HypersurfaceModel.from_angle(alpha)
     rng = np.random.default_rng(seed)
-    u, v = random_orthonormal_pairs(rng, samples)
-    order = np.argsort(np.abs(_sectional_rows(model, u, v)))
+    u, v, k = _sample_planes(rng, samples, model)
+    order = np.argsort(np.abs(k))[:starts]
     best_val = math.inf
     best_w = None
-    for idx in order[:starts]:
-        w = np.concatenate([u[idx], v[idx]])
+    for w in np.concatenate(_gram_schmidt(u[order], v[order]), axis=1):
         val = _plane_abs_curvature(model, w[None, :])[0]
         step = 0.05
         sweeps = 0

@@ -394,6 +394,27 @@ class TestFoliation:
         assert rc == 2
         assert "alpha" in err
 
+    @pytest.mark.parametrize("s", ["10000", "-10000", "-200"])
+    def test_overflowing_flow_time_exits_2(self, capsys, s):
+        # --s -200 at alpha 1.5 overflows only the volume factor exp(-4 s sin alpha)
+        rc, out, err = run_cli(capsys, "foliation", "--x", "1", "--s", s, "--alpha",
+                               "1.5" if s == "-200" else "0.5")
+        assert (rc, out) == (2, "")
+        assert err == (f"error: --s is too long: flow time s = {float(s)!r} overflows "
+                       "the float range\n")
+
+    def test_overflowing_identity_names_the_flow_time(self, capsys):
+        # the point's own diagonal exp(t H) overflows here, not the flow
+        rc, out, err = run_cli(capsys, "foliation", "--x", "1", "--t", "2000", "--s", "1")
+        assert (rc, out) == (2, "")
+        assert err == ("error: the foliation identity at flow time s = 1.0 overflows "
+                       "the float range\n")
+
+    def test_long_flow_residual_is_relative(self, capsys):
+        rc, out, _ = run_cli(capsys, "foliation", "--x", "1", "--s", "1000", "--alpha", "0.5")
+        assert rc == 0
+        assert json.loads(out)["matrix_identity_residual"] <= 1e-12
+
 
 # Positive definite in exact arithmetic, singular to working precision.
 RANK_ONE_GRAM_DOC = {"dim": 2, "gram": [[1e205, 3e205], [3e205, 9e205]],

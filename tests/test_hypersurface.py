@@ -18,7 +18,10 @@ from solvgeom.hypersurface import (
     HypersurfaceModel,
     Regime,
     TangentVector,
+    _SCAN_BLOCK,
     _abelian_diagonals,
+    _gaussian_planes,
+    _gram_schmidt,
     _model_at,
     _plane_abs_curvature,
     _plane_terms,
@@ -496,16 +499,39 @@ class TestFlowAndFoliation:
     @pytest.mark.parametrize(
         "q, s, residual",
         [
-            (GroupElement(x=1 + 2j, t=0.5, alpha=0.0), 1.0, 4.965068306494546e-16),
+            (GroupElement(x=1 + 2j, t=0.5, alpha=0.0), 1.0, 1.246522693507508e-16),
             (GroupElement(x=1 - 1j, y=0.3j, z=2.0, t=-0.4, alpha=0.9), 0.7,
-             2.220446049250313e-16),
+             1.0191941131775893e-16),
             (GroupElement(x=0.5 + 1j, y=-2 + 0.25j, z=1.5 - 3j, t=1.25, alpha=1.2, s=0.3),
-             -1.5, 9.930136612989092e-16),
+             -1.5, 1.33749073440503e-16),
         ],
+        ids=["x-at-alpha-0", "xyz-at-alpha-0.9", "off-leaf-alpha-1.2"],
     )
     def test_foliation_residual_pinned(self, q, s, residual):
         # exact round-off values: `foliation` and `verify` print them
         assert foliation_residual(q, s) == residual
+
+    def test_residual_is_relative_to_the_products(self):
+        # the products reach e^506 here; the absolute residual read 6.1e206
+        q = GroupElement(x=1.0, alpha=0.5)
+        assert foliation_residual(q, 1000.0) <= 1e-12
+
+    def test_overflowing_flow_time_is_named(self):
+        q = GroupElement(x=1.0, alpha=0.5)
+        with pytest.raises(ValueError, match=r"^flow time s = 10000\.0 overflows"):
+            leaf_conjugate(q, 10000.0)
+        identity = r"^the foliation identity at flow time s = {} overflows the float range$"
+        with pytest.raises(ValueError, match=identity.format(r"-10000\.0")):
+            foliation_residual_many(0.5, [[1.0, 0, 0], [1.0, 0, 0]], 0.0, [1.0, -10000.0])
+        with pytest.raises(ValueError, match=identity.format(r"10000\.0")):
+            foliation_residual(q, 10000.0)
+        # past pi/3 every entry difference of T is negative: only exp(s T) overflows
+        with pytest.raises(ValueError, match=identity.format(r"2000\.0")):
+            foliation_residual(GroupElement(x=1.0, alpha=1.5), 2000.0)
+        with pytest.raises(ValueError, match=identity.format(r"1\.0")):
+            foliation_residual(GroupElement(x=1.0, t=2000.0), 1.0)  # q itself overflows
+        with pytest.raises(ValueError, match=r"^flow time s = -1000\.0 overflows"):
+            volume_distortion(0.5, -1000.0)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.4, 0.9, math.pi / 2])
     def test_stacked_residuals_match_the_scalar_residual(self, alpha):
@@ -523,7 +549,9 @@ class TestFlowAndFoliation:
             # the identity as matrices, evaluated one point at a time
             exp_t = np.diag(np.exp(float(s[r]) * normal))
             lhs = exp_t @ leaf_conjugate(q, s[r]).matrix()
-            assert got[r] == np.max(np.abs(lhs - q.matrix() @ exp_t))
+            rhs = q.matrix() @ exp_t
+            scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)))
+            assert got[r] == np.max(np.abs(lhs - rhs)) / scale
 
     def test_flow_point_matrix(self):
         q = GroupElement(x=1 - 1j, y=0.25j, z=3.0, t=0.5, alpha=0.9)
@@ -548,6 +576,60 @@ class TestFlowAndFoliation:
         moved = leaf_conjugate(q, s)
         product = (abs(moved.x) * abs(moved.y) * abs(moved.z)) ** 2
         assert product == pytest.approx(volume_distortion(alpha, s), rel=1e-12)
+
+
+# zero_curvature_search(alpha, seed=seed, **kwargs): value and plane, exactly
+ZERO_SEARCH_PINS = [
+    (0.0, 1, {}, 1.8580066001474516e-09, (
+        [-0.4751439092613849, -0.20540961487354734, 0.5897024509016877, -0.22571377107860938,
+         0.5518317247855911, 0.16979756498351675, 5.47827841110551e-05],
+        [-0.20541537335080323, 0.47518096004570565, -0.2257269178631837, -0.589675602592939,
+         -0.1697636131616337, 0.5518314393960178, -5.098630365512985e-07])),
+    (0.2, 8, {}, 9.488704798687137e-09, (
+        [-0.06960250131243469, 0.21909202447085693, 0.82286711460188, -0.061124979382078955,
+         -0.1555586265118303, -0.43721154060312467, 0.22573260222623132],
+        [-0.20102650166479447, 0.30843266446076123, 0.11489764088369717, 0.658441679381095,
+         -0.2942465066973366, 0.5305211621836481, 0.22288340868476428])),
+    (0.7, 3, {}, 5.760160922606361e-09, (
+        [0.23721200293598066, -0.06409282618899338, -0.1302018099601431, -0.3332128287415369,
+         -0.6390258014554573, 0.5686634579538273, 0.28267856551493187],
+        [0.1898760221992716, -0.20976195361480582, -0.5880853679448994, -0.04188357764782612,
+         -0.37810414732747644, -0.6513569097903384, -0.07155288103322922])),
+    (math.pi / 3, 4, {}, 2.1262139755931525e-09, (
+        [-0.16164258388264277, 0.2871600620000344, -0.5255318351867373, 0.15560098065143846,
+         0.5051685955815928, -0.36117366528408995, 0.4531817212077594],
+        [-0.06327425334185315, 0.22735728491302243, -0.4786900711668042, 0.013697229332065892,
+         -0.12851658961682122, 0.8319163462758167, 0.07982427280164606])),
+    (1.2, 6, {}, 7.7154340242815e-09, (
+        [-0.1720875334815546, 0.3540526117504801, 0.199958790932387, 0.6507763566888373,
+         -0.49633554437823013, -0.3432819602485498, 0.1317109243428155],
+        [0.15839459575320827, 0.3150675645907019, -0.23786689666848598, 0.021648107437856473,
+         -0.429348728302727, 0.5465648281677155, -0.579241606592233])),
+    (math.pi / 2, 2, {}, 1.8550051046761178e-09, (
+        [-0.06202359094227623, 0.07180356588409607, -0.5592391109578438, 0.07586934275885228,
+         -0.15685355486353653, 0.802184681712283, -0.06625315426610676],
+        [-0.45555003369481684, 0.18693740240389026, 0.5506761464134092, 0.25066315116523474,
+         0.3715605471593875, 0.40552284720959414, 0.29823869800542346])),
+    (0.45, 11, {"samples": 600, "starts": 3}, 4.963345973585912e-09, (
+        [-0.0644160961582026, 0.13250056707401162, -0.17068478793082367, -0.6751512193334763,
+         -0.43375628244268866, 0.4792471795850673, -0.2747896082161573],
+        [-0.041423792486160696, -0.06808459189370662, 0.3263244391067548, 0.40020208628266235,
+         0.15785943499374572, 0.8378963514180273, 0.003051459193621069])),
+]
+
+
+class ScriptedNormals:
+    """Stands in for np.random.Generator: standard_normal hands out the
+    given arrays in order and records the shapes asked for."""
+
+    def __init__(self, draws):
+        self.draws, self.shapes = list(draws), []
+
+    def standard_normal(self, shape):
+        self.shapes.append(shape)
+        out = np.array(self.draws.pop(0), dtype=float)
+        assert out.shape == shape
+        return out
 
 
 class TestScans:
@@ -581,14 +663,18 @@ class TestScans:
         model = HypersurfaceModel.from_angle(0.0)
         assert abs(gauss_sectional(model, x1, x2)) == pytest.approx(val, abs=1e-12)
 
-    @pytest.mark.parametrize("samples", [0, 1, 2047, 2048, 5000, 20037, 45000])
+    @pytest.mark.parametrize(
+        "samples",
+        [0, 1, _SCAN_BLOCK - 1, _SCAN_BLOCK, _SCAN_BLOCK + 1, 2047, 2048, 5000, 20037, 45000],
+    )
     def test_blocked_scan_matches_one_shot_contraction(self, samples):
         alpha, seed = 0.3, 4
         scan = nonpositivity_scan(alpha, samples, seed)
-        # the same draws, 20000 per call, each chunk contracted in one piece
+        # the same raw draws, u then v for each 20000-plane chunk, each chunk
+        # contracted in one piece
         model = HypersurfaceModel.from_angle(alpha)
         rng = np.random.default_rng(seed)
-        chunks = [random_orthonormal_pairs(rng, min(20000, samples - d))
+        chunks = [[rng.standard_normal((min(20000, samples - d), 7)) for _ in "uv"]
                   for d in range(0, samples, 20000)]
         u = np.concatenate([c[0] for c in chunks] + [np.empty((0, 7))])
         v = np.concatenate([c[1] for c in chunks] + [np.empty((0, 7))])
@@ -598,12 +684,12 @@ class TestScans:
         ref = (s1.coeffs(), s2.coeffs())
         if samples and k.max() >= k_ref:
             i = int(np.argmax(k))
-            want_max, want_max_plane = k[i], (u[i], v[i])
+            want_max, want_max_plane = k[i], _gram_schmidt(u[i], v[i])
         else:
             want_max, want_max_plane = k_ref, ref
         if samples and np.abs(k).min() <= abs(k_ref):
             j = int(np.argmin(np.abs(k)))
-            want_min, want_min_plane = abs(k[j]), (u[j], v[j])
+            want_min, want_min_plane = abs(k[j]), _gram_schmidt(u[j], v[j])
         else:
             want_min, want_min_plane = abs(k_ref), ref
         assert scan.samples == samples
@@ -613,18 +699,33 @@ class TestScans:
             assert np.array_equal(got[0].coeffs(), want[0])
             assert np.array_equal(got[1].coeffs(), want[1])
 
+    @pytest.mark.parametrize("alpha, seed", [(0.0, 2), (0.7, 5), (1.2, 7), (math.pi / 2, 9)])
+    def test_scan_planes_are_orthonormal_with_their_curvature(self, alpha, seed):
+        scan = nonpositivity_scan(alpha, 5000, seed)
+        model = HypersurfaceModel.from_angle(alpha)
+        # |K| of any plane is at most the largest |eigenvalue| of the operator
+        k_bound = np.max(np.abs(np.linalg.eigvalsh(model._curvature_operator)))
+        for (x1, x2), k, read in ((scan.max_plane, scan.max_curvature, float),
+                                  (scan.min_abs_plane, scan.min_abs_curvature, abs)):
+            u, v = x1.coeffs(), x2.coeffs()
+            gram = np.array([[u @ u, u @ v], [v @ u, v @ v]])
+            assert np.max(np.abs(gram - np.eye(2))) <= 1e-15
+            assert abs(read(gauss_sectional(model, x1, x2)) - k) <= 1e-14 * k_bound
+
     def test_scan_memory_does_not_grow_with_samples(self):
         nonpositivity_scan(0.3, samples=10)  # build the cached ambient tensor
-        tracemalloc.start()
-        try:
-            nonpositivity_scan(0.3, samples=20000)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 6e6
+        for samples in (20000, 65000):
+            tracemalloc.start()
+            try:
+                nonpositivity_scan(0.3, samples=samples)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # one chunk at a time: the next chunk's u is drawn after the last is freed
+            assert peak <= 1.8e6
 
     def test_scan_high_water_mark(self):
-        # blockwise Gram-Schmidt and contraction: the pairs and K dominate
+        # one chunk of u rows (1.12 MB) and one block of v rows and wedges
         nonpositivity_scan(0.7, samples=10)
         tracemalloc.start()
         try:
@@ -632,7 +733,7 @@ class TestScans:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.0e6
+        assert peak <= 1.8e6
 
     @pytest.mark.parametrize(
         "alpha, seed", [(0.0, 1), (0.2, 8), (0.7, 3), (math.pi / 3, 4), (1.2, 6), (1.5, 2)]
@@ -643,6 +744,48 @@ class TestScans:
         assert val <= target
         model = HypersurfaceModel.from_angle(alpha)
         assert abs(gauss_sectional(model, x1, x2)) == pytest.approx(val, abs=1e-12)
+
+    @pytest.mark.parametrize("alpha, seed, kwargs, value, plane", ZERO_SEARCH_PINS,
+                             ids=[f"{p[0]:.4g}-seed{p[1]}" for p in ZERO_SEARCH_PINS])
+    def test_zero_search_pinned(self, alpha, seed, kwargs, value, plane):
+        # exact values: any change to the plane stream, to the choice of the
+        # starts or to the descent shows here
+        val, (x1, x2) = zero_curvature_search(alpha, seed=seed, **kwargs)
+        assert val == value
+        assert x1.coeffs().tolist() == plane[0]
+        assert x2.coeffs().tolist() == plane[1]
+
+    def test_degenerate_rows_are_redrawn_after_the_last_block(self, monkeypatch):
+        gen = np.random.default_rng(13)
+        u, good = gen.standard_normal((3, 7)), gen.standard_normal((3, 7))
+        # row 1: v = 2 u exactly; row 2: v within 1e-10 of the line of u,
+        # below the 1e-8 floor; row 1 draws a parallel v once more
+        v = np.array([good[0], 2.0 * u[1], u[2] + 1e-10 * np.eye(7)[4]])
+        draws = [u, v, np.array([-4.0 * u[1], good[2]]), good[1:2]]
+        model = HypersurfaceModel.from_angle(0.7)
+        stream = ScriptedNormals(draws)
+        raw_u, blocks = _gaussian_planes(stream, 3, model)
+        assert np.array_equal(raw_u, u)
+        blocks = list(blocks)
+        assert stream.shapes == [(3, 7), (3, 7), (2, 7), (1, 7)]
+        k = [b[2] for b in blocks]
+        assert [b[0].tolist() for b in blocks[1:]] == [[1, 2], [1]]
+        assert np.isfinite(k[0][0]) and k[0][1] == k[0][2] == k[1][0] == -math.inf
+        want = [gauss_sectional(model, TangentVector.from_coeffs(a), TangentVector.from_coeffs(b))
+                for a, b in zip(u, good)]
+        got = [k[0][0], k[2][0], k[1][1]]
+        assert np.max(np.abs(np.subtract(got, want))) <= 1e-14
+
+        # the public pairs and the scan read the same stream
+        pairs = random_orthonormal_pairs(ScriptedNormals(draws), 3)
+        for rows, gs_rows in zip(pairs, _gram_schmidt(u, good)):
+            assert np.array_equal(rows, gs_rows)
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: ScriptedNormals(draws))
+        scan = nonpositivity_scan(0.7, 3)
+        k_ref = reference_plane_curvature(0.7)
+        assert scan.max_curvature == pytest.approx(max(want + [k_ref]), abs=1e-14)
+        assert scan.min_abs_curvature == pytest.approx(
+            min(abs(x) for x in want + [k_ref]), abs=1e-14)
 
     @pytest.mark.parametrize("name", ["samples", "starts"])
     @pytest.mark.parametrize("count", [0, -3])
