@@ -43,30 +43,24 @@ from .hypersurface import (
     nonpositivity_scan,
     reference_plane,
     reference_plane_curvature,
-    ricci_closed,
     ricci_extremes,
     ricci_polynomial,
-    second_fundamental_form,
-    second_fundamental_matrix,
     shape_spectrum,
     volume_distortion,
     zero_curvature_search,
 )
 from .matrices import (
     bracket,
-    cartan_involution,
     hermitian_part,
     inner_ambient,
     inner_solvable,
-    killing_form,
     solvable_parts,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "bracket", "cartan_involution", "killing_form",
-    "inner_ambient", "inner_solvable", "hermitian_part", "solvable_parts",
+    "bracket", "inner_ambient", "inner_solvable", "hermitian_part", "solvable_parts",
     "MetricLieAlgebra", "AxiomCheck", "DamekRicciReport",
     "load_algebra_json", "dump_algebra_json",
     "E12", "E23", "E13", "H0", "H1",
@@ -74,9 +68,8 @@ __all__ = [
     "ambient_algebra", "ambient_curvature",
     "HypersurfaceModel", "TangentVector", "Regime", "CurvatureReport",
     "GroupElement", "PlaneScan",
-    "second_fundamental_form", "second_fundamental_matrix",
     "shape_spectrum", "mean_curvature",
-    "gauss_sectional", "ricci_closed", "ricci_polynomial", "ricci_extremes",
+    "gauss_sectional", "ricci_polynomial", "ricci_extremes",
     "reference_plane", "reference_plane_curvature", "classify",
     "flow_point", "leaf_conjugate", "volume_distortion",
     "build_hypersurface_algebra",

@@ -164,7 +164,7 @@ def _worst(residual: np.ndarray) -> tuple[float, str]:
 def _cmd_verify(args) -> int:
     if args.samples < 0:
         raise ValueError(f"--samples must be nonnegative, got {args.samples}")
-    alpha = math.radians(args.alpha) if args.degrees else args.alpha
+    alpha = _endpoint(args, "--alpha", args.alpha)
     model = HypersurfaceModel.from_angle(alpha)
     alg = model.algebra
     amb = ambient_algebra()
@@ -246,20 +246,28 @@ def _group_dict(q: GroupElement) -> dict:
 
 
 def _cmd_foliation(args) -> int:
-    alpha = math.radians(args.alpha) if args.degrees else args.alpha
-    _validate_alpha(alpha)  # so that a ValueError below is the flow time's
+    alpha = _endpoint(args, "--alpha", args.alpha)
     q = GroupElement(x=args.x, y=args.y, z=args.z, t=args.t, alpha=alpha)
     try:  # both overflow for a long flow time alone, whatever the point
         conj, volume = leaf_conjugate(q, args.s), volume_distortion(alpha, args.s)
     except ValueError as exc:
         raise ValueError(f"--s is too long: {exc}") from None
+    # the identity for the origin, the axis coordinate alone, then the whole
+    # point (its residual is reported): the first to overflow names the flag
+    parts = (("--s", GroupElement(alpha=alpha)), ("--t", GroupElement(t=args.t, alpha=alpha)),
+             ("--x, --y or --z", q))
+    for flags, point in parts:
+        try:
+            residual = foliation_residual(point, args.s)
+        except ValueError as exc:
+            raise ValueError(f"{flags} is out of range: {exc}") from None
     payload = {
         "point": _group_dict(q),
         "flow_time": args.s,
         "flow_point": _group_dict(flow_point(q, args.s)),
         "leaf_conjugate": _group_dict(conj),
         "volume_distortion": volume,
-        "matrix_identity_residual": foliation_residual(q, args.s),
+        "matrix_identity_residual": residual,
     }
     _emit(_json_text(payload) + "\n", args.output)
     return 0
@@ -284,8 +292,7 @@ def _load_algebra(args) -> MetricLieAlgebra:
         return load_algebra_json(args.file)
     if args.ambient:
         return ambient_algebra()
-    alpha = math.radians(args.alpha) if args.degrees else args.alpha
-    return build_hypersurface_algebra(alpha)
+    return build_hypersurface_algebra(_endpoint(args, "--alpha", args.alpha))
 
 
 def _cmd_algebra(args) -> int:

@@ -275,27 +275,12 @@ class MetricLieAlgebra:
     def inner(self, x, y) -> float:
         return float(self._vec(x) @ self._gram @ self._vec(y))
 
-    def norm(self, x) -> float:
-        return float(np.sqrt(max(self.inner(x, x), 0.0)))
-
-    def bracket_coeffs(self, x, y) -> np.ndarray:
-        return np.einsum("i,j,ijk->k", self._vec(x), self._vec(y), self._structure)
-
     # -- connection and curvature --------------------------------------------
-
-    def covariant_derivative(self, x, y) -> np.ndarray:
-        """Coefficients of nabla_x y for left-invariant fields."""
-        return np.einsum("i,j,ijk->k", self._vec(x), self._vec(y), self._connection)
-
-    def curvature(self, x, y, z) -> np.ndarray:
-        """Coefficients of R(x, y) z."""
-        return np.einsum(
-            "i,j,k,ijkl->l", self._vec(x), self._vec(y), self._vec(z), self._riemann
-        )
 
     def curvature_inner(self, x, y, z, w) -> float:
         """<R(x, y) z, w>."""
-        return float(self.curvature(x, y, z) @ self._gram @ self._vec(w))
+        rz = np.einsum("i,j,k,ijkl->l", self._vec(x), self._vec(y), self._vec(z), self._riemann)
+        return float(rz @ self._gram @ self._vec(w))
 
     def sectional(self, x, y) -> float:
         """Sectional curvature of span{x, y}; raises on a degenerate plane,
@@ -352,28 +337,9 @@ class MetricLieAlgebra:
 
     # -- Damek-Ricci structure --------------------------------------------------
 
-    def j_operator(self, z, u, v_indices) -> np.ndarray:
-        """J_Z u defined by <J_Z u, u'> = <z, [u, u']> for u' in the v block.
-
-        ``u`` must be supported on ``v_indices`` and ``z`` off them; the
-        result is a full-length coefficient vector supported on v.
-        """
-        z, u = self._vec(z), self._vec(u)
-        vi = list(v_indices)
-        if sorted(set(vi)) != sorted(vi) or any(i < 0 or i >= self.dim for i in vi):
-            raise ValueError("v_indices must be distinct indices into the basis")
-        mask = np.zeros(self.dim, dtype=bool)
-        mask[vi] = True
-        if np.max(np.abs(u[~mask]), initial=0.0) > 1e-12:
-            raise ValueError("u is not supported on the v indices")
-        if np.max(np.abs(z[mask]), initial=0.0) > 1e-12:
-            raise ValueError("z must be supported off the v indices")
-        out = np.zeros(self.dim)
-        out[vi] = self._j_matrices(z[None, :], vi)[0] @ u[vi]
-        return out
-
     def _j_matrices(self, zs, vi) -> np.ndarray:
-        """(m, |v|, |v|) matrices of J_z on the v block, one per row of ``zs``.
+        """(m, |v|, |v|) matrices of J_z on the v block, one per row of ``zs``:
+        <J_z u, u'> = <z, [u, u']> for u, u' in v.
 
         Column q solves g_vv J e_q = (<z, [e_q, e_p]>)_p over p in v.
         """
@@ -411,7 +377,7 @@ class MetricLieAlgebra:
         g, c = self._gram, self._structure
         ni = vi + zi
 
-        r1 = max(abs(self.norm(np.eye(self.dim)[a_index]) - 1.0), *np.abs(g[a_index, ni]))
+        r1 = max(abs(np.sqrt(g[a_index, a_index]) - 1.0), *np.abs(g[a_index, ni]))
         axiom_1 = AxiomCheck(bool(r1 <= tol), float(r1))
 
         vv = c[np.ix_(vi, vi)]
@@ -523,12 +489,8 @@ def load_algebra_json(source) -> MetricLieAlgebra:
     return MetricLieAlgebra(c, gram, labels=labels)
 
 
-def dump_algebra_json(alg: MetricLieAlgebra, path=None) -> dict:
-    """Serialize an algebra to the JSON interchange form (sparse, i < j).
-
-    Returns the document; if ``path`` is given the document is also written
-    there with deterministic formatting.
-    """
+def dump_algebra_json(alg: MetricLieAlgebra) -> dict:
+    """The JSON interchange document of an algebra (sparse, i < j)."""
     c = alg.structure
     entries = [[int(i), int(j), int(k), float(c[i, j, k])]
                for i, j, k in np.argwhere(c != 0.0) if i < j]
@@ -540,8 +502,4 @@ def dump_algebra_json(alg: MetricLieAlgebra, path=None) -> dict:
     }
     if doc["labels"] is None:
         del doc["labels"]
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
     return doc

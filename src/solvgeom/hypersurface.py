@@ -37,10 +37,10 @@ Since w R w / w . w does not change when u, v are replaced by another basis
 of their plane, the sampled-plane queries (``nonpositivity_scan``,
 ``zero_curvature_search``) read K straight off the wedges of raw Gaussian
 pairs and orthonormalise only the planes they return or start a descent
-from.  All of them, and ``random_orthonormal_pairs``, draw one stream: for n
-planes, the n rows of u in one draw, then the rows of v 768 at a time.  The
-scan draws 20000 planes at a time and holds one draw of u (1.1 MB) and one
-block of v with its wedges, so its memory does not grow with the samples.
+from.  Both draw one stream: for n planes, the n rows of u in one draw, then
+the rows of v 768 at a time.  The scan draws 20000 planes at a time and
+holds one draw of u (1.1 MB) and one block of v with its wedges, so its
+memory does not grow with the samples.
 
 A closed form of the Ricci curvature, its extremes over the unit sphere, the
 Cheeger constant and the shape spectrum make the family's regime changes at
@@ -67,9 +67,8 @@ __all__ = [
     "AMBIENT_BASIS", "AMBIENT_LABELS",
     "ambient_algebra", "ambient_curvature",
     "HypersurfaceModel", "TangentVector",
-    "second_fundamental_form", "second_fundamental_matrix",
     "shape_spectrum", "mean_curvature",
-    "gauss_sectional", "ricci_gauss_many", "ricci_closed", "ricci_closed_many",
+    "gauss_sectional", "ricci_gauss_many", "ricci_closed_many",
     "ricci_polynomial", "ricci_extremes",
     "reference_plane", "reference_plane_curvature",
     "Regime", "CurvatureReport", "classify",
@@ -78,7 +77,7 @@ __all__ = [
     "volume_distortion",
     "build_hypersurface_algebra", "HYPERSURFACE_LABELS",
     "PlaneScan", "nonpositivity_scan", "zero_curvature_search",
-    "random_unit_tangents", "random_orthonormal_pairs",
+    "random_unit_tangents",
     "ALPHA_BOUNDARY_TOL", "HOROSPHERE_ONSET",
 ]
 
@@ -174,6 +173,7 @@ class HypersurfaceModel:
 
     @cached_property
     def _shape_matrix(self) -> np.ndarray:
+        """II_ij = <nabla_{e_i} T, e_j> over ``basis``; diagonal for this family."""
         p, q = self._phi_stack, self._phi_normal_brackets
         m = 2.0 * np.real(np.einsum("iab,jab->ij", p, np.conj(q)))
         return _read_only(0.5 * (m + m.T))
@@ -247,12 +247,6 @@ class TangentVector:
             t=float(v[6]),
         )
 
-    def norm_sq(self) -> float:
-        return abs(self.a) ** 2 + abs(self.b) ** 2 + abs(self.c) ** 2 + self.t**2
-
-
-# -- the curvature tensor ---------------------------------------------------------
-
 
 @lru_cache(maxsize=1)
 def _ambient_curvature_tensor() -> np.ndarray:
@@ -286,18 +280,6 @@ def _plane_terms(
 
 
 # -- second fundamental form and curvature ---------------------------------------
-
-
-def second_fundamental_form(
-    model: HypersurfaceModel, x1: TangentVector, x2: TangentVector
-) -> float:
-    """II(X1, X2) = <nabla_X1 T, X2> with respect to the unit normal T."""
-    return float(x1.coeffs() @ model._shape_matrix @ x2.coeffs())
-
-
-def second_fundamental_matrix(model: HypersurfaceModel) -> np.ndarray:
-    """Matrix of II over the orthonormal basis; diagonal for this family."""
-    return model._shape_matrix.copy()
 
 
 def shape_spectrum(model: HypersurfaceModel) -> np.ndarray:
@@ -348,17 +330,12 @@ def ricci_closed_many(alpha: float, coeffs: np.ndarray) -> np.ndarray:
     )
 
 
-def ricci_closed(alpha: float, x: TangentVector) -> float:
-    """Closed-form Ricci curvature of a unit tangent vector."""
-    return float(ricci_closed_many(alpha, x.coeffs()))
-
-
 def ricci_polynomial(alpha: float, x: TangentVector) -> float:
     """Ricci curvature as the expanded quadratic polynomial in (a, b, c, t).
 
     Regression form kept verbatim from the computer-algebra expansion of the
-    Gauss-equation sum; agrees with ``ricci_closed`` on unit vectors and with
-    ``ricci_gauss_many`` everywhere.
+    Gauss-equation sum; agrees with ``ricci_closed_many`` on unit vectors and
+    with ``ricci_gauss_many`` everywhere.
     """
     alpha = _validate_alpha(alpha)
     s, c = math.sin(alpha), math.cos(alpha)
@@ -535,16 +512,21 @@ class GroupElement:
     s: float = 0.0
 
     def matrix(self) -> np.ndarray:
+        """The upper triangular matrix; ValueError if an entry overflows."""
         axis, normal = _abelian_diagonals(self.alpha)
-        d = np.exp(self.t * axis + self.s * normal)
-        return np.array(
-            [
-                [d[0], self.x * d[1], self.z * d[2]],
-                [0.0, d[1], self.y * d[2]],
-                [0.0, 0.0, d[2]],
-            ],
-            dtype=complex,
-        )
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, by name
+            d = np.exp(self.t * axis + self.s * normal)
+            m = np.array(
+                [
+                    [d[0], self.x * d[1], self.z * d[2]],
+                    [0.0, d[1], self.y * d[2]],
+                    [0.0, 0.0, d[2]],
+                ],
+                dtype=complex,
+            )
+        if not np.all(np.isfinite(m)):
+            raise ValueError(f"the point at t = {self.t!r}, s = {self.s!r} overflows the float range")
+        return m
 
 
 def flow_point(q: GroupElement, s: float) -> GroupElement:
@@ -712,12 +694,6 @@ def _gram_schmidt(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     u = u / np.sqrt(_dot(u, u))[..., None]
     v = v - _dot(u, v)[..., None] * u
     return u, v / np.sqrt(_dot(v, v))[..., None]
-
-
-def random_orthonormal_pairs(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n orthonormal pairs of coefficient vectors, (n, 7) each: the planes of
-    the scans' stream, ``_gaussian_planes``, after Gram-Schmidt."""
-    return _gram_schmidt(*_sample_planes(rng, n)[:2])
 
 
 @dataclass(frozen=True)

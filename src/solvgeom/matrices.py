@@ -5,21 +5,20 @@ as elements of a real Lie algebra.  This module supplies the handful of maps
 that define the geometry:
 
     bracket(X, Y)          = XY - YX
-    cartan_involution(X)   = -conj(X)^T
-    killing_form(X, Y)     = 12 Re tr(XY)           (sl(3,C) normalisation)
     inner_ambient(X, Y)    = 2 Re tr(X conj(Y)^T)   = -(1/6) B(X, theta Y)
     hermitian_part(X)      = (X + conj(X)^T) / 2
     inner_solvable(X, Y)   = Re tr(U1 conj(U2)^T) + 2 tr(D1 D2)
 
-where U/D are the strictly upper triangular and real diagonal parts of an
+where B(X, Y) = 12 Re tr(XY) is the Killing form, theta(X) = -conj(X)^T,
+and U/D are the strictly upper triangular and real diagonal parts of an
 upper triangular traceless argument.  On the solvable algebra the two inner
 products agree through the Hermitian-part map:
 
     inner_solvable(X, Y) == inner_ambient(hermitian_part(X), hermitian_part(Y))
 
-``bracket``, ``cartan_involution``, ``hermitian_part`` and ``solvable_parts``
-act on the last two axes, so they take (..., n, n) stacks and broadcast;
-the three forms are scalars of two matrices.
+``bracket``, ``hermitian_part`` and ``solvable_parts`` act on the last two
+axes, so they take (..., n, n) stacks and broadcast; the two inner products
+are scalars of two matrices.
 
 Complex scalars are kept in Cartesian form throughout; nothing here touches
 polar decompositions.
@@ -32,8 +31,6 @@ import numpy as np
 __all__ = [
     "MEMBERSHIP_TOL",
     "bracket",
-    "cartan_involution",
-    "killing_form",
     "inner_ambient",
     "hermitian_part",
     "solvable_parts",
@@ -47,16 +44,6 @@ MEMBERSHIP_TOL = 1e-12
 def bracket(x, y) -> np.ndarray:
     """Matrix commutator [X, Y] = XY - YX."""
     return x @ y - y @ x
-
-
-def cartan_involution(x) -> np.ndarray:
-    """theta(X) = -conj(X)^T; fixes the anti-Hermitian part, negates the rest."""
-    return -np.conj(np.swapaxes(x, -1, -2))
-
-
-def killing_form(x, y) -> float:
-    """B(X, Y) = 12 Re tr(XY), the Killing form of sl(3,C) as a real algebra."""
-    return 12.0 * float(np.real(np.trace(x @ y)))
 
 
 def inner_ambient(x, y) -> float:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -22,6 +23,6 @@ def algebra_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("algebras")
     s8 = root / "s8.json"
     s7 = root / "s7_alpha0.json"
-    dump_algebra_json(ambient_algebra(), s8)
-    dump_algebra_json(build_hypersurface_algebra(0.0), s7)
+    for path, alg in ((s8, ambient_algebra()), (s7, build_hypersurface_algebra(0.0))):
+        path.write_text(json.dumps(dump_algebra_json(alg), indent=1) + "\n", encoding="utf-8")
     return {"s8": s8, "s7_alpha0": s7}

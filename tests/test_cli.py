@@ -167,6 +167,13 @@ TOL_ARGV = {
 }
 
 
+@pytest.mark.parametrize("command", [("verify",), ("foliation",), ("algebra", "cheeger")],
+                         ids=["verify", "foliation", "algebra"])
+def test_alpha_in_degrees_is_named_as_given(capsys, command):
+    rc, out, err = run_cli(capsys, *command, "--degrees", "--alpha", "100")
+    assert (rc, out, err) == (2, "", "error: --alpha must lie in [0, 90] degrees, got 100.0\n")
+
+
 class TestTolerance:
     """--tol must be a finite, nonnegative number on every subcommand."""
 
@@ -394,21 +401,36 @@ class TestFoliation:
         assert rc == 2
         assert "alpha" in err
 
-    @pytest.mark.parametrize("s", ["10000", "-10000", "-200"])
-    def test_overflowing_flow_time_exits_2(self, capsys, s):
-        # --s -200 at alpha 1.5 overflows only the volume factor exp(-4 s sin alpha)
-        rc, out, err = run_cli(capsys, "foliation", "--x", "1", "--s", s, "--alpha",
-                               "1.5" if s == "-200" else "0.5")
-        assert (rc, out) == (2, "")
-        assert err == (f"error: --s is too long: flow time s = {float(s)!r} overflows "
-                       "the float range\n")
-
-    def test_overflowing_identity_names_the_flow_time(self, capsys):
-        # the point's own diagonal exp(t H) overflows here, not the flow
-        rc, out, err = run_cli(capsys, "foliation", "--x", "1", "--t", "2000", "--s", "1")
-        assert (rc, out) == (2, "")
-        assert err == ("error: the foliation identity at flow time s = 1.0 overflows "
-                       "the float range\n")
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(("--x", "1", "--s", "10000", "--alpha", "0.5"),
+                         "--s is too long: flow time s = 10000.0", id="10000"),
+            pytest.param(("--x", "1", "--s", "-10000", "--alpha", "0.5"),
+                         "--s is too long: flow time s = -10000.0", id="-10000"),
+            # only the volume factor exp(-4 s sin alpha) overflows
+            pytest.param(("--x", "1", "--s", "-200", "--alpha", "1.5"),
+                         "--s is too long: flow time s = -200.0", id="-200"),
+            # past pi/3 only exp(s T) overflows, not the leaf conjugation
+            pytest.param(("--x", "1", "--s", "2000", "--alpha", "1.5"),
+                         "--s is out of range: the foliation identity at flow time s = 2000.0",
+                         id="identity-s2000"),
+            # the point's own diagonal exp(t H) overflows, with or without a flow
+            pytest.param(("--t", "2000", "--s", "0"),
+                         "--t is out of range: the foliation identity at flow time s = 0.0",
+                         id="t2000-s0"),
+            pytest.param(("--x", "1", "--t", "2000", "--s", "1"),
+                         "--t is out of range: the foliation identity at flow time s = 1.0",
+                         id="x1-t2000-s1"),
+            # the unipotent entries overflow under a short flow
+            pytest.param(("--x", "1e308", "--s", "1", "--alpha", "0"),
+                         "--x, --y or --z is out of range: the foliation identity at flow "
+                         "time s = 1.0", id="x1e308-s1"),
+        ],
+    )
+    def test_overflowing_flow_time_exits_2(self, capsys, argv, message):
+        rc, out, err = run_cli(capsys, "foliation", *argv)
+        assert (rc, out, err) == (2, "", f"error: {message} overflows the float range\n")
 
     def test_long_flow_residual_is_relative(self, capsys):
         rc, out, _ = run_cli(capsys, "foliation", "--x", "1", "--s", "1000", "--alpha", "0.5")
@@ -658,7 +680,8 @@ class TestOneLeafPerProcess:
 
     def test_one_algebra_build_per_new_angle(self, capsys, monkeypatch, tmp_path):
         path = tmp_path / "leaf.json"
-        dump_algebra_json(build_hypersurface_algebra(0.3), path)
+        doc = dump_algebra_json(build_hypersurface_algebra(0.3))
+        path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
         ambient_algebra()
         _model_at.cache_clear()
         built = []

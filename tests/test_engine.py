@@ -3,9 +3,10 @@
 The hyperbolic plane (one-dimensional extension [e1, e2] = e2) and the
 bi-invariant 3-sphere (su(2) with the round metric) have textbook constant
 curvatures, giving oracles that are independent of everything else in the
-package.  The batched Damek-Ricci axiom 4 is also compared with a per-vector
-J_z on the hypersurface algebras, and the stacked draws of axioms 4 and 5
-with a per-vector loop, bit for bit.
+package.  The batched Damek-Ricci axiom 4 is also compared with J_z built
+one z at a time on the hypersurface algebras, and the stacked draws of
+axioms 4 and 5 with a per-vector loop, bit for bit.  Vectors are contracted
+with the cached connection and curvature tensors directly.
 """
 
 import json
@@ -202,18 +203,19 @@ class TestConnectionAndCurvature:
     def test_hyperbolic_connection_frozen(self):
         alg = hyperbolic_plane()
         e1, e2 = np.eye(2)
-        assert np.allclose(alg.covariant_derivative(e1, e1), 0.0, atol=1e-14)
-        assert np.allclose(alg.covariant_derivative(e1, e2), 0.0, atol=1e-14)
-        assert np.allclose(alg.covariant_derivative(e2, e1), -e2, atol=1e-14)
-        assert np.allclose(alg.covariant_derivative(e2, e2), e1, atol=1e-14)
+        gam = alg._connection  # gam[i, j] = nabla_{e_i} e_j
+        assert np.allclose(gam[0, 0], 0.0, atol=1e-14)
+        assert np.allclose(gam[0, 1], 0.0, atol=1e-14)
+        assert np.allclose(gam[1, 0], -e2, atol=1e-14)
+        assert np.allclose(gam[1, 1], e1, atol=1e-14)
 
     def test_connection_metric_compatibility(self):
         alg = complex_hyperbolic_plane()
         rng = np.random.default_rng(7)
         for _ in range(20):
             x, y, z = rng.standard_normal((3, 4))
-            lhs = alg.inner(alg.covariant_derivative(x, y), z)
-            rhs = -alg.inner(y, alg.covariant_derivative(x, z))
+            lhs = alg.inner(np.einsum("i,j,ijk->k", x, y, alg._connection), z)
+            rhs = -alg.inner(y, np.einsum("i,j,ijk->k", x, z, alg._connection))
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_connection_torsion_free(self):
@@ -221,11 +223,10 @@ class TestConnectionAndCurvature:
         rng = np.random.default_rng(8)
         for _ in range(20):
             x, y = rng.standard_normal((2, 4))
-            torsion = (
-                alg.covariant_derivative(x, y)
-                - alg.covariant_derivative(y, x)
-                - alg.bracket_coeffs(x, y)
-            )
+            gam = alg._connection
+            # nabla_x y - nabla_y x - [x, y]
+            torsion = np.einsum("i,j,ijk->k", x, y,
+                                gam - gam.transpose(1, 0, 2) - alg.structure)
             assert np.max(np.abs(torsion)) <= 1e-12
 
     def test_hyperbolic_plane_curvature(self):
@@ -254,11 +255,10 @@ class TestConnectionAndCurvature:
             assert r == pytest.approx(-alg.curvature_inner(y, x, z, w), abs=1e-11)
             assert r == pytest.approx(-alg.curvature_inner(x, y, w, z), abs=1e-11)
             assert r == pytest.approx(alg.curvature_inner(z, w, x, y), abs=1e-11)
-            bianchi = (
-                alg.curvature(x, y, z)
-                + alg.curvature(y, z, x)
-                + alg.curvature(z, x, y)
-            )
+            rt = alg._riemann
+            # R(x, y) z + R(y, z) x + R(z, x) y
+            bianchi = np.einsum("i,j,k,ijkl->l", x, y, z,
+                                rt + rt.transpose(1, 2, 0, 3) + rt.transpose(2, 0, 1, 3))
             assert np.max(np.abs(bianchi)) <= 1e-11
 
     def test_degenerate_plane_rejected(self):
@@ -358,19 +358,9 @@ class TestTraceFormAndCheeger:
 class TestJOperatorAndAxioms:
     def test_heisenberg_j_rotation(self):
         alg = heisenberg3()
-        e = np.eye(3)
-        assert np.allclose(alg.j_operator(e[2], e[0], (0, 1)), e[1], atol=1e-14)
-        assert np.allclose(alg.j_operator(e[2], e[1], (0, 1)), -e[0], atol=1e-14)
-
-    def test_j_operator_validation(self):
-        alg = heisenberg3()
-        e = np.eye(3)
-        with pytest.raises(ValueError, match="distinct"):
-            alg.j_operator(e[2], e[0], (0, 0))
-        with pytest.raises(ValueError, match="supported on"):
-            alg.j_operator(e[2], e[2], (0, 1))
-        with pytest.raises(ValueError, match="supported off"):
-            alg.j_operator(e[0], e[0], (0, 1))
+        # J e0 = e1 and J e1 = -e0: the columns of J_z on v = span{e0, e1}
+        jm = alg._j_matrices(np.eye(3)[2][None], [0, 1])
+        assert np.allclose(jm, [[[0.0, -1.0], [1.0, 0.0]]], atol=1e-14)
 
     def test_complex_hyperbolic_plane_axioms(self):
         report = complex_hyperbolic_plane().damek_ricci_check((0, 1), (2,), 3)
@@ -430,19 +420,18 @@ class TestJOperatorAndAxioms:
         for _ in range(100):
             w = rng.standard_normal(len(zi)) @ z_frame
             zs.append(w / np.sqrt(w @ g @ w))
-        basis = np.eye(alg.dim)
+        vi = list(vi)
         worst = 0.0
         for z in zs:
-            cols = []
-            for q in vi:
-                ju = alg.j_operator(z, basis[q], vi)
-                # the defining identity <J_z u, u'> = <z, [u, u']> on v
+            jm = alg._j_matrices(z[None], vi)[0]
+            # the defining identity <J_z e_q, e_p> = <z, [e_q, e_p]> on v
+            for col, q in enumerate(vi):
+                ju = np.zeros(alg.dim)
+                ju[vi] = jm[:, col]
                 for p in vi:
-                    assert alg.inner(ju, basis[p]) == pytest.approx(
-                        alg.inner(z, alg.bracket_coeffs(basis[q], basis[p])), abs=1e-12
+                    assert alg.inner(ju, np.eye(alg.dim)[p]) == pytest.approx(
+                        alg.inner(z, alg.structure[q, p]), abs=1e-12
                     )
-                cols.append(ju[list(vi)])
-            jm = np.stack(cols, axis=1)
             worst = max(worst, float(np.max(np.abs(jm @ jm + (z @ g @ z) * np.eye(len(vi))))))
         assert abs(report.axiom_4.residual - worst) <= 1e-14
 
@@ -491,10 +480,10 @@ def per_vector_axioms_4_and_5(alg, vi, zi, a_index, n_random, seed):
     jm = alg._j_matrices(zs, list(vi))
     zz = np.einsum("mk,kl,ml->m", zs, g, zs)
     r4 = float(np.max(np.abs(jm @ jm + zz[:, None, None] * np.eye(len(vi)))))
-    basis = np.eye(alg.dim)
     r5 = 0.0
     for i, weight in [(i, 0.5) for i in vi] + [(i, 1.0) for i in zi]:
-        r5 = max(r5, alg.norm(alg.bracket_coeffs(basis[a_index], basis[i]) - weight * basis[i]))
+        dev = alg.structure[a_index, i] - weight * np.eye(alg.dim)[i]  # [A, e_i] - w e_i
+        r5 = max(r5, float(np.sqrt(max(dev @ g @ dev, 0.0))))
     return r4, r5
 
 
@@ -533,7 +522,8 @@ class TestJsonInterchange:
     def test_roundtrip(self, tmp_path):
         alg = complex_hyperbolic_plane()
         path = tmp_path / "algebra.json"
-        doc = dump_algebra_json(alg, path)
+        doc = dump_algebra_json(alg)
+        path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
         loaded = load_algebra_json(path)
         assert np.max(np.abs(loaded.structure - alg.structure)) == 0.0
         assert np.max(np.abs(loaded.gram - alg.gram)) == 0.0

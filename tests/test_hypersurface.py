@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from solvgeom.hypersurface import (
     _model_at,
     _plane_abs_curvature,
     _plane_terms,
+    _sample_planes,
     ambient_curvature,
     build_hypersurface_algebra,
     classify,
@@ -35,15 +37,12 @@ from solvgeom.hypersurface import (
     leaf_conjugate,
     mean_curvature,
     nonpositivity_scan,
-    random_orthonormal_pairs,
     reference_plane,
     reference_plane_curvature,
-    ricci_closed,
+    ricci_closed_many,
     ricci_extremes,
     ricci_gauss_many,
     ricci_polynomial,
-    second_fundamental_form,
-    second_fundamental_matrix,
     shape_spectrum,
     volume_distortion,
     zero_curvature_search,
@@ -138,12 +137,6 @@ class TestModel:
         with pytest.raises(ValueError, match="read-only"):
             array[(0,) * array.ndim] = 1.0
 
-    def test_second_fundamental_matrix_is_a_writable_copy(self):
-        model = HypersurfaceModel.from_angle(0.3)
-        m = second_fundamental_matrix(model)
-        m[0, 0] = 5.0
-        assert model._shape_matrix[0, 0] != 5.0
-
     @staticmethod
     def _direct(axis, normal):
         basis = np.concatenate([AMBIENT_BASIS[:6], axis[None]])
@@ -186,46 +179,39 @@ class TestTangentVector:
 
     def test_norm_matches_inner(self):
         model = HypersurfaceModel.from_angle(1.0)
-        v = TangentVector(a=1 + 1j, b=-2.0, c=0.5j, t=0.7)
-        m = np.tensordot(v.coeffs(), model.basis, axes=1)
-        assert v.norm_sq() == pytest.approx(inner_solvable(m, m), abs=1e-13)
+        x = TangentVector(a=1 + 1j, b=-2.0, c=0.5j, t=0.7).coeffs()
+        m = np.tensordot(x, model.basis, axes=1)
+        assert x @ x == pytest.approx(inner_solvable(m, m), abs=1e-13)
 
 
 class TestSecondFundamentalForm:
+    # II(x, y) = x @ _shape_matrix @ y on coefficient vectors
+
     @pytest.mark.parametrize("alpha", ANGLES)
     def test_diagonal_values(self, alpha):
-        model = HypersurfaceModel.from_angle(alpha)
-        s, c = math.sin(alpha), math.cos(alpha)
-        vv = TangentVector(a=1)
-        ww = TangentVector(b=1)
-        zz = TangentVector(c=1)
-        hh = TangentVector(t=1)
-        assert second_fundamental_form(model, vv, vv) == pytest.approx(
-            HALF_SQRT3 * c - s / 2, abs=1e-13
-        )
-        assert second_fundamental_form(model, ww, ww) == pytest.approx(
-            -HALF_SQRT3 * c - s / 2, abs=1e-13
-        )
-        assert second_fundamental_form(model, zz, zz) == pytest.approx(-s, abs=1e-13)
-        assert second_fundamental_form(model, hh, hh) == pytest.approx(0.0, abs=1e-13)
-        assert second_fundamental_form(model, vv, ww) == pytest.approx(0.0, abs=1e-13)
+        s = HypersurfaceModel.from_angle(alpha)._shape_matrix
+        sa, ca = math.sin(alpha), math.cos(alpha)
+        vv, ww, zz, hh = np.eye(7)[[0, 2, 4, 6]]  # E12, E23, E13, H
+        assert vv @ s @ vv == pytest.approx(HALF_SQRT3 * ca - sa / 2, abs=1e-13)
+        assert ww @ s @ ww == pytest.approx(-HALF_SQRT3 * ca - sa / 2, abs=1e-13)
+        assert zz @ s @ zz == pytest.approx(-sa, abs=1e-13)
+        assert hh @ s @ hh == pytest.approx(0.0, abs=1e-13)
+        assert vv @ s @ ww == pytest.approx(0.0, abs=1e-13)
 
     def test_value_at_pi_sixth(self):
-        model = HypersurfaceModel.from_angle(math.pi / 6)
-        v = TangentVector(a=1)
-        assert second_fundamental_form(model, v, v) == pytest.approx(0.5, abs=1e-14)
+        s = HypersurfaceModel.from_angle(math.pi / 6)._shape_matrix
+        v = TangentVector(a=1).coeffs()
+        assert v @ s @ v == pytest.approx(0.5, abs=1e-14)
 
     @pytest.mark.parametrize("alpha", ANGLES)
     def test_matrix_is_diagonal(self, alpha):
-        m = second_fundamental_matrix(HypersurfaceModel.from_angle(alpha))
+        m = HypersurfaceModel.from_angle(alpha)._shape_matrix
         assert np.max(np.abs(m - np.diag(np.diag(m)))) <= 1e-13
 
     def test_symmetric_bilinear(self):
-        model = HypersurfaceModel.from_angle(0.9)
-        x, y = unit_tangent(3, 2)
-        assert second_fundamental_form(model, x, y) == pytest.approx(
-            second_fundamental_form(model, y, x), abs=1e-14
-        )
+        s = HypersurfaceModel.from_angle(0.9)._shape_matrix
+        x, y = (v.coeffs() for v in unit_tangent(3, 2))
+        assert x @ s @ y == pytest.approx(y @ s @ x, abs=1e-14)
 
     @pytest.mark.parametrize("alpha", ANGLES)
     def test_spectrum_and_mean(self, alpha):
@@ -288,24 +274,18 @@ class TestCurvature:
     @pytest.mark.parametrize("alpha", ANGLES)
     def test_ricci_closed_requires_unit(self, alpha):
         with pytest.raises(ValueError, match="unit"):
-            ricci_closed(alpha, TangentVector(a=2))
+            ricci_closed_many(alpha, TangentVector(a=2).coeffs())
 
     def test_ricci_closed_frozen_directions(self):
         third = math.pi / 3
+        # the unit directions E12, E23, i E13 and H, one row each
+        rows = np.array([TangentVector(a=1).coeffs(), TangentVector(b=1).coeffs(),
+                         TangentVector(c=1j).coeffs(), TangentVector(t=1).coeffs()])
         for alpha in ANGLES:
             s = math.sin(alpha)
-            assert ricci_closed(alpha, TangentVector(a=1)) == pytest.approx(
-                -3 + 4 * s * math.sin(alpha - third), abs=1e-13
-            )
-            assert ricci_closed(alpha, TangentVector(b=1)) == pytest.approx(
-                -3 + 4 * s * math.sin(alpha + third), abs=1e-13
-            )
-            assert ricci_closed(alpha, TangentVector(c=1j)) == pytest.approx(
-                -3 + 4 * s * s, abs=1e-13
-            )
-            assert ricci_closed(alpha, TangentVector(t=1)) == pytest.approx(
-                -3.0, abs=1e-13
-            )
+            want = [-3 + 4 * s * math.sin(alpha - third), -3 + 4 * s * math.sin(alpha + third),
+                    -3 + 4 * s * s, -3.0]
+            assert ricci_closed_many(alpha, rows) == pytest.approx(want, abs=1e-13)
 
     def test_ricci_gauss_is_quadratic_form(self):
         model = HypersurfaceModel.from_angle(0.8)
@@ -340,15 +320,14 @@ class TestCurvature:
     @pytest.mark.parametrize("alpha", ANGLES)
     def test_extremes_bound_samples(self, alpha):
         lo, hi = ricci_extremes(alpha)
-        for x in unit_tangent(20, 50):
-            val = ricci_closed(alpha, x)
-            assert lo - 1e-10 <= val <= hi + 1e-10
+        vals = ricci_closed_many(alpha, [x.coeffs() for x in unit_tangent(20, 50)])
+        assert np.all((lo - 1e-10 <= vals) & (vals <= hi + 1e-10))
 
     def test_extremes_attained(self):
         # the minimum on (0, pi/3) undercuts the axis value -3
         lo, _ = ricci_extremes(math.pi / 6)
         assert lo < -3.0
-        assert ricci_closed(math.pi / 6, TangentVector(a=1)) == pytest.approx(
+        assert ricci_closed_many(math.pi / 6, TangentVector(a=1).coeffs()) == pytest.approx(
             lo, abs=1e-13
         )
 
@@ -369,10 +348,10 @@ class TestCurvature:
 
 class TestReferencePlane:
     def test_orthonormal(self):
-        x1, x2 = reference_plane()
-        assert x1.norm_sq() == pytest.approx(1.0, abs=1e-14)
-        assert x2.norm_sq() == pytest.approx(1.0, abs=1e-14)
-        assert float(x1.coeffs() @ x2.coeffs()) == pytest.approx(0.0, abs=1e-14)
+        x1, x2 = (x.coeffs() for x in reference_plane())
+        assert x1 @ x1 == pytest.approx(1.0, abs=1e-14)
+        assert x2 @ x2 == pytest.approx(1.0, abs=1e-14)
+        assert x1 @ x2 == pytest.approx(0.0, abs=1e-14)
 
     @pytest.mark.parametrize("alpha", ANGLES)
     def test_curvature_closed_form(self, alpha):
@@ -532,6 +511,14 @@ class TestFlowAndFoliation:
             foliation_residual(GroupElement(x=1.0, t=2000.0), 1.0)  # q itself overflows
         with pytest.raises(ValueError, match=r"^flow time s = -1000\.0 overflows"):
             volume_distortion(0.5, -1000.0)
+
+    @pytest.mark.parametrize("point", [GroupElement(x=1.0, alpha=0.5, s=2000.0),
+                                       GroupElement(y=1e308, t=-5.0)])
+    def test_overflowing_matrix_is_named(self, point):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # as under -W error: no numpy RuntimeWarning
+            with pytest.raises(ValueError, match=r"^the point at t = .* overflows the float"):
+                point.matrix()
 
     @pytest.mark.parametrize("alpha", [0.0, 0.4, 0.9, math.pi / 2])
     def test_stacked_residuals_match_the_scalar_residual(self, alpha):
@@ -776,10 +763,9 @@ class TestScans:
         got = [k[0][0], k[2][0], k[1][1]]
         assert np.max(np.abs(np.subtract(got, want))) <= 1e-14
 
-        # the public pairs and the scan read the same stream
-        pairs = random_orthonormal_pairs(ScriptedNormals(draws), 3)
-        for rows, gs_rows in zip(pairs, _gram_schmidt(u, good)):
-            assert np.array_equal(rows, gs_rows)
+        # every plane at once and the scan read the same stream
+        for rows, want_rows in zip(_sample_planes(ScriptedNormals(draws), 3)[:2], (u, good)):
+            assert np.array_equal(rows, want_rows)
         monkeypatch.setattr(np.random, "default_rng", lambda seed: ScriptedNormals(draws))
         scan = nonpositivity_scan(0.7, 3)
         k_ref = reference_plane_curvature(0.7)
@@ -836,7 +822,8 @@ class TestScans:
     @pytest.mark.parametrize("alpha", [0.0, 0.7, math.pi / 2])
     def test_abs_curvature_ignores_the_basis_of_the_plane(self, alpha):
         model = HypersurfaceModel.from_angle(alpha)
-        w = np.concatenate(random_orthonormal_pairs(np.random.default_rng(5), 200), axis=1)
+        pairs = _gram_schmidt(*_sample_planes(np.random.default_rng(5), 200)[:2])
+        w = np.concatenate(pairs, axis=1)
         base = _plane_abs_curvature(model, w)
         assert np.all(np.isfinite(base))
         for scale in (4.0, 0.125):  # exact in binary

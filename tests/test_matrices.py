@@ -1,4 +1,5 @@
-"""Matrix layer: arithmetic, involution, and the three bilinear forms."""
+"""Matrix layer: arithmetic, the two inner products, and the Killing form
+identities of the module docstring."""
 
 import math
 
@@ -8,11 +9,9 @@ from hypothesis import given, strategies as st
 
 from solvgeom.matrices import (
     bracket,
-    cartan_involution,
     hermitian_part,
     inner_ambient,
     inner_solvable,
-    killing_form,
     solvable_parts,
 )
 from solvgeom import hypersurface
@@ -32,6 +31,16 @@ def close(x, y, tol=1e-12):
 
 def max_abs(x):
     return np.max(np.abs(x))
+
+
+def killing(x, y):
+    """B(X, Y) = 12 Re tr(XY), the Killing form of sl(3,C) as a real algebra."""
+    return 12.0 * float(np.real(np.trace(x @ y)))
+
+
+def theta(x):
+    """The Cartan involution -conj(X)^T."""
+    return -np.conj(np.swapaxes(x, -1, -2))
 
 
 coeff_vectors = st.lists(
@@ -85,16 +94,10 @@ class TestBracketsAndInvolution:
         assert close(bracket(H1, W), -3.0 * r * W)
         assert max_abs(bracket(H1, Z0)) <= 1e-15
 
-    def test_involution_squares_to_identity(self):
-        m = np.array([[1j, 2 + 1j, 0], [0, -2j, 1], [0, 0, 1j]])
-        assert close(cartan_involution(cartan_involution(m)), m)
-
     @given(coeff_vectors, coeff_vectors)
     def test_involution_is_automorphism(self, u, v):
         x, y = span(u), span(v)
-        lhs = cartan_involution(bracket(x, y))
-        rhs = bracket(cartan_involution(x), cartan_involution(y))
-        assert close(lhs, rhs, tol=1e-10)
+        assert close(theta(bracket(x, y)), bracket(theta(x), theta(y)), tol=1e-10)
 
     def test_stack_maps_equal_the_per_matrix_maps(self):
         # the maps act on the last two axes: a stack gives each matrix's result
@@ -106,7 +109,6 @@ class TestBracketsAndInvolution:
             (bracket(x, y), lambda k: bracket(x[k], y[k])),
             (bracket(x, H0), lambda k: bracket(x[k], H0)),
             (hermitian_part(x), lambda k: hermitian_part(x[k])),
-            (cartan_involution(x), lambda k: cartan_involution(x[k])),
         ):
             for k in range(len(x)):
                 assert np.array_equal(stacked[k], single(k))
@@ -126,25 +128,19 @@ class TestBracketsAndInvolution:
 
 class TestForms:
     def test_killing_frozen_values(self):
-        assert killing_form(H0, H0) == pytest.approx(6.0, abs=1e-14)
-        assert killing_form(H1, H1) == pytest.approx(6.0, abs=1e-14)
-        assert killing_form(H0, H1) == pytest.approx(0.0, abs=1e-14)
-        assert killing_form(V, cartan_involution(V)) == pytest.approx(-12.0, abs=1e-14)
-        assert killing_form(V, V) == pytest.approx(0.0, abs=1e-14)
+        # the basis constants under the normalisation of the module docstring
+        assert killing(H0, H0) == pytest.approx(6.0, abs=1e-14)
+        assert killing(H1, H1) == pytest.approx(6.0, abs=1e-14)
+        assert killing(H0, H1) == pytest.approx(0.0, abs=1e-14)
+        assert killing(V, theta(V)) == pytest.approx(-12.0, abs=1e-14)
+        assert killing(V, V) == pytest.approx(0.0, abs=1e-14)
 
     @given(coeff_vectors, coeff_vectors, coeff_vectors)
     def test_killing_ad_invariance(self, u, v, w):
         x, y, z = span(u), span(v), span(w)
-        lhs = killing_form(bracket(x, y), z)
-        rhs = -killing_form(y, bracket(x, z))
+        lhs = killing(bracket(x, y), z)
+        rhs = -killing(y, bracket(x, z))
         assert lhs == pytest.approx(rhs, abs=1e-9)
-
-    @given(coeff_vectors, coeff_vectors)
-    def test_killing_involution_invariance(self, u, v):
-        x, y = span(u), span(v)
-        assert killing_form(cartan_involution(x), cartan_involution(y)) == pytest.approx(
-            killing_form(x, y), abs=1e-10
-        )
 
     def test_inner_ambient_frozen_values(self):
         assert inner_ambient(V, V) == pytest.approx(2.0, abs=1e-15)
@@ -154,16 +150,16 @@ class TestForms:
 
     @given(coeff_vectors, coeff_vectors)
     def test_inner_ambient_from_killing(self, u, v):
-        # <X, Y> = -B(X, theta Y) / 6
+        # <X, Y> = -B(X, theta Y) / 6 with B(X, Y) = 12 Re tr(XY), theta Y = -conj(Y)^T
         x, y = span(u), span(v)
         assert inner_ambient(x, y) == pytest.approx(
-            -killing_form(x, cartan_involution(y)) / 6.0, abs=1e-9
+            -12.0 * np.real(np.trace(x @ -np.conj(y).T)) / 6.0, abs=1e-9
         )
 
     @given(coeff_vectors, coeff_vectors)
     def test_inner_ambient_involution_invariance(self, u, v):
         x, y = span(u), span(v)
-        assert inner_ambient(cartan_involution(x), cartan_involution(y)) == pytest.approx(
+        assert inner_ambient(theta(x), theta(y)) == pytest.approx(
             inner_ambient(x, y), abs=1e-10
         )
 

@@ -17,11 +17,12 @@ from solvgeom.hypersurface import (
     AMBIENT_BASIS,
     HypersurfaceModel,
     TangentVector,
+    _gram_schmidt,
+    _sample_planes,
     ambient_algebra,
     ambient_curvature,
     build_hypersurface_algebra,
     nonpositivity_scan,
-    random_orthonormal_pairs,
     random_unit_tangents,
     ricci_closed_many,
     ricci_gauss_many,
@@ -59,7 +60,7 @@ def test_ricci_gauss_vs_koszul(alpha):
 def test_sectional_gauss_vs_koszul(alpha):
     model = HypersurfaceModel.from_angle(alpha)
     alg = build_hypersurface_algebra(alpha)
-    u, v = random_orthonormal_pairs(np.random.default_rng(3), 50)
+    u, v = _gram_schmidt(*_sample_planes(np.random.default_rng(3), 50)[:2])
     for a, b in zip(u, v):
         ks = gauss_sectional(
             model, TangentVector.from_coeffs(a), TangentVector.from_coeffs(b)
@@ -190,16 +191,15 @@ def test_koszul_ricci_basis_independent():
 
 def test_j_operator_frozen_maps():
     alg = build_hypersurface_algebra(0.0)
-    e = np.eye(7)
-    vi = (0, 1, 2, 3)
-    assert np.allclose(alg.j_operator(e[4], e[0], vi), e[2], atol=1e-12)
-    assert np.allclose(alg.j_operator(e[4], e[2], vi), -e[0], atol=1e-12)
-    assert np.allclose(alg.j_operator(e[4], e[1], vi), -e[3], atol=1e-12)
-    assert np.allclose(alg.j_operator(e[5], e[0], vi), e[3], atol=1e-12)
+    e = np.eye(4)
+    # J_Z on v = span{e0, ..., e3} for Z = e4, e5; column q is J_Z e_q
+    j4, j5 = alg._j_matrices(np.eye(7)[[4, 5]], [0, 1, 2, 3])
+    assert np.allclose(j4[:, 0], e[2], atol=1e-12)
+    assert np.allclose(j4[:, 2], -e[0], atol=1e-12)
+    assert np.allclose(j4[:, 1], -e[3], atol=1e-12)
+    assert np.allclose(j5[:, 0], e[3], atol=1e-12)
     # J_Z squares to minus identity on the nilpotent core
-    for idx in vi:
-        twice = alg.j_operator(e[4], alg.j_operator(e[4], e[idx], vi), vi)
-        assert np.allclose(twice, -e[idx], atol=1e-12)
+    assert np.allclose(j4 @ j4, -e, atol=1e-12)
 
 
 def test_damek_ricci_transition():
