@@ -32,7 +32,7 @@ import sys
 
 import numpy as np
 
-from .engine import MetricLieAlgebra, dump_algebra_json, jacobi_residual, load_algebra_json
+from .engine import dump_algebra_json, jacobi_residual, load_algebra_json
 from .hypersurface import (
     GroupElement,
     HypersurfaceModel,
@@ -247,18 +247,22 @@ def _group_dict(q: GroupElement) -> dict:
 
 def _cmd_foliation(args) -> int:
     alpha = _endpoint(args, "--alpha", args.alpha)
+    for flag in "xyzts":
+        if not np.isfinite(getattr(args, flag)):
+            raise ValueError(f"--{flag} must be finite, got {getattr(args, flag)!r}")
     q = GroupElement(x=args.x, y=args.y, z=args.z, t=args.t, alpha=alpha)
     try:  # both overflow for a long flow time alone, whatever the point
-        conj, volume = leaf_conjugate(q, args.s), volume_distortion(alpha, args.s)
+        leaf_conjugate(GroupElement(alpha=alpha), args.s)
+        volume = volume_distortion(alpha, args.s)
     except ValueError as exc:
         raise ValueError(f"--s is too long: {exc}") from None
-    # the identity for the origin, the axis coordinate alone, then the whole
-    # point (its residual is reported): the first to overflow names the flag
+    # the identity and the leaf conjugate for the origin, the axis coordinate
+    # alone, then the whole point (reported): the first to overflow names the flag
     parts = (("--s", GroupElement(alpha=alpha)), ("--t", GroupElement(t=args.t, alpha=alpha)),
              ("--x, --y or --z", q))
     for flags, point in parts:
         try:
-            residual = foliation_residual(point, args.s)
+            residual, conj = foliation_residual(point, args.s), leaf_conjugate(point, args.s)
         except ValueError as exc:
             raise ValueError(f"{flags} is out of range: {exc}") from None
     payload = {
@@ -273,35 +277,30 @@ def _cmd_foliation(args) -> int:
     return 0
 
 
-def _parse_floats(text: str) -> np.ndarray:
+def _parse_list(text: str, kind, noun: str) -> list:
     try:
-        return np.array([float(part) for part in text.split(",")])
+        return [kind(part) for part in text.split(",")]
     except ValueError as exc:
-        raise ValueError(f"expected comma-separated floats, got {text!r}") from exc
-
-
-def _parse_ints(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise ValueError(f"expected comma-separated integers, got {text!r}") from exc
-
-
-def _load_algebra(args) -> MetricLieAlgebra:
-    if args.file is not None:
-        return load_algebra_json(args.file)
-    if args.ambient:
-        return ambient_algebra()
-    return build_hypersurface_algebra(_endpoint(args, "--alpha", args.alpha))
+        raise ValueError(f"expected comma-separated {noun}, got {text!r}") from exc
 
 
 def _cmd_algebra(args) -> int:
-    alg = _load_algebra(args)
+    if args.file is not None:
+        alg = load_algebra_json(args.file)
+    elif args.ambient:
+        alg = ambient_algebra()
+    else:
+        alg = build_hypersurface_algebra(_endpoint(args, "--alpha", args.alpha))
     if args.op == "ricci":
         if args.vector is None:
             raise ValueError("op 'ricci' needs --vector")
-        vec = _parse_floats(args.vector)
-        payload = {"dim": alg.dim, "vector": list(vec), "ricci": alg.ricci(vec)}
+        vec = np.array(_parse_list(args.vector, float, "floats"))
+        if not np.all(np.isfinite(vec)):
+            raise ValueError(f"--vector must be finite, got {args.vector!r}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            payload = {"dim": alg.dim, "vector": list(vec), "ricci": alg.ricci(vec)}
+        if not math.isfinite(payload["ricci"]):
+            raise ValueError(f"--vector {args.vector!r} overflows the Ricci form")
     elif args.op == "cheeger":
         payload = {"dim": alg.dim, "cheeger": alg.cheeger()}
     elif args.op == "einstein":
@@ -311,8 +310,8 @@ def _cmd_algebra(args) -> int:
         if args.v_indices is None or args.z_indices is None or args.a_index is None:
             raise ValueError("op 'dr-check' needs --v-indices, --z-indices, --a-index")
         report = alg.damek_ricci_check(
-            _parse_ints(args.v_indices), _parse_ints(args.z_indices), args.a_index,
-            tol=args.tol, seed=args.seed,
+            *(_parse_list(text, int, "integers") for text in (args.v_indices, args.z_indices)),
+            args.a_index, tol=args.tol, seed=args.seed,
         )
         axioms = [getattr(report, f"axiom_{n}") for n in range(1, 6)]
         payload = {

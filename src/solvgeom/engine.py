@@ -108,6 +108,13 @@ def _finite(name: str, a: np.ndarray) -> np.ndarray:
     return _read_only(a)
 
 
+def _float_array(name: str, a) -> np.ndarray:
+    try:
+        return np.array(a, dtype=float)
+    except OverflowError:
+        raise ValueError(f"an integer in {name} is too large for a float") from None
+
+
 def jacobi_residual(structure) -> float:
     """Largest entry of [[e_i, e_j], e_k] + cyclic over all basis triples (nan on overflow)."""
     c = np.asarray(structure, dtype=float)
@@ -127,8 +134,8 @@ class MetricLieAlgebra:
     """
 
     def __init__(self, structure, gram, labels=None):
-        c = np.array(structure, dtype=float)
-        g = np.array(gram, dtype=float)
+        c = _float_array("the structure constants", structure)
+        g = _float_array("the gram matrix", gram)
         if c.ndim != 3 or len(set(c.shape)) != 1:
             raise ValueError(f"structure constants must be an n*n*n array, got {c.shape}")
         n = c.shape[0]
@@ -410,20 +417,34 @@ class MetricLieAlgebra:
         return DamekRicciReport(*checks, overall=all(ch.passed for ch in checks))
 
     def _subspace_orthonormal(self, indices) -> np.ndarray:
-        """Gram-orthonormal rows spanning the given coordinate subspace."""
+        """Gram-orthonormal rows spanning the given coordinate subspace (modified Gram-Schmidt)."""
         g = self._gram
-        rows = []
+        rows, duals = [], []
         for i in indices:
             v = np.zeros(self.dim)
             v[i] = 1.0
-            for u in rows:
-                v = v - (u @ g @ v) * u
+            for u, ug in zip(rows, duals):
+                v = v - (ug @ v) * u  # ug = u @ g, formed once: the floats of u @ g @ v
             v = v / np.sqrt(v @ g @ v)
             rows.append(v)
+            duals.append(v @ g)
         return np.stack(rows)
 
 
 # -- JSON interchange -------------------------------------------------------
+
+
+def _format_fault(entry) -> str | None:
+    """The message of the first format rule a structure entry breaks, if any."""
+    if not (isinstance(entry, list) and len(entry) == 4):
+        return f"structure entries must be [i, j, k, value], got {entry!r}"
+    if not all(isinstance(m, int) and not isinstance(m, bool) for m in entry[:3]):
+        return f"structure indices must be integers, got {entry!r}"
+    if isinstance(entry[3], bool) or not isinstance(entry[3], (int, float)):
+        return f"structure value must be a number, got {entry!r}"
+    if isinstance(entry[3], int) and abs(entry[3]) >= 2**1024 - 2**970:  # float() overflows
+        return f"structure value is an integer too large for a float, got {entry!r}"
+    return None
 
 
 def load_algebra_json(source) -> MetricLieAlgebra:
@@ -432,8 +453,10 @@ def load_algebra_json(source) -> MetricLieAlgebra:
     Expected document:  {"dim": n, "labels": [...], "gram": n*n,
     "structure": [[i, j, k, value], ...]} with sparse entries restricted to
     i < j and an integer n in [1, MAX_JSON_DIM]; antisymmetry is filled in.
-    ValueError names the first violated invariant (format first, then the
-    algebra invariants).
+    ValueError names the first violated invariant: the format first, where
+    the first bad structure entry in document order is named by the first
+    rule it breaks (shape, index type, value type, range, i < j, repeat; an
+    integer value or Gram entry must fit a float), then the algebra invariants.
     """
     if hasattr(source, "read"):
         doc = json.load(source)
@@ -462,30 +485,36 @@ def load_algebra_json(source) -> MetricLieAlgebra:
         gram = np.array(doc["gram"], dtype=float)
     except (TypeError, ValueError):
         raise ValueError(f"'gram' must be a {n}*{n} matrix of numbers") from None
+    except OverflowError:
+        raise ValueError("an integer in 'gram' is too large for a float") from None
     if gram.shape != (n, n):
         raise ValueError(f"'gram' must be a {n}*{n} matrix")
     entries = doc.get("structure")
     if not isinstance(entries, list):
         raise ValueError("missing or invalid 'structure'")
+    # one cheap pass over the types; only a document that fails it is read entry by entry
+    plain = set(map(type, entries)) == {list} and set(map(len, entries)) == {4}
+    i, j, k, val = list(zip(*entries)) if plain else [()] * 4
+    p = len(entries)  # the first entry of a bad shape or type
+    if not (plain and set(map(type, i + j + k)) == {int} and set(map(type, val)) == {float}):
+        p = next((q for q, e in enumerate(entries) if _format_fault(e)), p)
+        i, j, k, val = list(zip(*entries[:p])) or [()] * 4
+    r = p if set(i + j + k) <= set(range(n)) else next(  # the first out of range before p
+        q for q in range(p) if not {i[q], j[q], k[q]} <= set(range(n)))
+    i, j, k = np.array([i[:r], j[:r], k[:r]], dtype=np.intp)
+    bad = np.ones(r, dtype=bool)  # a repeat: all but the first entry of each linear key
+    bad[np.unique((i * n + j) * n + k, return_index=True)[1]] = False
+    q = int(np.argmax(np.append(bad | (i >= j), True)))  # the first bad entry before r, else r
+    if q < r:
+        iq, jq, kq = entries[q][:3]
+        raise ValueError(f"structure entries must have i < j, got {entries[q]!r}" if iq >= jq
+                         else f"duplicate structure entry for indices ({iq}, {jq}, {kq})")
+    if r < len(entries):  # an entry out of range, else one of a bad shape or type
+        raise ValueError(f"structure index out of range in {entries[r]!r}" if r < p
+                         else _format_fault(entries[p]))
+    val = np.array(val, dtype=float)
     c = np.zeros((n, n, n))
-    seen = set()
-    for entry in entries:
-        if not (isinstance(entry, list) and len(entry) == 4):
-            raise ValueError(f"structure entries must be [i, j, k, value], got {entry!r}")
-        i, j, k, val = entry
-        if not all(isinstance(m, int) and not isinstance(m, bool) for m in (i, j, k)):
-            raise ValueError(f"structure indices must be integers, got {entry!r}")
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            raise ValueError(f"structure value must be a number, got {entry!r}")
-        if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
-            raise ValueError(f"structure index out of range in {entry!r}")
-        if i >= j:
-            raise ValueError(f"structure entries must have i < j, got {entry!r}")
-        if (i, j, k) in seen:
-            raise ValueError(f"duplicate structure entry for indices ({i}, {j}, {k})")
-        seen.add((i, j, k))
-        c[i, j, k] = float(val)
-        c[j, i, k] = -float(val)
+    c[i, j, k], c[j, i, k] = val, -val
     return MetricLieAlgebra(c, gram, labels=labels)
 
 
@@ -494,12 +523,6 @@ def dump_algebra_json(alg: MetricLieAlgebra) -> dict:
     c = alg.structure
     entries = [[int(i), int(j), int(k), float(c[i, j, k])]
                for i, j, k in np.argwhere(c != 0.0) if i < j]
-    doc = {
-        "dim": alg.dim,
-        "labels": list(alg.labels) if alg.labels is not None else None,
-        "structure": entries,
-        "gram": [[float(x) for x in row] for row in alg.gram],
-    }
-    if doc["labels"] is None:
-        del doc["labels"]
-    return doc
+    labels = {"labels": list(alg.labels)} if alg.labels is not None else {}
+    return {"dim": alg.dim, **labels, "structure": entries,
+            "gram": [[float(x) for x in row] for row in alg.gram]}

@@ -545,16 +545,14 @@ def leaf_conjugate(q: GroupElement, s: float) -> GroupElement:
     _, normal = _abelian_diagonals(q.alpha)
     tau = float(s) * normal
     try:
-        return GroupElement(
-            x=q.x * math.exp(tau[1] - tau[0]),
-            y=q.y * math.exp(tau[2] - tau[1]),
-            z=q.z * math.exp(tau[2] - tau[0]),
-            t=q.t,
-            alpha=q.alpha,
-            s=q.s,
-        )
+        scale = math.exp(tau[1] - tau[0]), math.exp(tau[2] - tau[1]), math.exp(tau[2] - tau[0])
     except OverflowError:
         raise ValueError(f"flow time s = {s!r} overflows the float range") from None
+    xyz = {name: getattr(q, name) * f for name, f in zip("xyz", scale)}
+    for name, value in xyz.items():
+        if not np.isfinite(value):
+            raise ValueError(f"coordinate {name} overflows the float range at flow time s = {s!r}")
+    return GroupElement(**xyz, t=q.t, alpha=q.alpha, s=q.s)
 
 
 # leaf_conjugate's math.exp elementwise; np.exp differs from it in the last bit

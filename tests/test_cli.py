@@ -432,6 +432,20 @@ class TestFoliation:
         rc, out, err = run_cli(capsys, "foliation", *argv)
         assert (rc, out, err) == (2, "", f"error: {message} overflows the float range\n")
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--s", "nan"), "--s must be finite, got nan"),
+        (("--t", "nan"), "--t must be finite, got nan"),
+        (("--x", "nan"), "--x must be finite, got (nan+0j)"),
+        (("--s", "inf"), "--s must be finite, got inf"),
+        (("--y", "inf"), "--y must be finite, got (inf+0j)"),
+        (("--z", "1+infj", "--s", "1"), "--z must be finite, got (1+infj)"),
+    ], ids=["s-nan", "t-nan", "x-nan", "s-inf", "y-inf", "z-inf"])
+    def test_non_finite_argument_named(self, capsys, argv, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before any computation
+            rc, out, err = run_cli(capsys, "foliation", *argv)
+        assert (rc, out, err) == (2, "", f"error: {message}\n")
+
     def test_long_flow_residual_is_relative(self, capsys):
         rc, out, _ = run_cli(capsys, "foliation", "--x", "1", "--s", "1000", "--alpha", "0.5")
         assert rc == 0
@@ -519,6 +533,7 @@ class TestAlgebra:
         rc, out, _ = run_cli(capsys, "algebra", "einstein", "--file", str(path))
         assert rc == 0
         assert json.loads(out)["constant"] == pytest.approx(-3.0, abs=1e-9)
+        assert out == run_cli(capsys, "algebra", "einstein", "--ambient")[1]
 
     def test_invalid_file_names_invariant(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -562,6 +577,33 @@ class TestAlgebra:
         assert rc == 2
         assert out == ""
         assert err.startswith("error: ") and "out.csv" in err
+
+    @pytest.mark.parametrize("vector, message", [
+        ("nan,0,0,0,0,0,0,0", "--vector must be finite, got 'nan,0,0,0,0,0,0,0'"),
+        ("0,-inf,0,0,0,0,0,0", "--vector must be finite, got '0,-inf,0,0,0,0,0,0'"),
+        ("1e200,0,0,0,0,0,0,0", "--vector '1e200,0,0,0,0,0,0,0' overflows the Ricci form"),
+    ], ids=["nan", "inf", "overflow"])
+    def test_non_finite_ricci_vector_named(self, capsys, vector, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run_cli(capsys, "algebra", "ricci", "--ambient", f"--vector={vector}")
+        assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"dim": 2, "gram": [[1, 0], [0, 1]], "structure": [[0, 1, 1, 1%s]]}' % ("0" * 400),
+         "structure value is an integer too large for a float, got [0, 1, 1, 1%s]" % ("0" * 400)),
+        ('{"dim": 2, "gram": [[1%s, 0], [0, 1]], "structure": []}' % ("0" * 400),
+         "an integer in 'gram' is too large for a float"),
+        ('{"dim": 2, "gram": [[1, 0], [0, 1]], "structure": [[0, true, 1, 1]]}',
+         "structure indices must be integers, got [0, True, 1, 1]"),
+    ], ids=["huge-structure-value", "huge-gram-entry", "bool-index"])
+    def test_bad_json_number_named(self, capsys, tmp_path, text, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run_cli(capsys, "algebra", "einstein", "--file", str(bad))
+        assert (rc, out, err) == (2, "", f"error: {message}\n")
 
     def test_bad_vector_string(self, capsys):
         rc, _, err = run_cli(

@@ -6,17 +6,22 @@ curvatures, giving oracles that are independent of everything else in the
 package.  The batched Damek-Ricci axiom 4 is also compared with J_z built
 one z at a time on the hypersurface algebras, and the stacked draws of
 axioms 4 and 5 with a per-vector loop, bit for bit.  Vectors are contracted
-with the cached connection and curvature tensors directly.
+with the cached connection and curvature tensors directly.  The JSON loader
+and the Gram-Schmidt frame are compared with plain per-entry and per-row
+restatements of themselves: the same messages, the same floats.
 """
 
 import json
 import math
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from solvgeom import engine
 from solvgeom.engine import (
     MAX_JSON_DIM,
     MetricLieAlgebra,
@@ -597,3 +602,183 @@ class TestJsonInterchange:
         }
         with pytest.raises(ValueError, match="Jacobi identity violated"):
             load_algebra_json(doc)
+
+
+HUGE = 10**400  # a JSON integer beyond the float range
+
+
+def _huge_message(entry):
+    return f"structure value is an integer too large for a float, got {entry!r}"
+
+
+class TestStructureEntryPrecedence:
+    """The first bad entry in document order is named, by the first rule it
+    breaks: shape, index type, value type, range, i < j, duplicate."""
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ([[0, 1, 0, 1.0], [2, 1, 0, 1.0], [0, 5, 1, 1.0]],
+             "structure entries must have i < j, got [2, 1, 0, 1.0]"),
+            ([[0, 1, 0, 1.0], [0, 5, 1, "x"], [1, 0, 0, 1.0]],
+             "structure value must be a number, got [0, 5, 1, 'x']"),
+            ([[0, 1, 0, 1.0], [0, 1, 0, 2.0], [1, 0, 0, None]],
+             "duplicate structure entry for indices (0, 1, 0)"),
+            ([[1, 1, 3, 1.0], [0, 1]], "structure index out of range in [1, 1, 3, 1.0]"),
+            ([[0, 1, 0, 1.0], [1, 0, 0, 1.0], [1, 0, 0, 2.0]],
+             "structure entries must have i < j, got [1, 0, 0, 1.0]"),
+            ([[0, 2, 1, 1.0], [0, 2, 1, 1.0, 5], [0, 2, 1, 1.0]],
+             "structure entries must be [i, j, k, value], got [0, 2, 1, 1.0, 5]"),
+            ([[0, 1, 0, HUGE], [5, 0, 0, 1.0]], _huge_message([0, 1, 0, HUGE])),
+            ([[0, 1, 0, 1.0], [5, 1, 0, -HUGE]], _huge_message([5, 1, 0, -HUGE])),
+            ([[0, 1, 2, 1.0], [True, 1, 2, 1.0], [0, 9, 0, 1.0]],
+             "structure indices must be integers, got [True, 1, 2, 1.0]"),
+            ([[0, 1, 2, 1.0], [0, 1, 2.0, 1.0]],
+             "structure indices must be integers, got [0, 1, 2.0, 1.0]"),
+            ([[0, 1, 2, 1], [0, 2, 1, False]],
+             "structure value must be a number, got [0, 2, 1, False]"),
+            # (0, 0, 3) and (0, 1, 0) share a linear key when n = 3
+            ([[0, 1, 0, 1.0], [0, 0, 3, 1.0]], "structure index out of range in [0, 0, 3, 1.0]"),
+            ([[0, 0, 3, 1.0], [0, 1, 0, 1.0]], "structure index out of range in [0, 0, 3, 1.0]"),
+            # indices beyond every integer width, after an earlier fault or alone
+            ([[0, 1, 0, 1.0], [0, 1, 0, 1.0], [0, 2**64, 0, 1.0]],
+             "duplicate structure entry for indices (0, 1, 0)"),
+            ([[0, 1, 0, 1.0], [0, -HUGE, 0, 1.0]],
+             f"structure index out of range in [0, {-HUGE}, 0, 1.0]"),
+            ([(0, 1, 0, 1.0)], "structure entries must be [i, j, k, value], got (0, 1, 0, 1.0)"),
+            ([[0, 1, 0, 1.0], None], "structure entries must be [i, j, k, value], got None"),
+        ],
+        ids=["order-before-range", "value-before-range", "duplicate-before-value",
+             "range-before-order", "order-before-duplicate", "shape-later", "huge-value",
+             "huge-negative-value", "bool-index", "float-index", "bool-value",
+             "range-not-key-duplicate", "range-before-key-duplicate",
+             "duplicate-before-wide-index", "huge-index", "tuple-entry", "none-entry"],
+    )
+    def test_first_bad_entry_named(self, entries, message):
+        doc = {"dim": 3, "gram": np.eye(3).tolist(), "structure": entries}
+        with pytest.raises(ValueError) as info:
+            load_algebra_json(doc)
+        assert str(info.value) == message
+
+    def test_huge_integer_gram_named(self):
+        doc = {"dim": 2, "gram": [[HUGE, 0], [0, 1]], "structure": []}
+        with pytest.raises(ValueError, match=r"^an integer in 'gram' is too large for a float$"):
+            load_algebra_json(doc)
+
+    @pytest.mark.parametrize("structure, gram, name", [
+        (np.zeros((1, 1, 1)), [[HUGE]], "the gram matrix"),
+        ([[[HUGE]]], [[1.0]], "the structure constants"),
+    ])
+    def test_huge_integer_constructor_arguments_named(self, structure, gram, name):
+        with pytest.raises(ValueError, match=f"^an integer in {name} is too large for a float$"):
+            MetricLieAlgebra(structure, gram)
+
+
+def _reference_structure(doc):
+    """The structure array the loader fills, or the message it raises: the
+    per-entry loop, with the float-range rule in the value-type slot."""
+    n = doc["dim"]
+    c = np.zeros((n, n, n))
+    seen = set()
+    for entry in doc["structure"]:
+        if not (isinstance(entry, list) and len(entry) == 4):
+            return f"structure entries must be [i, j, k, value], got {entry!r}"
+        i, j, k, val = entry
+        if not all(isinstance(m, int) and not isinstance(m, bool) for m in (i, j, k)):
+            return f"structure indices must be integers, got {entry!r}"
+        if isinstance(val, bool) or not isinstance(val, (int, float)):
+            return f"structure value must be a number, got {entry!r}"
+        try:
+            float(val)
+        except OverflowError:
+            return _huge_message(entry)
+        if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
+            return f"structure index out of range in {entry!r}"
+        if i >= j:
+            return f"structure entries must have i < j, got {entry!r}"
+        if (i, j, k) in seen:
+            return f"duplicate structure entry for indices ({i}, {j}, {k})"
+        seen.add((i, j, k))
+        c[i, j, k] = float(val)
+        c[j, i, k] = -float(val)
+    return c
+
+
+class _Captured:
+    """Stands in for MetricLieAlgebra: keeps the arrays the loader passes."""
+
+    def __init__(self, structure, gram, labels=None):
+        self.structure = structure
+
+
+@st.composite
+def structure_documents(draw):
+    """Documents of dim 1-4 with up to 12 entries: mostly good ones, with up
+    to two bad entries of every kind the loader names, and repeats of
+    earlier entries."""
+    n = draw(st.integers(1, 4))
+    number = st.one_of(st.floats(-4.0, 4.0), st.integers(-3, 3), st.sampled_from([0.0, -0.0]))
+    odd_index = st.sampled_from(
+        [-1, n, n + 1, 2**63, -(2**64), HUGE, True, False, 0.0, 1.5, "0", None])
+    index = st.integers(0, 3).flatmap(lambda kind: odd_index if kind == 0 else st.integers(0, n - 1))
+    odd_value = st.sampled_from(
+        [HUGE, -HUGE, 2**1024, 2**1024 - 2**970, 2**1024 - 2**970 - 1, 2**1023, 2**64 + 1,
+         True, "1", None, float("nan"), float("inf")])
+    slots = [(i, j, k) for i in range(n) for j in range(i + 1, n) for k in range(n)]
+    four = st.tuples(index, index, index, st.one_of(number, odd_value)).map(list)
+    valued = st.tuples(st.sampled_from(slots or [(0, 0, 0)]), odd_value).map(
+        lambda e: [*e[0], e[1]])
+    bad = st.integers(0, 5).flatmap(lambda kind: four if kind < 3 else valued if kind < 5 else
+                                    st.one_of(st.lists(number, max_size=6).filter(
+                                        lambda e: len(e) != 4), st.sampled_from(
+                                        [None, "entry", 3, (0, 1, 0, 1.0), {"i": 0}])))
+    chosen = draw(st.lists(st.sampled_from(slots), unique=True, max_size=12)) if slots else []
+    entries = [[*slot, draw(number)] for slot in chosen]
+    for _ in range(draw(st.integers(0, 2))):
+        entries.insert(draw(st.integers(0, len(entries))), draw(bad))
+    for _ in range(draw(st.integers(0, 2)) if entries else 0):
+        source = draw(st.sampled_from(entries))
+        copy = [*source[:3], draw(number)] if isinstance(source, list) else source
+        entries.insert(draw(st.integers(0, len(entries))), copy)
+    return {"dim": n, "gram": np.eye(n).tolist(), "structure": entries[:12]}
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(doc=structure_documents())
+def test_loader_matches_the_per_entry_loop(doc):
+    expected = _reference_structure(doc)
+    with mock.patch.object(engine, "MetricLieAlgebra", _Captured):
+        if isinstance(expected, str):
+            with pytest.raises(ValueError) as info:
+                load_algebra_json(doc)
+            assert str(info.value) == expected
+        else:
+            got = load_algebra_json(doc).structure
+            assert np.array_equal(got, expected, equal_nan=True)
+            assert got.tobytes() == expected.tobytes()
+
+
+def _reference_frame(g, indices):
+    """Modified Gram-Schmidt over the coordinate vectors, one row at a time."""
+    rows = []
+    for i in indices:
+        v = np.zeros(len(g))
+        v[i] = 1.0
+        for u in rows:
+            v = v - (u @ g @ v) * u
+        v = v / np.sqrt(v @ g @ v)
+        rows.append(v)
+    return np.stack(rows)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_subspace_frame_matches_the_per_row_loop(n):
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        a = rng.standard_normal((n, n))
+        g = a @ a.T + 0.1 * np.eye(n)
+        alg = MetricLieAlgebra(np.zeros((n, n, n)), 0.5 * (g + g.T))
+        subsets = [range(n)] + [rng.permutation(n)[:rng.integers(1, n + 1)] for _ in range(3)]
+        for indices in subsets:
+            frame = alg._subspace_orthonormal(indices)
+            assert np.array_equal(frame, _reference_frame(alg.gram, indices))

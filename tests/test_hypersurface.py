@@ -512,6 +512,18 @@ class TestFlowAndFoliation:
         with pytest.raises(ValueError, match=r"^flow time s = -1000\.0 overflows"):
             volume_distortion(0.5, -1000.0)
 
+    @pytest.mark.parametrize("q, s, name", [
+        (GroupElement(x=1e308, alpha=0.0), "1.0", "x"),
+        (GroupElement(y=1e308j, alpha=0.0), "-1.0", "y"),
+        (GroupElement(x=1.0, z=-1e308, alpha=math.pi / 2), "-1.0", "z"),
+    ])
+    def test_overflowing_leaf_conjugate_names_the_coordinate(self, q, s, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^coordinate {name} overflows the float range "
+                                                 rf"at flow time s = {s}$"):
+                leaf_conjugate(q, float(s))
+
     @pytest.mark.parametrize("point", [GroupElement(x=1.0, alpha=0.5, s=2000.0),
                                        GroupElement(y=1e308, t=-5.0)])
     def test_overflowing_matrix_is_named(self, point):
