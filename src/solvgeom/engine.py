@@ -31,6 +31,7 @@ its spanning vectors and a Gram matrix relative to its largest eigenvalue.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from dataclasses import dataclass
@@ -306,11 +307,10 @@ class MetricLieAlgebra:
         of its m values, each bit for bit the float its row would give.
         """
         v = np.asarray(x, dtype=float)
-        if v.ndim == 2 and v.shape[1] == self.dim:
-            # one batched matmul per row, the float path's summation order
-            return (v[:, None, :] @ self._ricci_form @ v[:, :, None])[:, 0, 0]
-        x = self._vec(x)
-        return float(x @ self._ricci_form @ x)
+        rows = v if v.ndim == 2 and v.shape[1] == self.dim else self._vec(x)[None]
+        # one batched matmul per row: every row sums in the same order
+        ric = (rows[:, None, :] @ self._ricci_form @ rows[:, :, None])[:, 0, 0]
+        return ric if rows is v else float(ric[0])
 
     def ricci_matrix(self) -> np.ndarray:
         """Matrix of the Ricci form in a gram-orthonormal basis."""
@@ -453,18 +453,26 @@ def load_algebra_json(source) -> MetricLieAlgebra:
     Expected document:  {"dim": n, "labels": [...], "gram": n*n,
     "structure": [[i, j, k, value], ...]} with sparse entries restricted to
     i < j and an integer n in [1, MAX_JSON_DIM]; antisymmetry is filled in.
-    ValueError names the first violated invariant: the format first, where
-    the first bad structure entry in document order is named by the first
-    rule it breaks (shape, index type, value type, range, i < j, repeat; an
-    integer value or Gram entry must fit a float), then the algebra invariants.
+    ValueError names the first violated invariant: a file (or "the algebra
+    document", a stream) that is not UTF-8 JSON, then the format, where the
+    first bad structure entry in document order is named by the first rule it
+    breaks (shape, index type, value type, range, i < j, repeat; an integer
+    value or Gram entry must fit a float), then the algebra invariants.
     """
-    if hasattr(source, "read"):
-        doc = json.load(source)
-    elif isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    else:
-        doc = source
+    doc = source
+    if (stream := hasattr(source, "read")) or isinstance(source, (str, os.PathLike)):
+        where = "the algebra document" if stream else repr(os.fspath(source))
+        try:
+            with contextlib.nullcontext(source) if stream else open(source, encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{where} is not valid JSON: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{where} is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+        except ValueError:  # int() refuses a literal beyond the interpreter's digit limit
+            raise ValueError(f"{where} holds an integer with too many digits to read") from None
+        except RecursionError:
+            raise ValueError(f"{where} is nested too deeply to read") from None
     if not isinstance(doc, dict):
         raise ValueError("algebra document must be a JSON object")
     n = doc.get("dim")

@@ -73,7 +73,7 @@ __all__ = [
     "reference_plane", "reference_plane_curvature",
     "Regime", "CurvatureReport", "classify",
     "GroupElement", "flow_point", "leaf_conjugate",
-    "foliation_residual", "foliation_residual_many",
+    "foliation_residual_many",
     "volume_distortion",
     "build_hypersurface_algebra", "HYPERSURFACE_LABELS",
     "PlaneScan", "nonpositivity_scan", "zero_curvature_search",
@@ -409,7 +409,6 @@ class CurvatureReport:
     alpha: float
     mean_curvature: float
     cheeger: float
-    shape_eigenvalues: tuple[float, ...]
     ricci_min: float
     ricci_max: float
     k_sigma: float
@@ -468,7 +467,6 @@ def classify(alpha: float, samples: int = 1000, seed: int = 0) -> CurvatureRepor
         alpha=alpha,
         mean_curvature=mean,
         cheeger=ch,
-        shape_eigenvalues=tuple(float(v) for v in shape_spectrum(model)),
         ricci_min=rmin,
         ricci_max=rmax,
         k_sigma=k_sigma,
@@ -534,6 +532,35 @@ def flow_point(q: GroupElement, s: float) -> GroupElement:
     return GroupElement(q.x, q.y, q.z, q.t, q.alpha, q.s + float(s))
 
 
+_EXP_MAX = 709.782712893384  # the largest x of a finite exp(x); math.exp raises past it
+# math.exp elementwise, inf past _EXP_MAX; np.exp differs from math.exp in the last bit
+_math_exp = np.vectorize(lambda x: math.exp(x) if x <= _EXP_MAX else math.inf, otypes=[float])
+_I, _J = [0, 1, 0], [1, 2, 2]  # x, y, z sit at the entries (i, j) of the matrices
+
+
+def _refuse(bad: np.ndarray, message: str, **values) -> None:
+    """ValueError(message) for the first row of ``bad`` with a fault, formatted
+    with its first faulty coordinate ``name`` and its row of each of ``values``."""
+    rows = np.atleast_2d(bad).any(axis=-1)
+    if rows.any():
+        r = int(np.argmax(rows))
+        row = {k: float(np.broadcast_to(v, rows.shape + (1,))[r, 0]) for k, v in values.items()}
+        raise ValueError(message.format(name="xyz"[np.argmax(np.atleast_2d(bad)[r])], **row))
+
+
+def _conjugates(alpha: float, xyz: np.ndarray, s) -> np.ndarray:
+    """xyz exp(tau_j - tau_i), tau = s T: the unipotent entries of the leaf conjugates of
+    rows (m, 3) or one row; ValueError names the flow time, then the coordinate, at fault."""
+    tau = s * _abelian_diagonals(alpha)[1]
+    factors = _math_exp(tau[..., _J] - tau[..., _I])
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, by name
+        conj = xyz * factors
+    _refuse(~np.isfinite(factors), "flow time s = {s!r} overflows the float range", s=s)
+    _refuse(~np.isfinite(conj),
+            "coordinate {name} overflows the float range at flow time s = {s!r}", s=s)
+    return conj
+
+
 def leaf_conjugate(q: GroupElement, s: float) -> GroupElement:
     """The point q' with exp(s T) q' = q exp(s T).
 
@@ -542,57 +569,35 @@ def leaf_conjugate(q: GroupElement, s: float) -> GroupElement:
     is untouched.  Flowing the hypersurface for time s therefore lands on a
     group-conjugate copy, which is what makes the family a foliation.
     """
-    _, normal = _abelian_diagonals(q.alpha)
-    tau = float(s) * normal
-    try:
-        scale = math.exp(tau[1] - tau[0]), math.exp(tau[2] - tau[1]), math.exp(tau[2] - tau[0])
-    except OverflowError:
-        raise ValueError(f"flow time s = {s!r} overflows the float range") from None
-    xyz = {name: getattr(q, name) * f for name, f in zip("xyz", scale)}
-    for name, value in xyz.items():
-        if not np.isfinite(value):
-            raise ValueError(f"coordinate {name} overflows the float range at flow time s = {s!r}")
-    return GroupElement(**xyz, t=q.t, alpha=q.alpha, s=q.s)
-
-
-# leaf_conjugate's math.exp elementwise; np.exp differs from it in the last bit
-_math_exp = np.vectorize(math.exp, otypes=[float])
+    xyz = _conjugates(q.alpha, np.array([q.x, q.y, q.z], dtype=complex), float(s))
+    return GroupElement(*map(complex, xyz), t=q.t, alpha=q.alpha, s=q.s)
 
 
 def foliation_residual_many(alpha: float, xyz, t, s, q_s=0.0) -> np.ndarray:
-    """``foliation_residual`` of the points with unipotent entries ``xyz``
-    (m, 3), axis and normal coordinates ``t`` and ``q_s`` and flow times
-    ``s``, each a scalar or (m,); bit for bit the residual of each row.
-    A product that overflows the float range, through a long flow or large
-    point coordinates, raises ValueError naming the longest flow time."""
+    """Largest entry of exp(s T) q' - q exp(s T) for q' = leaf_conjugate(q, s),
+    relative to the largest entry of the two products, for the points q with
+    unipotent entries ``xyz`` (m, 3), axis and normal coordinates ``t`` and
+    ``q_s`` and flow times ``s``, each a scalar or (m,).  ValueError names the
+    argument at fault in the first row that overflows, stage by stage."""
     axis, normal = _abelian_diagonals(alpha)
     xyz = np.asarray(xyz, dtype=complex)
     t, s, q_s = (np.asarray(a, dtype=float)[..., None] for a in (t, s, q_s))
-    tau = s * normal
-    # x, y, z sit at the entries (0, 1), (1, 2), (0, 2) of the matrices
-    i, j = [0, 1, 0], [1, 2, 2]
-    try:
-        with np.errstate(over="raise"):
-            conj = xyz * _math_exp(tau[..., j] - tau[..., i])  # leaf_conjugate's entries
-            e = np.exp(tau)  # the diagonal of exp(s T)
-            d = np.exp(t * axis + q_s * normal)  # the diagonal of q and of q'
-            lhs = e[..., i] * (conj * d[..., j])  # exp(s T) q'
-            rhs = (xyz * d[..., j]) * e[..., j]  # q exp(s T)
-            # the diagonal e d of both products is positive, so scale is too
-            scale = np.maximum(np.max(e * d, axis=-1),
-                               np.max(np.abs(np.concatenate([lhs, rhs], axis=-1)), axis=-1))
-            return np.max(np.abs(lhs - rhs), axis=-1) / scale
-    except (OverflowError, FloatingPointError):
-        longest = float(s.flat[np.argmax(np.abs(s))]) if s.size else 0.0
-        raise ValueError(
-            f"the foliation identity at flow time s = {longest!r} overflows the float range"
-        ) from None
-
-
-def foliation_residual(q: GroupElement, s: float) -> float:
-    """Largest entry of exp(s T) q' - q exp(s T) for q' = leaf_conjugate(q, s),
-    relative to the largest entry of the two products."""
-    return float(foliation_residual_many(q.alpha, [[q.x, q.y, q.z]], q.t, s, q.s)[0])
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, by name
+        e = np.exp(s * normal)  # the diagonal of exp(s T)
+        d = np.exp(t * axis + q_s * normal)  # the diagonal of q and of q'
+        _refuse(~np.isfinite(e), "flow time s = {s!r} overflows the float range", s=s)
+        _refuse(~np.isfinite(d), "the point at t = {t!r}, s = {q_s!r} overflows the float range",
+                t=t, q_s=q_s)
+        conj = _conjugates(alpha, xyz, s)  # leaf_conjugate's entries
+        lhs = e[..., _I] * (conj * d[..., _J])  # exp(s T) q'
+        rhs = (xyz * d[..., _J]) * e[..., _J]  # q exp(s T)
+        # the diagonal e d of both products is positive, so scale is too
+        scale = np.maximum(np.max(e * d, axis=-1),
+                           np.max(np.abs(np.concatenate([lhs, rhs], axis=-1)), axis=-1))
+        residual = np.max(np.abs(lhs - rhs), axis=-1) / scale
+    _refuse(~np.isfinite(scale + residual)[..., None],  # finite just when both are
+            "the foliation identity at flow time s = {s!r} overflows the float range", s=s)
+    return residual
 
 
 def volume_distortion(alpha: float, s: float) -> float:

@@ -19,7 +19,7 @@ from solvgeom.hypersurface import (
     ambient_algebra,
     ambient_curvature,
     build_hypersurface_algebra,
-    foliation_residual,
+    foliation_residual_many,
     gauss_sectional,
     mean_curvature,
     nonpositivity_scan,
@@ -239,7 +239,8 @@ def test_c11_foliation_identity_and_volume():
             x=complex(coords[0], coords[1]), y=complex(coords[2], coords[3]),
             z=complex(coords[4], coords[5]), t=coords[6], alpha=alpha,
         )
-        worst = max(worst, foliation_residual(q, float(coords[7])))
+        worst = max(worst, foliation_residual_many(alpha, [[q.x, q.y, q.z]], q.t,
+                                                   float(coords[7]))[0])
     preserved = all(volume_distortion(0.0, s) == 1.0 for s in np.linspace(-3, 3, 20))
     ok = worst <= 1e-10 and preserved
     report(

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from solvgeom import cli
+from solvgeom import cli, hypersurface
 from solvgeom.cli import SWEEP_COLUMNS, main
 from solvgeom.engine import MetricLieAlgebra, dump_algebra_json
 from solvgeom.hypersurface import (
@@ -24,7 +24,7 @@ from solvgeom.hypersurface import (
     _model_at,
     ambient_algebra,
     build_hypersurface_algebra,
-    foliation_residual,
+    foliation_residual_many,
     nonpositivity_scan,
     random_unit_tangents,
     ricci_gauss_many,
@@ -160,7 +160,6 @@ class TestSweep:
 TOL_ARGV = {
     "sweep": ("sweep", "--steps", "2", "--samples", "2"),
     "verify": ("verify", "--samples", "5"),
-    "foliation": ("foliation",),
     "algebra dr-check": ("algebra", "dr-check", "--alpha", "0", "--v-indices", "0,1,2,3",
                          "--z-indices", "4,5", "--a-index", "6"),
     "algebra einstein": ("algebra", "einstein", "--ambient"),
@@ -175,7 +174,7 @@ def test_alpha_in_degrees_is_named_as_given(capsys, command):
 
 
 class TestTolerance:
-    """--tol must be a finite, nonnegative number on every subcommand."""
+    """--tol must be a finite, nonnegative number on every subcommand that reads it."""
 
     @pytest.mark.parametrize("value", ["nan", "-1", "inf", "-inf", "-0.5e-8", "abc"])
     @pytest.mark.parametrize("command", sorted(TOL_ARGV))
@@ -184,14 +183,14 @@ class TestTolerance:
         assert (rc, out) == (2, "")
         assert "argument --tol:" in err and repr(value) in err
 
-    @pytest.mark.parametrize("command", ["foliation", "algebra dr-check"])
+    @pytest.mark.parametrize("command", ["algebra dr-check"])
     def test_zero_tol_is_valid(self, capsys, command):
         rc, out, _ = run_cli(capsys, *TOL_ARGV[command], "--tol", "0")
         assert rc == 0 and json.loads(out)
 
 
 class TestSamplingOptions:
-    """--samples and --seed exist only on the subcommands that read them."""
+    """--samples, --seed and --tol exist only on the subcommands that read them."""
 
     DR_CHECK = TOL_ARGV["algebra dr-check"]
 
@@ -200,6 +199,7 @@ class TestSamplingOptions:
         ("foliation", "--seed", "9"),
         (*DR_CHECK, "--samples", "-5"),
         ("algebra", "einstein", "--ambient", "--samples", "5"),
+        ("foliation", "--tol", "0"),
     ])
     def test_unread_option_is_a_usage_error(self, capsys, argv):
         rc, out, err = run_cli(capsys, *argv)
@@ -282,7 +282,7 @@ class TestVerifySampledRows:
         for coords in rng.standard_normal((samples // 10, 8)):
             q = GroupElement(x=complex(coords[0], coords[1]), y=complex(coords[2], coords[3]),
                              z=complex(coords[4], coords[5]), t=coords[6], alpha=alpha)
-            fol.append(foliation_residual(q, float(coords[7])))
+            fol.append(foliation_residual_many(alpha, [[q.x, q.y, q.z]], q.t, float(coords[7]))[0])
         for label, residuals in (("Gauss vs Koszul Ricci", ricci),
                                  ("foliation matrix identity", fol)):
             worst = int(np.argmax(residuals))
@@ -405,32 +405,31 @@ class TestFoliation:
         "argv, message",
         [
             pytest.param(("--x", "1", "--s", "10000", "--alpha", "0.5"),
-                         "--s is too long: flow time s = 10000.0", id="10000"),
+                         "flow time s = 10000.0 overflows the float range", id="10000"),
             pytest.param(("--x", "1", "--s", "-10000", "--alpha", "0.5"),
-                         "--s is too long: flow time s = -10000.0", id="-10000"),
+                         "flow time s = -10000.0 overflows the float range", id="-10000"),
             # only the volume factor exp(-4 s sin alpha) overflows
             pytest.param(("--x", "1", "--s", "-200", "--alpha", "1.5"),
-                         "--s is too long: flow time s = -200.0", id="-200"),
+                         "flow time s = -200.0 overflows the float range", id="-200"),
             # past pi/3 only exp(s T) overflows, not the leaf conjugation
             pytest.param(("--x", "1", "--s", "2000", "--alpha", "1.5"),
-                         "--s is out of range: the foliation identity at flow time s = 2000.0",
-                         id="identity-s2000"),
+                         "flow time s = 2000.0 overflows the float range", id="identity-s2000"),
             # the point's own diagonal exp(t H) overflows, with or without a flow
             pytest.param(("--t", "2000", "--s", "0"),
-                         "--t is out of range: the foliation identity at flow time s = 0.0",
+                         "the point at t = 2000.0, s = 0.0 overflows the float range",
                          id="t2000-s0"),
             pytest.param(("--x", "1", "--t", "2000", "--s", "1"),
-                         "--t is out of range: the foliation identity at flow time s = 1.0",
+                         "the point at t = 2000.0, s = 0.0 overflows the float range",
                          id="x1-t2000-s1"),
             # the unipotent entries overflow under a short flow
             pytest.param(("--x", "1e308", "--s", "1", "--alpha", "0"),
-                         "--x, --y or --z is out of range: the foliation identity at flow "
-                         "time s = 1.0", id="x1e308-s1"),
+                         "coordinate x overflows the float range at flow time s = 1.0",
+                         id="x1e308-s1"),
         ],
     )
     def test_overflowing_flow_time_exits_2(self, capsys, argv, message):
         rc, out, err = run_cli(capsys, "foliation", *argv)
-        assert (rc, out, err) == (2, "", f"error: {message} overflows the float range\n")
+        assert (rc, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("argv, message", [
         (("--s", "nan"), "--s must be finite, got nan"),
@@ -445,6 +444,22 @@ class TestFoliation:
             warnings.simplefilter("error")  # refused before any computation
             rc, out, err = run_cli(capsys, "foliation", *argv)
         assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv, rc, expected", [
+        (("--x", "1+2j", "--y", "3j", "--t", "0.5", "--alpha", "0.9", "--s", "1"), 0,
+         ["foliation_residual_many", "_conjugates", "leaf_conjugate", "_conjugates"]),
+        (("--x", "1", "--t", "2000", "--s", "1"), 2, ["foliation_residual_many"]),
+    ], ids=["valid", "t-overflows"])
+    def test_one_evaluation_per_call(self, capsys, monkeypatch, argv, rc, expected):
+        # the residual kernel runs once, and the conjugation once for each caller
+        calls = []
+        for module, name in [(cli, "foliation_residual_many"), (cli, "leaf_conjugate"),
+                             (hypersurface, "_conjugates")]:
+            def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        assert (run_cli(capsys, "foliation", *argv)[0], calls) == (rc, expected)
 
     def test_long_flow_residual_is_relative(self, capsys):
         rc, out, _ = run_cli(capsys, "foliation", "--x", "1", "--s", "1000", "--alpha", "0.5")
@@ -561,6 +576,21 @@ class TestAlgebra:
         assert rc == 2
         assert out == ""
         assert "'dim'" in err
+
+    @pytest.mark.parametrize("content, message", [
+        (b'{"dim": 2, "gram": [[1,0],[0,1]], ',
+         "is not valid JSON: Expecting property name enclosed in double quotes: "
+         "line 1 column 35 (char 34)"),
+        (b'{"dim": 2, "gram": [[1,0],[0,1]], "structure": [[0, 1, 1, 1' + b"0" * 5000 + b"]]}",
+         "holds an integer with too many digits to read"),
+        (b'\xff{"dim": 2}', "is not UTF-8 text (invalid start byte at byte 0)"),
+        (b"[" * 100000 + b"]" * 100000, "is nested too deeply to read"),
+    ], ids=["truncated", "5000-digits", "not-utf8", "deep"])
+    def test_unreadable_file_is_named(self, capsys, tmp_path, content, message):
+        doc = tmp_path / "doc.json"
+        doc.write_bytes(content)
+        rc, out, err = run_cli(capsys, "algebra", "einstein", "--file", str(doc))
+        assert (rc, out, err) == (2, "", f"error: {str(doc)!r} {message}\n")
 
     def test_missing_file(self, capsys, tmp_path):
         missing = tmp_path / "absent.json"

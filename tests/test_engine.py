@@ -11,6 +11,7 @@ and the Gram-Schmidt frame are compared with plain per-entry and per-row
 restatements of themselves: the same messages, the same floats.
 """
 
+import io
 import json
 import math
 import re
@@ -589,6 +590,19 @@ class TestJsonInterchange:
     def test_format_errors(self, doc, message):
         with pytest.raises(ValueError, match=message):
             load_algebra_json(doc)
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"dim": 2, ', "is not valid JSON: Expecting property name enclosed in double "
+                        "quotes: line 1 column 12 (char 11)"),
+        ('{"dim": 1' + "0" * 5000 + "}", "holds an integer with too many digits to read"),
+        ("[" * 100000, "is nested too deeply to read"),
+    ], ids=["truncated", "5000-digits", "deep"])
+    def test_unreadable_stream_is_named(self, text, message):
+        with pytest.raises(ValueError, match=f"^the algebra document {re.escape(message)}$"):
+            load_algebra_json(io.StringIO(text))
+        with pytest.raises(ValueError, match="^the algebra document is not UTF-8 text "
+                                             r"\(invalid start byte at byte 1\)$"):
+            load_algebra_json(io.BytesIO(b"{\xff}"))
 
     def test_dim_ceiling_accepted(self):
         doc = {"dim": MAX_JSON_DIM, "gram": np.eye(MAX_JSON_DIM).tolist(), "structure": []}

@@ -1,6 +1,7 @@
 """The hypersurface family: shape operator, curvature formulas, flow, scans."""
 
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -31,7 +32,6 @@ from solvgeom.hypersurface import (
     build_hypersurface_algebra,
     classify,
     flow_point,
-    foliation_residual,
     foliation_residual_many,
     gauss_sectional,
     leaf_conjugate,
@@ -488,27 +488,28 @@ class TestFlowAndFoliation:
     )
     def test_foliation_residual_pinned(self, q, s, residual):
         # exact round-off values: `foliation` and `verify` print them
-        assert foliation_residual(q, s) == residual
+        assert foliation_residual_many(q.alpha, [[q.x, q.y, q.z]], q.t, s, q.s)[0] == residual
 
     def test_residual_is_relative_to_the_products(self):
         # the products reach e^506 here; the absolute residual read 6.1e206
         q = GroupElement(x=1.0, alpha=0.5)
-        assert foliation_residual(q, 1000.0) <= 1e-12
+        assert foliation_residual_many(q.alpha, [[q.x, q.y, q.z]], q.t, 1000.0)[0] <= 1e-12
 
     def test_overflowing_flow_time_is_named(self):
         q = GroupElement(x=1.0, alpha=0.5)
         with pytest.raises(ValueError, match=r"^flow time s = 10000\.0 overflows"):
             leaf_conjugate(q, 10000.0)
-        identity = r"^the foliation identity at flow time s = {} overflows the float range$"
-        with pytest.raises(ValueError, match=identity.format(r"-10000\.0")):
+        flow = r"^flow time s = {} overflows the float range$"
+        with pytest.raises(ValueError, match=flow.format(r"-10000\.0")):
             foliation_residual_many(0.5, [[1.0, 0, 0], [1.0, 0, 0]], 0.0, [1.0, -10000.0])
-        with pytest.raises(ValueError, match=identity.format(r"10000\.0")):
-            foliation_residual(q, 10000.0)
+        with pytest.raises(ValueError, match=flow.format(r"10000\.0")):
+            foliation_residual_many(q.alpha, [[q.x, q.y, q.z]], q.t, 10000.0)
         # past pi/3 every entry difference of T is negative: only exp(s T) overflows
-        with pytest.raises(ValueError, match=identity.format(r"2000\.0")):
-            foliation_residual(GroupElement(x=1.0, alpha=1.5), 2000.0)
-        with pytest.raises(ValueError, match=identity.format(r"1\.0")):
-            foliation_residual(GroupElement(x=1.0, t=2000.0), 1.0)  # q itself overflows
+        with pytest.raises(ValueError, match=flow.format(r"2000\.0")):
+            foliation_residual_many(1.5, [[1.0, 0, 0]], 0.0, 2000.0)
+        with pytest.raises(ValueError, match=r"^the point at t = 2000\.0, s = 0\.0 overflows "
+                                             r"the float range$"):
+            foliation_residual_many(0.0, [[1.0, 0, 0]], 2000.0, 1.0)  # q itself overflows
         with pytest.raises(ValueError, match=r"^flow time s = -1000\.0 overflows"):
             volume_distortion(0.5, -1000.0)
 
@@ -523,6 +524,98 @@ class TestFlowAndFoliation:
             with pytest.raises(ValueError, match=rf"^coordinate {name} overflows the float range "
                                                  rf"at flow time s = {s}$"):
                 leaf_conjugate(q, float(s))
+
+    # (point, flow time, the residual's message, the leaf conjugate's message or
+    # None where the conjugate stays finite), one case per stage of the kernel
+    STAGES = [
+        # the entry differences of s T overflow, not exp(s T)
+        pytest.param(GroupElement(x=1.0, alpha=0.0), 1000.0,
+                     "flow time s = 1000.0 overflows the float range",
+                     "flow time s = 1000.0 overflows the float range", id="s-differences"),
+        # past pi/3 every entry difference of T is negative: only exp(s T) overflows
+        pytest.param(GroupElement(x=1.0, alpha=1.5), 2000.0,
+                     "flow time s = 2000.0 overflows the float range", None, id="s-exp-sT"),
+        # t before x; the leaf conjugate does not read t
+        pytest.param(GroupElement(x=1e308, t=2000.0, alpha=0.0), 1.0,
+                     "the point at t = 2000.0, s = 0.0 overflows the float range",
+                     "coordinate x overflows the float range at flow time s = 1.0", id="t"),
+        pytest.param(GroupElement(x=1.0, alpha=0.5, s=2000.0), 1.0,
+                     "the point at t = 0.0, s = 2000.0 overflows the float range", None,
+                     id="off-leaf"),
+        *(pytest.param(q, s, message, message, id=name) for q, s, name, message in [
+            (GroupElement(x=1e308, alpha=0.0), 1.0, "x",
+             "coordinate x overflows the float range at flow time s = 1.0"),
+            (GroupElement(y=1e308j, alpha=0.0), -1.0, "y",
+             "coordinate y overflows the float range at flow time s = -1.0"),
+            (GroupElement(x=1.0, z=-1e308, alpha=math.pi / 2), -1.0, "z",
+             "coordinate z overflows the float range at flow time s = -1.0"),
+        ]),
+        # every factor is finite, but q exp(s T) is not
+        pytest.param(GroupElement(x=1e300, t=-1000.0, alpha=math.pi / 2), 0.0,
+                     "the foliation identity at flow time s = 0.0 overflows the float range",
+                     None, id="products"),
+        # the origin: both products are 0, but their diagonals e d are not finite
+        pytest.param(GroupElement(t=1000.0, alpha=0.0), -800.0,
+                     "the foliation identity at flow time s = -800.0 overflows the float range",
+                     None, id="products-diagonal"),
+    ]
+
+    @pytest.mark.parametrize("q, s, residual_message, conjugate_message", STAGES)
+    def test_each_stage_names_its_argument(self, q, s, residual_message, conjugate_message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+            with pytest.raises(ValueError, match=f"^{re.escape(residual_message)}$"):
+                foliation_residual_many(q.alpha, [[q.x, q.y, q.z]], q.t, s, q.s)
+            if conjugate_message is None:
+                moved = leaf_conjugate(q, s)
+                assert all(math.isfinite(abs(v)) for v in (moved.x, moved.y, moved.z))
+            else:
+                with pytest.raises(ValueError, match=f"^{re.escape(conjugate_message)}$"):
+                    leaf_conjugate(q, s)
+
+    def test_the_first_faulty_row_is_named(self):
+        xyz = [[1.0, 0, 0], [1.5e308, 0, 0], [1.0, 0, 0], [0, 1.5e308, 0]]
+        with pytest.raises(ValueError, match=r"^flow time s = -1000\.0 overflows"):
+            foliation_residual_many(0.0, xyz, 0.0, [0.5, 0.5, -1000.0, 1000.0])
+        with pytest.raises(ValueError, match=r"^the point at t = -2000\.0, s = 0\.0 overflows"):
+            foliation_residual_many(0.0, xyz, [0.0, 0.0, -2000.0, 2000.0], 0.5)
+        with pytest.raises(ValueError, match=r"^coordinate x overflows .* s = 0\.5$"):
+            foliation_residual_many(0.0, xyz, 0.0, [0.0, 0.5, 0.5, -0.5])
+        with pytest.raises(ValueError, match=r"^coordinate y overflows .* s = -0\.5$"):
+            foliation_residual_many(0.0, xyz, 0.0, [0.0, 0.0, 0.5, -0.5])
+        assert foliation_residual_many(0.3, np.zeros((0, 3)), 0.0, 1.0).shape == (0,)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, math.pi / 3, 1.2, math.pi / 2])
+    def test_kernel_matches_the_unstaged_formulas(self, alpha):
+        # the conjugate and the residual as separate formulas, without the stages
+        axis, normal = _abelian_diagonals(alpha)
+        i, j = [0, 1, 0], [1, 2, 2]
+        rng = np.random.default_rng(23)
+        coords = rng.standard_normal((300, 9)) * rng.choice([1e-3, 1.0, 30.0], size=(300, 1))
+        coords[rng.random(coords.shape) < 0.05] = -0.0
+        xyz = coords[:, :6].view(complex)
+        t, s, q_s = coords[:, 6], coords[:, 7], coords[:, 8]
+        for off_leaf in (0.0, q_s):
+            tt, ss, qq = (np.asarray(a, dtype=float)[..., None] for a in (t, s, off_leaf))
+            tau = ss * normal
+            conj = xyz * np.vectorize(math.exp, otypes=[float])(tau[..., j] - tau[..., i])
+            e, d = np.exp(tau), np.exp(tt * axis + qq * normal)
+            lhs, rhs = e[..., i] * (conj * d[..., j]), (xyz * d[..., j]) * e[..., j]
+            scale = np.maximum(np.max(e * d, axis=-1),
+                               np.max(np.abs(np.concatenate([lhs, rhs], axis=-1)), axis=-1))
+            expected = np.max(np.abs(lhs - rhs), axis=-1) / scale
+            got = foliation_residual_many(alpha, xyz, t, s, off_leaf)
+            assert np.array_equal(got, expected) and got.tobytes() == expected.tobytes()
+        for r in range(300):
+            q = GroupElement(*(complex(v) for v in xyz[r]), t=t[r], alpha=alpha, s=q_s[r])
+            tau = float(s[r]) * normal
+            factors = (math.exp(tau[1] - tau[0]), math.exp(tau[2] - tau[1]),
+                       math.exp(tau[2] - tau[0]))
+            expected = np.array([v * f for v, f in zip((q.x, q.y, q.z), factors)])
+            moved = leaf_conjugate(q, s[r])
+            got = np.array([moved.x, moved.y, moved.z])
+            assert got.tobytes() == expected.tobytes()  # the signs of zeros included
+            assert (moved.t, moved.alpha, moved.s) == (q.t, q.alpha, q.s)
 
     @pytest.mark.parametrize("point", [GroupElement(x=1.0, alpha=0.5, s=2000.0),
                                        GroupElement(y=1e308, t=-5.0)])
@@ -544,7 +637,7 @@ class TestFlowAndFoliation:
         for r in range(40):
             q = GroupElement(x=xyz[r, 0], y=xyz[r, 1], z=xyz[r, 2], t=t[r], alpha=alpha,
                              s=q_s[r])
-            assert got[r] == foliation_residual(q, s[r])
+            assert got[r] == foliation_residual_many(alpha, [[q.x, q.y, q.z]], q.t, s[r], q.s)[0]
             # the identity as matrices, evaluated one point at a time
             exp_t = np.diag(np.exp(float(s[r]) * normal))
             lhs = exp_t @ leaf_conjugate(q, s[r]).matrix()
