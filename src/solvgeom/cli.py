@@ -53,6 +53,9 @@ from .hypersurface import (
     volume_distortion,
 )
 
+# Largest --samples of sweep and verify: the (samples, 7) draw stays at 56 MB.
+MAX_SAMPLES = 10**6
+
 SWEEP_COLUMNS = (
     "alpha", "mean_curvature", "cheeger", "ricci_min", "ricci_max",
     "k_sigma", "regime", "minimal", "einstein", "horosphere_range",
@@ -128,7 +131,13 @@ def _angles(args) -> np.ndarray:
     return np.linspace(start, _endpoint(args, "--alpha-end", args.alpha_end), args.steps)
 
 
+def _check_samples(args) -> None:
+    if args.samples > MAX_SAMPLES:
+        raise ValueError(f"--samples must be at most {MAX_SAMPLES}, got {args.samples}")
+
+
 def _cmd_sweep(args) -> int:
+    _check_samples(args)
     rows = [
         classify(alpha, samples=args.samples, seed=args.seed).as_row()
         for alpha in _angles(args)
@@ -164,6 +173,7 @@ def _worst(residual: np.ndarray) -> tuple[float, str]:
 def _cmd_verify(args) -> int:
     if args.samples < 0:
         raise ValueError(f"--samples must be nonnegative, got {args.samples}")
+    _check_samples(args)
     alpha = _endpoint(args, "--alpha", args.alpha)
     model = HypersurfaceModel.from_angle(alpha)
     alg = model.algebra
@@ -186,7 +196,7 @@ def _cmd_verify(args) -> int:
          -s, -s, 0.0]
     )
     shape_dev = float(np.max(np.abs(shape_spectrum(model) - shape_pred)))
-    ric_ev = np.linalg.eigvalsh(alg.ricci_matrix())
+    ric_ev = alg._ricci_spectrum
     lo, hi = ricci_extremes(alpha)
     dr = build_hypersurface_algebra(0.0).damek_ricci_check(
         (0, 1, 2, 3), (4, 5), 6, seed=args.seed

@@ -12,9 +12,10 @@ The engine computes the Levi-Civita connection from the Koszul formula
 
 the curvature tensor R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z
 - nabla_[X,Y] Z, and from those sectional curvature, Ricci curvature and an
-Einstein test; the Ricci form is the metric-free trace
-Ric(Y, Z) = tr(X -> R(X, Y) Z) (Milnor, Adv. Math. 21, 1976) of the cached
-curvature tensor.  It also exposes two extras used by the hypersurface model:
+Einstein test; the Ricci form, the metric-free trace Ric(Y, Z) = tr(X -> R(X, Y) Z)
+(Milnor, Adv. Math. 21, 1976), is contracted from the connection without forming
+the curvature tensor, and Gram-orthonormal frames come from a Cholesky factor.
+It also exposes two extras used by the hypersurface model:
 
 * trace_form_vector: the metric dual of X -> tr(ad X), i.e. the solution h
   of gram . h = tau with tau_i = tr(ad e_i).
@@ -119,8 +120,9 @@ def _float_array(name: str, a) -> np.ndarray:
 def jacobi_residual(structure) -> float:
     """Largest entry of [[e_i, e_j], e_k] + cyclic over all basis triples (nan on overflow)."""
     c = np.asarray(structure, dtype=float)
+    n = len(c)
     with np.errstate(over="ignore", invalid="ignore"):
-        cyc = np.einsum("ijm,mkl->ijkl", c, c)
+        cyc = (c.reshape(n * n, n) @ c.reshape(n, n * n)).reshape((n,) * 4)
         return float(np.max(np.abs(cyc + cyc.transpose(1, 2, 0, 3) + cyc.transpose(2, 0, 1, 3))))
 
 
@@ -246,12 +248,9 @@ class MetricLieAlgebra:
         """Gamma[i, j, :] = coefficients of nabla_{e_i} e_j (Koszul formula)."""
         c, g = self._structure, self._gram
         with np.errstate(over="ignore", invalid="ignore"):
-            w = (
-                np.einsum("ijm,ml->ijl", c, g)
-                - np.einsum("jlm,mi->ijl", c, g)
-                - np.einsum("ilm,mj->ijl", c, g)
-            )
-            gam = 0.5 * np.einsum("ijl,lk->ijk", w, self._gram_inv)
+            cg = c @ g  # cg[i, j, l] = <[e_i, e_j], e_l>
+            w = cg - cg.transpose(2, 0, 1) - cg.transpose(0, 2, 1)
+            gam = 0.5 * (w @ self._gram_inv)
         return _finite("Levi-Civita connection", gam)
 
     @cached_property
@@ -268,9 +267,18 @@ class MetricLieAlgebra:
 
     @cached_property
     def _ricci_form(self) -> np.ndarray:
-        """Ric[j, k] = sum_i R_ijk^i, the metric-free trace, symmetrised."""
-        ric = np.einsum("ijki->jk", self._riemann)
-        return _read_only(0.5 * (ric + ric.T))
+        """Ric[j, k] = sum_i R_ijk^i, symmetrised, contracted from the connection
+        without the curvature tensor; refused if the symmetrising sum overflows."""
+        c, gam = self._structure, self._connection
+        with np.errstate(over="ignore", invalid="ignore"):
+            ric = (gam @ np.einsum("imi->m", gam) - np.einsum("ikm,jmi->jk", gam, gam)
+                   - np.einsum("ijm,mki->jk", c, gam))
+            return _finite("Ricci form", 0.5 * (ric + ric.T))
+
+    @cached_property
+    def _ricci_spectrum(self) -> np.ndarray:
+        """Ascending eigenvalues of ``ricci_matrix()``."""
+        return _read_only(np.linalg.eigvalsh(self.ricci_matrix()))
 
     # -- vector helpers ------------------------------------------------------
 
@@ -315,13 +323,15 @@ class MetricLieAlgebra:
     def ricci_matrix(self) -> np.ndarray:
         """Matrix of the Ricci form in a gram-orthonormal basis."""
         frame = self._subspace_orthonormal(range(self.dim))
-        return frame @ self._ricci_form @ frame.T
+        with np.errstate(over="ignore", invalid="ignore"):
+            ric = frame @ self._ricci_form @ frame.T
+        return _finite("Ricci form in a gram-orthonormal basis", ric)
 
     def einstein_check(self, tol: float) -> tuple[bool, float]:
         """(is Einstein within tol, mean Ricci eigenvalue)."""
         if tol <= 0:
             raise ValueError(f"tolerance must be positive, got {tol}")
-        eig = np.linalg.eigvalsh(self.ricci_matrix())
+        eig = self._ricci_spectrum
         mean = float(np.mean(eig))
         dev = float(np.max(np.abs(eig - mean)))
         return dev <= tol, mean
@@ -417,18 +427,13 @@ class MetricLieAlgebra:
         return DamekRicciReport(*checks, overall=all(ch.passed for ch in checks))
 
     def _subspace_orthonormal(self, indices) -> np.ndarray:
-        """Gram-orthonormal rows spanning the given coordinate subspace (modified Gram-Schmidt)."""
-        g = self._gram
-        rows, duals = [], []
-        for i in indices:
-            v = np.zeros(self.dim)
-            v[i] = 1.0
-            for u, ug in zip(rows, duals):
-                v = v - (ug @ v) * u  # ug = u @ g, formed once: the floats of u @ g @ v
-            v = v / np.sqrt(v @ g @ v)
-            rows.append(v)
-            duals.append(v @ g)
-        return np.stack(rows)
+        """Gram-orthonormal rows spanning the given coordinate subspace: on those
+        coordinates the inverse Cholesky factor of their Gram block, the unique
+        lower-triangular frame with positive diagonal (that of Gram-Schmidt)."""
+        idx = list(indices)
+        frame = np.zeros((len(idx), self.dim))
+        frame[:, idx] = np.tril(np.linalg.inv(np.linalg.cholesky(self._gram[np.ix_(idx, idx)])))
+        return frame
 
 
 # -- JSON interchange -------------------------------------------------------

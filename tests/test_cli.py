@@ -206,6 +206,27 @@ class TestSamplingOptions:
         assert (rc, out) == (2, "")
         assert "unrecognized arguments: " + " ".join(argv[-2:]) in err
 
+    @pytest.mark.parametrize("argv", [("sweep", "--steps", "2"), ("verify",)],
+                             ids=["sweep", "verify"])
+    def test_samples_above_the_limit_rejected_before_drawing(self, capsys, monkeypatch, argv):
+        def never(*args, **kwargs):
+            raise AssertionError("random_unit_tangents called")
+
+        monkeypatch.setattr(cli, "random_unit_tangents", never)
+        monkeypatch.setattr(hypersurface, "random_unit_tangents", never)
+        rc, out, err = run_cli(capsys, *argv, "--samples", "1000000000")
+        assert (rc, out, err) == (
+            2, "", "error: --samples must be at most 1000000, got 1000000000\n")
+        assert cli.MAX_SAMPLES == 10**6
+
+    @pytest.mark.parametrize("argv", [("sweep", "--steps", "1"), ("verify",)],
+                             ids=["sweep", "verify"])
+    def test_samples_at_the_limit_accepted(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(cli, "MAX_SAMPLES", 7)
+        assert run_cli(capsys, *argv, "--samples", "7")[0] == 0
+        assert run_cli(capsys, *argv, "--samples", "8") == (
+            2, "", "error: --samples must be at most 7, got 8\n")
+
     def test_dr_check_reads_its_seed(self, capsys, monkeypatch):
         # axiom 4 draws its random vectors of z from --seed
         seeds = []
@@ -669,6 +690,41 @@ class TestAlgebra:
         rc, out, err = run_cli(capsys, "algebra", op, "--file", str(bad), "--vector", vector)
         assert (rc, out) == (2, "")
         assert err.startswith("error: gram matrix is too ill-conditioned (eigenvalues ")
+
+    @pytest.mark.parametrize("doc, ops, name", [
+        ({"dim": 2, "gram": [[1, 0], [0, 1]], "structure": [[0, 1, 1, 1e154]]},
+         ("einstein", "ricci"), "Ricci form"),
+        ({"dim": 2, "gram": [[1, 0], [0, 1e10]], "structure": [[0, 1, 1, 1e150]]},
+         ("einstein", "ricci"), "Ricci form"),
+        ({"dim": 2, "gram": [[1, 0], [0, 1e10]], "structure": [[0, 1, 1, -1e150]]},
+         ("einstein", "ricci"), "Ricci form"),
+        ({"dim": 2, "gram": [[1e-9, 0], [0, 1e-9]], "structure": [[0, 1, 1, 1e153]]},
+         ("einstein",), "Ricci form in a gram-orthonormal basis"),
+    ], ids=["form-1e154", "contraction+1e150", "contraction-1e150", "frame-1e153"])
+    def test_overflowing_ricci_form_named(self, capsys, tmp_path, doc, ops, name):
+        # the connection is finite in every case; only the Ricci form overflows,
+        # the last only once it is written in a gram-orthonormal basis
+        bad = tmp_path / "ricci.json"
+        bad.write_text(json.dumps(doc))
+        for op in ops:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rc, out, err = run_cli(capsys, "algebra", op, "--file", str(bad),
+                                       "--vector", "1,0")
+            assert (rc, out, err) == (
+                2, "", f"error: {name} overflows the float range for this structure and "
+                       "gram matrix\n")
+
+    def test_ricci_value_of_a_form_finite_only_in_the_coordinate_basis(self, capsys, tmp_path):
+        doc = tmp_path / "ricci.json"
+        doc.write_text(json.dumps(
+            {"dim": 2, "gram": [[1e-9, 0], [0, 1e-9]], "structure": [[0, 1, 1, 1e153]]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run_cli(capsys, "algebra", "ricci", "--file", str(doc),
+                                   "--vector", "1,0")
+        assert (rc, err) == (0, "")
+        assert json.loads(out)["ricci"] == pytest.approx(-1e306, rel=1e-12)
 
     def test_overflowing_connection_rejected(self, tmp_path):
         bad = tmp_path / "huge.json"

@@ -7,15 +7,19 @@ package.  The batched Damek-Ricci axiom 4 is also compared with J_z built
 one z at a time on the hypersurface algebras, and the stacked draws of
 axioms 4 and 5 with a per-vector loop, bit for bit.  Vectors are contracted
 with the cached connection and curvature tensors directly.  The JSON loader
-and the Gram-Schmidt frame are compared with plain per-entry and per-row
-restatements of themselves: the same messages, the same floats.
+is compared with a plain per-entry restatement of itself: the same messages,
+the same floats.  The Cholesky frame is checked by its defining properties
+and against a per-row Gram-Schmidt loop, and the Ricci form contracted from
+the connection against the trace of the curvature tensor.
 """
 
+import contextlib
 import io
 import json
 import math
 import re
 import warnings
+from functools import cached_property
 from unittest import mock
 
 import numpy as np
@@ -23,6 +27,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from solvgeom import engine
+from solvgeom.cli import main
 from solvgeom.engine import (
     MAX_JSON_DIM,
     MetricLieAlgebra,
@@ -787,6 +792,7 @@ def _reference_frame(g, indices):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_subspace_frame_matches_the_per_row_loop(n):
+    # the frame is defined by its properties; the loop gives the same one up to round-off
     rng = np.random.default_rng(n)
     for _ in range(5):
         a = rng.standard_normal((n, n))
@@ -794,5 +800,84 @@ def test_subspace_frame_matches_the_per_row_loop(n):
         alg = MetricLieAlgebra(np.zeros((n, n, n)), 0.5 * (g + g.T))
         subsets = [range(n)] + [rng.permutation(n)[:rng.integers(1, n + 1)] for _ in range(3)]
         for indices in subsets:
+            idx = list(indices)
             frame = alg._subspace_orthonormal(indices)
-            assert np.array_equal(frame, _reference_frame(alg.gram, indices))
+            assert frame.shape == (len(idx), n)
+            assert not np.any(np.delete(frame, idx, axis=1))  # zero outside the indices
+            block = frame[:, idx]  # columns in index order
+            assert not np.any(np.triu(block, 1)) and np.all(np.diag(block) > 0)
+            assert np.max(np.abs(frame @ alg.gram @ frame.T - np.eye(len(idx)))) <= 1e-14
+            reference = _reference_frame(alg.gram, indices)
+            assert np.max(np.abs(frame - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+
+def _rebased_ambient(seed):
+    """The ambient algebra in a random basis p: c' = p p c p^-1, g' = p g p^T."""
+    amb = ambient_algebra()
+    p = np.eye(8) + 0.3 * np.random.default_rng(seed).standard_normal((8, 8))
+    c = np.einsum("ai,bj,ijk,kc->abc", p, p, amb.structure, np.linalg.inv(p))
+    return MetricLieAlgebra(0.5 * (c - c.swapaxes(0, 1)), p @ amb.gram @ p.T)
+
+
+RICCI_CASES = (
+    [("ambient", ambient_algebra)]
+    + [(f"alpha{a:.4f}", lambda a=a: build_hypersurface_algebra(a))
+       for a in np.linspace(0.0, math.pi / 2, 21)]
+    + [(f.__name__, f) for f in (hyperbolic_plane, round_sphere, heisenberg3,
+                                 complex_hyperbolic_plane, skewed_complex_hyperbolic_plane,
+                                 quaternionic_hyperbolic_line)]
+    + [(f"ambient_rebased{seed}", lambda seed=seed: _rebased_ambient(seed)) for seed in range(5)]
+)
+
+
+class TestRicciFromConnection:
+    """The Ricci form is contracted from the connection, never from the n^4 tensor."""
+
+    @pytest.mark.parametrize("make", [m for _, m in RICCI_CASES],
+                             ids=[name for name, _ in RICCI_CASES])
+    def test_equals_the_trace_of_the_curvature_tensor(self, make):
+        alg = make()
+        r = alg._riemann
+        trace = np.einsum("ijki->jk", r)
+        expected = 0.5 * (trace + trace.T)
+        assert np.max(np.abs(alg._ricci_form - expected)) <= 1e-14 * np.max(np.abs(r))
+
+    @pytest.mark.parametrize("make", [complex_hyperbolic_plane, skewed_complex_hyperbolic_plane,
+                                      quaternionic_hyperbolic_line, lambda: _rebased_ambient(0)],
+                             ids=["CH2", "CH2_skewed_gram", "HH1", "ambient_rebased"])
+    def test_ricci_queries_leave_the_tensor_unbuilt(self, make):
+        alg = make()
+        alg.einstein_check(1e-8)
+        alg.ricci(np.ones(alg.dim))
+        alg.ricci_matrix()
+        alg.cheeger()
+        assert "_riemann" not in vars(alg)
+        assert "_ricci_spectrum" in vars(alg)  # einstein_check reads the cached spectrum
+
+    def test_spectrum_is_cached_and_read_only(self):
+        alg = skewed_complex_hyperbolic_plane()
+        spectrum = alg._ricci_spectrum
+        assert np.array_equal(spectrum, np.linalg.eigvalsh(alg.ricci_matrix()))
+        assert alg._ricci_spectrum is spectrum
+        with pytest.raises(ValueError, match="read-only"):
+            spectrum[0] = 1.0
+
+    @pytest.mark.parametrize("op", [("einstein",), ("ricci", "--vector", "1,0,0,0,0,0,0,0")])
+    def test_file_queries_never_compute_the_tensor(self, monkeypatch, tmp_path, op):
+        calls = []
+        riemann = MetricLieAlgebra.__dict__["_riemann"].func
+
+        def counted(self):
+            calls.append(self)
+            return riemann(self)
+
+        prop = cached_property(counted)
+        prop.__set_name__(MetricLieAlgebra, "_riemann")
+        monkeypatch.setattr(MetricLieAlgebra, "_riemann", prop)
+        path = tmp_path / "rebased.json"
+        path.write_text(json.dumps(dump_algebra_json(_rebased_ambient(3))))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["algebra", *op[:1], "--file", str(path), *op[1:]]) == 0
+        assert calls == []
+        load_algebra_json(path).sectional(np.eye(8)[0], np.eye(8)[1])  # the counter counts
+        assert len(calls) == 1
