@@ -55,6 +55,9 @@ from .hypersurface import (
 
 # Largest --samples of sweep and verify: the (samples, 7) draw stays at 56 MB.
 MAX_SAMPLES = 10**6
+# Largest --steps of sweep: its rows list, one 1.2 kB report dict per angle, stays
+# near 120 MB.
+MAX_STEPS = 10**5
 
 SWEEP_COLUMNS = (
     "alpha", "mean_curvature", "cheeger", "ricci_min", "ricci_max",
@@ -124,7 +127,9 @@ def _endpoint(args, flag: str, value: float) -> float:
 
 def _angles(args) -> np.ndarray:
     if args.steps < 1:
-        raise ValueError(f"steps must be at least 1, got {args.steps}")
+        raise ValueError(f"--steps must be at least 1, got {args.steps}")
+    if args.steps > MAX_STEPS:
+        raise ValueError(f"--steps must be at most {MAX_STEPS}, got {args.steps}")
     start = _endpoint(args, "--alpha-start", args.alpha_start)
     if args.steps == 1:
         return np.array([start])
@@ -298,6 +303,8 @@ def _cmd_algebra(args) -> int:
     elif args.op == "cheeger":
         payload = {"dim": alg.dim, "cheeger": alg.cheeger()}
     elif args.op == "einstein":
+        if args.tol <= 0:
+            raise ValueError(f"--tol must be positive for op 'einstein', got {args.tol!r}")
         flat, const = alg.einstein_check(args.tol)
         payload = {"dim": alg.dim, "einstein": flat, "constant": const, "tol": args.tol}
     elif args.op == "dr-check":
@@ -335,12 +342,23 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """The --seed value: a nonnegative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text!r}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser, *, samples: int | None = None,
                 tol: bool = True) -> None:
     if samples is not None:  # a sampling subcommand: the count and its seed
         parser.add_argument("--samples", type=int, default=samples,
                             help=f"random sample count (default {samples})")
-        parser.add_argument("--seed", type=int, default=0,
+        parser.add_argument("--seed", type=_seed, default=0,
                             help="random seed (default 0)")
     if tol:  # a subcommand that compares a residual with a tolerance
         parser.add_argument("--tol", type=_tolerance, default=1e-8,
@@ -365,7 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-start", type=float, default=0.0)
     p.add_argument("--alpha-end", type=float, default=math.pi / 2.0)
     p.add_argument("--steps", type=int, default=100,
-                   help="grid size; 1 evaluates --alpha-start only")
+                   help=f"grid size, at most {MAX_STEPS}; 1 evaluates --alpha-start only")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_common(p, samples=1000)
     p.set_defaults(func=_cmd_sweep)
@@ -404,7 +422,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated indices of z (op dr-check)")
     p.add_argument("--a-index", type=int, default=None,
                    help="index of the abelian direction (op dr-check)")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_seed, default=0,
                    help="seed of the random vectors of z (op dr-check, default 0)")
     _add_common(p)
     p.set_defaults(func=_cmd_algebra)

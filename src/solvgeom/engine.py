@@ -332,9 +332,14 @@ class MetricLieAlgebra:
         if tol <= 0:
             raise ValueError(f"tolerance must be positive, got {tol}")
         eig = self._ricci_spectrum
-        mean = float(np.mean(eig))
-        dev = float(np.max(np.abs(eig - mean)))
-        return dev <= tol, mean
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, by name
+            mean = np.mean(eig)
+            if not np.isfinite(mean):  # the sum overflowed; 2^k > n keeps sum(eig / 2^k) finite
+                k = eig.size.bit_length()
+                mean = np.ldexp(np.mean(np.ldexp(eig, -k)), k)
+            dev = np.max(np.abs(eig - mean))
+        _finite("spread of the Ricci spectrum", dev)
+        return float(dev) <= tol, float(mean)
 
     # -- trace form and isoperimetry ------------------------------------------
 

@@ -17,10 +17,10 @@ corresponding subgroup orbit is a homogeneous hypersurface with unit normal
 T(alpha) = sin(alpha) H0 - cos(alpha) H1.  alpha = 0 gives the minimal
 Einstein member (a Damek-Ricci space) and alpha = pi/2 a horosphere.
 
-``HypersurfaceModel.from_angle`` memoises the last few models it built, so
-every caller in a process shares one model per angle, and with it one
-tangent algebra and one curvature tensor; the model's cached arrays are
-read-only.
+A model is its angle: every array of it is derived from alpha and
+read-only.  ``HypersurfaceModel.from_angle`` memoises the last few models it
+built, so every caller in a process shares one model per angle, and with it
+one tangent algebra and one curvature tensor.
 
 Curvature of the hypersurface is computed two independent ways and compared
 throughout the test suite:
@@ -129,23 +129,21 @@ def ambient_curvature(x1: np.ndarray, x2: np.ndarray) -> float:
 # -- the hypersurface family ---------------------------------------------------
 
 
-# eq=False: ndarray fields cannot be compared or hashed as values, and
-# from_angle shares each model by identity anyway.
+# eq=False: from_angle shares each model by identity, so equality and hash
+# are by identity too.
 @dataclass(frozen=True, eq=False)
 class HypersurfaceModel:
-    """One member of the hypersurface family: angle, axis, normal, basis.
+    """One member of the hypersurface family, given by its angle ``alpha``.
 
-    ``axis`` is the unit diagonal H(alpha) completing the nilpotent part to
-    the tangent algebra and ``normal`` the unit normal T(alpha), both (3, 3)
-    complex arrays; ``basis`` is the (7, 3, 3) stack of the orthonormal
-    basis (E12, iE12, E23, iE23, E13, iE13, H).  ``from_angle`` makes all
-    three read-only.
+    Every array is derived from ``alpha`` and read-only: ``axis`` is the unit
+    diagonal H(alpha) completing the nilpotent part to the tangent algebra
+    and ``normal`` the unit normal T(alpha), both (3, 3) complex arrays;
+    ``basis`` is the (7, 3, 3) stack of the orthonormal basis
+    (E12, iE12, E23, iE23, E13, iE13, H).  ``from_angle`` shares one model
+    per angle; ``HypersurfaceModel(alpha)`` builds an unshared one.
     """
 
     alpha: float
-    axis: np.ndarray
-    normal: np.ndarray
-    basis: np.ndarray
 
     @classmethod
     def from_angle(cls, alpha: float) -> "HypersurfaceModel":
@@ -153,10 +151,19 @@ class HypersurfaceModel:
         return _model_at(cls, _validate_alpha(alpha))
 
     def __post_init__(self):
-        u, d = solvable_parts(np.stack([self.axis, self.normal]))
-        gram = np.real(np.einsum("iab,jab->ij", u, np.conj(u))) + 2.0 * d @ d.T
-        if np.max(np.abs(gram - np.eye(2))) > 1e-14:
-            raise ValueError("axis/normal frame is not orthonormal")
+        object.__setattr__(self, "alpha", _validate_alpha(self.alpha))
+
+    @cached_property
+    def axis(self) -> np.ndarray:
+        return _read_only(math.cos(self.alpha) * H0 + math.sin(self.alpha) * H1)
+
+    @cached_property
+    def normal(self) -> np.ndarray:
+        return _read_only(math.sin(self.alpha) * H0 + (-math.cos(self.alpha)) * H1)
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        return _read_only(np.concatenate([AMBIENT_BASIS[:6], self.axis[None]]))
 
     @cached_property
     def algebra(self) -> MetricLieAlgebra:
@@ -164,40 +171,26 @@ class HypersurfaceModel:
         return MetricLieAlgebra.from_matrix_basis(self.basis, labels=HYPERSURFACE_LABELS)
 
     @cached_property
-    def _phi_stack(self) -> np.ndarray:
-        return _read_only(hermitian_part(self.basis))
-
-    @cached_property
-    def _phi_normal_brackets(self) -> np.ndarray:
-        return _read_only(hermitian_part(bracket(self.basis, self.normal)))
-
-    @cached_property
     def _shape_matrix(self) -> np.ndarray:
         """II_ij = <nabla_{e_i} T, e_j> over ``basis``; diagonal for this family."""
-        p, q = self._phi_stack, self._phi_normal_brackets
+        p = hermitian_part(self.basis)
+        q = hermitian_part(bracket(self.basis, self.normal))
         m = 2.0 * np.real(np.einsum("iab,jab->ij", p, np.conj(q)))
         return _read_only(0.5 * (m + m.T))
 
     @cached_property
-    def _ambient_tensor(self) -> np.ndarray:
-        """The ambient curvature tensor restricted to ``basis``."""
+    def _curvature_tensor(self) -> np.ndarray:
+        """R_ijkl = <R(e_i, e_j) e_k, e_l> by the Gauss equation:
+        the ambient term plus II_il II_jk - II_ik II_jl."""
         # rows: the basis over AMBIENT_BASIS; H = cos(alpha) H0 + sin(alpha) H1
         frame = np.eye(7, 8)
         frame[6, 6:] = math.cos(self.alpha), math.sin(self.alpha)
         t = _ambient_curvature_tensor()
         for _ in range(4):
             t = np.tensordot(t, frame, axes=([0], [1]))
-        return _read_only(t)
-
-    @cached_property
-    def _curvature_tensor(self) -> np.ndarray:
-        """R_ijkl = <R(e_i, e_j) e_k, e_l> by the Gauss equation:
-        the ambient term plus II_il II_jk - II_ik II_jl."""
         s = self._shape_matrix
         return _read_only(
-            self._ambient_tensor
-            + np.einsum("il,jk->ijkl", s, s)
-            - np.einsum("ik,jl->ijkl", s, s)
+            t + np.einsum("il,jk->ijkl", s, s) - np.einsum("ik,jl->ijkl", s, s)
         )
 
     @cached_property
@@ -216,11 +209,7 @@ class HypersurfaceModel:
 def _model_at(cls: type, alpha: float) -> HypersurfaceModel:
     """The model at a validated ``alpha``, built once and then shared while
     it stays among the last four angles asked for."""
-    c, s = math.cos(alpha), math.sin(alpha)
-    axis = _read_only(c * H0 + s * H1)
-    normal = _read_only(s * H0 + (-c) * H1)
-    basis = _read_only(np.concatenate([AMBIENT_BASIS[:6], axis[None]]))
-    return cls(alpha=alpha, axis=axis, normal=normal, basis=basis)
+    return cls(alpha)
 
 
 @dataclass(frozen=True)
@@ -481,15 +470,10 @@ def classify(alpha: float, samples: int = 1000, seed: int = 0) -> CurvatureRepor
 # -- normal flow and foliation ---------------------------------------------------
 
 
-_H0_DIAG = _read_only(np.diag(H0).real)
-_H1_DIAG = _read_only(np.diag(H1).real)
-
-
 def _abelian_diagonals(alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal entries of the axis H(alpha) and the normal T(alpha)."""
-    alpha = _validate_alpha(alpha)
-    c, s = math.cos(alpha), math.sin(alpha)
-    return c * _H0_DIAG + s * _H1_DIAG, s * _H0_DIAG - c * _H1_DIAG
+    model = HypersurfaceModel.from_angle(alpha)
+    return np.diag(model.axis).real, np.diag(model.normal).real
 
 
 @dataclass(frozen=True)

@@ -127,9 +127,26 @@ class TestSweep:
         )
 
     def test_bad_steps(self, capsys):
-        rc, _, err = run_cli(capsys, "sweep", "--steps", "0")
-        assert rc == 2
-        assert "steps" in err
+        rc, out, err = run_cli(capsys, "sweep", "--steps", "0")
+        assert (rc, out, err) == (2, "", "error: --steps must be at least 1, got 0\n")
+
+    def test_steps_above_the_limit_rejected_before_classifying(self, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("classify called")
+
+        monkeypatch.setattr(cli, "classify", never)
+        monkeypatch.setattr(np, "linspace", never)
+        rc, out, err = run_cli(capsys, "sweep", "--steps", "1000000000000")
+        assert (rc, out, err) == (
+            2, "", "error: --steps must be at most 100000, got 1000000000000\n")
+        assert cli.MAX_STEPS == 10**5
+
+    def test_steps_at_the_limit_accepted(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_STEPS", 3)
+        rc, out, _ = run_cli(capsys, "sweep", "--steps", "3", "--samples", "2")
+        assert rc == 0 and len(out.splitlines()) == 4
+        assert run_cli(capsys, "sweep", "--steps", "4", "--samples", "2") == (
+            2, "", "error: --steps must be at most 3, got 4\n")
 
     def test_bad_alpha(self, capsys):
         rc, _, err = run_cli(capsys, "sweep", "--alpha-end", "3.5", "--steps", "2")
@@ -188,6 +205,11 @@ class TestTolerance:
         rc, out, _ = run_cli(capsys, *TOL_ARGV[command], "--tol", "0")
         assert rc == 0 and json.loads(out)
 
+    def test_zero_tol_rejected_by_einstein_naming_the_flag(self, capsys):
+        rc, out, err = run_cli(capsys, *TOL_ARGV["algebra einstein"], "--tol", "0")
+        assert (rc, out, err) == (
+            2, "", "error: --tol must be positive for op 'einstein', got 0.0\n")
+
 
 class TestSamplingOptions:
     """--samples, --seed and --tol exist only on the subcommands that read them."""
@@ -226,6 +248,17 @@ class TestSamplingOptions:
         assert run_cli(capsys, *argv, "--samples", "7")[0] == 0
         assert run_cli(capsys, *argv, "--samples", "8") == (
             2, "", "error: --samples must be at most 7, got 8\n")
+
+    @pytest.mark.parametrize("value, message", [("-1", "must be nonnegative, got '-1'"),
+                                                ("1.5", "expected an integer, got '1.5'")],
+                             ids=["negative", "not-an-integer"])
+    @pytest.mark.parametrize("argv", [("sweep",), ("verify",), DR_CHECK],
+                             ids=["sweep", "verify", "dr-check"])
+    def test_bad_seed_names_the_flag(self, capsys, argv, value, message):
+        subparser = cli._build_parser()._subparsers._group_actions[0].choices[argv[0]]
+        rc, out, err = run_cli(capsys, *argv, "--seed", value)
+        assert (rc, out, err) == (2, "", subparser.format_usage()
+                                  + f"{subparser.prog}: error: argument --seed: {message}\n")
 
     def test_dr_check_reads_its_seed(self, capsys, monkeypatch):
         # axiom 4 draws its random vectors of z from --seed
@@ -714,6 +747,18 @@ class TestAlgebra:
             assert (rc, out, err) == (
                 2, "", f"error: {name} overflows the float range for this structure and "
                        "gram matrix\n")
+
+    def test_einstein_constant_of_a_spectrum_whose_sum_overflows(self, capsys, tmp_path):
+        # Ric = -6.05e307 I is finite; the sum of its three eigenvalues is not
+        doc = tmp_path / "einstein.json"
+        doc.write_text(json.dumps({"dim": 3, "gram": np.eye(3).tolist(), "structure": [
+            [0, 1, 1, 0.55e154], [0, 2, 2, 0.55e154]]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run_cli(capsys, "algebra", "einstein", "--file", str(doc))
+        assert (rc, err) == (0, "")
+        assert json.loads(out) == {"dim": 3, "einstein": True, "constant": -6.05e307,
+                                   "tol": 1e-8}
 
     def test_ricci_value_of_a_form_finite_only_in_the_coordinate_basis(self, capsys, tmp_path):
         doc = tmp_path / "ricci.json"

@@ -282,6 +282,37 @@ class TestConnectionAndCurvature:
         with pytest.raises(ValueError, match="tolerance"):
             hyperbolic_plane().einstein_check(0.0)
 
+    def test_einstein_mean_of_a_spectrum_whose_sum_overflows(self):
+        # Ric = -6.05e307 I: each eigenvalue is finite, their sum is not
+        c = np.zeros((3, 3, 3))
+        c[0, 1, 1] = c[0, 2, 2] = 0.55e154
+        c[1, 0, 1] = c[2, 0, 2] = -0.55e154
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert MetricLieAlgebra(c, np.eye(3)).einstein_check(1e-8) == (True, -6.05e307)
+
+    def test_einstein_mean_past_the_float_range_is_exact(self):
+        # a spectrum whose mean, taken as sum(eig / n) or as mean(eig / n) * n,
+        # misses the last bit of the mean of the unscaled values
+        base = np.array([1.61, 1.316, 1.133, 1.113, 1.751])
+        alg = hyperbolic_plane()
+        vars(alg)["_ricci_spectrum"] = np.ldexp(base, 1023)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            flat, const = alg.einstein_check(1e-8)
+        assert not flat and const == np.ldexp(np.mean(base), 1023)
+
+    @pytest.mark.parametrize("spectrum", [[-1.6e308, 1.6e308, 1.6e308], [0.0, math.inf]])
+    def test_einstein_spread_past_the_float_range_named(self, spectrum):
+        alg = hyperbolic_plane()
+        vars(alg)["_ricci_spectrum"] = np.array(spectrum)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                alg.einstein_check(1e-8)
+        assert str(info.value) == ("spread of the Ricci spectrum overflows the float range "
+                                   "for this structure and gram matrix")
+
     def test_small_plane_accepted(self):
         # the degenerate-plane test is relative to |x|^2 |y|^2
         alg = round_sphere()

@@ -1,5 +1,6 @@
 """The hypersurface family: shape operator, curvature formulas, flow, scans."""
 
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -102,7 +103,7 @@ class TestModel:
         model = HypersurfaceModel.from_angle(0.3)
         assert hash(model) == hash(model)
         assert {model: 1}[HypersurfaceModel.from_angle(0.3)] == 1
-        assert model != HypersurfaceModel(model.alpha, model.axis, model.normal, model.basis)
+        assert model != HypersurfaceModel(model.alpha)
 
     def test_algebra_cached(self):
         model = HypersurfaceModel.from_angle(0.4)
@@ -129,35 +130,47 @@ class TestModel:
 
     @pytest.mark.parametrize(
         "attr",
-        ["axis", "normal", "basis", "_phi_stack", "_phi_normal_brackets", "_shape_matrix",
-         "_ambient_tensor", "_curvature_tensor", "_curvature_operator"],
+        ["axis", "normal", "basis", "_shape_matrix", "_curvature_tensor",
+         "_curvature_operator"],
     )
     def test_shared_arrays_are_read_only(self, attr):
         array = getattr(HypersurfaceModel.from_angle(0.3), attr)
         with pytest.raises(ValueError, match="read-only"):
             array[(0,) * array.ndim] = 1.0
 
-    @staticmethod
-    def _direct(axis, normal):
-        basis = np.concatenate([AMBIENT_BASIS[:6], axis[None]])
-        return HypersurfaceModel(alpha=0.0, axis=axis, normal=normal, basis=basis)
+    def test_alpha_is_the_only_field(self):
+        assert [f.name for f in dataclasses.fields(HypersurfaceModel)] == ["alpha"]
 
-    def test_direct_constructor_accepts_the_frame(self):
-        assert self._direct(H0, -1.0 * H1).axis is H0
+    @pytest.mark.parametrize("alpha", ANGLES)
+    def test_frame_is_derived_from_alpha_bit_for_bit(self, alpha):
+        # the expressions the frame was built from when it was passed in
+        model, c, s = HypersurfaceModel(alpha), math.cos(alpha), math.sin(alpha)
+        axis, normal = c * H0 + s * H1, s * H0 + (-c) * H1
+        assert np.array_equal(model.axis, axis)
+        assert np.array_equal(model.normal, normal)
+        assert np.array_equal(model.basis, np.concatenate([AMBIENT_BASIS[:6], axis[None]]))
+        h0, h1 = np.diag(H0).real, np.diag(H1).real
+        for got, want, own in zip(_abelian_diagonals(alpha),
+                                  (c * h0 + s * h1, s * h0 - c * h1),
+                                  (model.axis, model.normal)):
+            assert got.dtype == float and np.array_equal(got, np.diag(own).real)
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
-    def test_direct_constructor_rejects_a_non_unit_axis(self):
-        with pytest.raises(ValueError, match="orthonormal"):
-            self._direct(2.0 * H0, -1.0 * H1)
+    @pytest.mark.parametrize("alpha", [-0.1, math.pi / 2 + 0.1, math.nan])
+    def test_direct_constructor_validates_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            HypersurfaceModel(alpha)
 
-    def test_direct_constructor_rejects_a_non_orthogonal_normal(self):
-        tilted = math.cos(0.1) * (-1.0 * H1) + math.sin(0.1) * H0
-        with pytest.raises(ValueError, match="orthonormal"):
-            self._direct(H0, tilted)
+    def test_direct_constructor_normalises_negative_zero(self):
+        assert repr(HypersurfaceModel(-0.0).alpha) == "0.0"
 
-    def test_direct_constructor_rejects_a_strictly_lower_entry(self):
-        lower = np.array([[0, 0, 0], [1e-6, 0, 0], [0, 0, 0]])
-        with pytest.raises(ValueError, match="strictly lower"):
-            self._direct(H0 + lower, -1.0 * H1)
+    def test_direct_model_pipelines_agree(self):
+        # an unshared model: its Gauss tensor and its Koszul algebra both
+        # follow from alpha, so they describe the same hypersurface
+        model = HypersurfaceModel(0.7)
+        assert model is not HypersurfaceModel.from_angle(0.7)
+        koszul = model.algebra._riemann @ model.algebra.gram
+        assert np.max(np.abs(model._curvature_tensor - koszul)) <= 1e-12
 
 
 class TestTangentVector:
