@@ -33,7 +33,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .engine import dump_algebra_json, jacobi_residual, load_algebra_json
+from .engine import _check_partition, dump_algebra_json, jacobi_residual, load_algebra_json
 from .hypersurface import (
     GroupElement,
     HypersurfaceModel,
@@ -294,6 +294,8 @@ def _cmd_algebra(args) -> int:
         if args.vector is None:
             raise ValueError("op 'ricci' needs --vector")
         vec = np.array(_parse_list(args.vector, float, "floats"))
+        if len(vec) != alg.dim:
+            raise ValueError(f"--vector must have {alg.dim} coefficients, got {len(vec)}")
         if not np.all(np.isfinite(vec)):
             raise ValueError(f"--vector must be finite, got {args.vector!r}")
         with np.errstate(over="ignore", invalid="ignore"):
@@ -310,10 +312,10 @@ def _cmd_algebra(args) -> int:
     elif args.op == "dr-check":
         if args.v_indices is None or args.z_indices is None or args.a_index is None:
             raise ValueError("op 'dr-check' needs --v-indices, --z-indices, --a-index")
-        report = alg.damek_ricci_check(
-            *(_parse_list(text, int, "integers") for text in (args.v_indices, args.z_indices)),
-            args.a_index, tol=args.tol, seed=args.seed,
-        )
+        v, z = (_parse_list(text, int, "integers") for text in (args.v_indices, args.z_indices))
+        _check_partition(alg.dim, (("--v-indices", v), ("--z-indices", z),
+                                   ("--a-index", [args.a_index])))
+        report = alg.damek_ricci_check(v, z, args.a_index, tol=args.tol, seed=args.seed)
         axioms = [getattr(report, f"axiom_{n}") for n in range(1, 6)]
         payload = {
             "dim": alg.dim,

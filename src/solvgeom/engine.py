@@ -27,7 +27,8 @@ It also exposes two extras used by the hypersurface model:
 
 Coefficient vectors are plain 1-D float arrays in the algebra's basis.
 All tolerances are absolute, except that a plane is degenerate relative to
-its spanning vectors and a Gram matrix relative to its largest eigenvalue.
+its spanning vectors (DEGENERATE_PLANE_TOL, the one rule of both curvature
+pipelines) and a Gram matrix relative to its largest eigenvalue.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ __all__ = [
     "GRAM_CONDITION_FLOOR",
     "CLOSURE_TOL",
     "DAMEK_RICCI_TOL",
+    "DEGENERATE_PLANE_TOL",
     "MAX_JSON_DIM",
 ]
 
@@ -66,6 +68,9 @@ GRAM_EIGENVALUE_FLOOR = 1e-10
 GRAM_CONDITION_FLOOR = 1e-12
 CLOSURE_TOL = 1e-9
 DAMEK_RICCI_TOL = 1e-10
+# span{x, y} is degenerate when its Gram determinant |x|^2 |y|^2 - <x, y>^2 is
+# at most this times |x|^2 |y|^2: when x and y are at most 1e-6 rad apart.
+DEGENERATE_PLANE_TOL = 1e-12
 # Largest 'dim' a JSON document may declare: the Jacobi check's n^4
 # intermediate stays at 8 MB.
 MAX_JSON_DIM = 32
@@ -115,6 +120,24 @@ def _float_array(name: str, a) -> np.ndarray:
         return np.array(a, dtype=float)
     except OverflowError:
         raise ValueError(f"an integer in {name} is too large for a float") from None
+
+
+def _check_partition(dim: int, blocks) -> None:
+    """ValueError unless the index lists of ``blocks``, (name, indices) pairs,
+    partition range(dim); it names the list and the index at fault."""
+    *names, last = [name for name, _ in blocks]
+    fault = f"{', '.join(names)} and {last} must partition the basis indices 0 to {dim - 1}"
+    owner = {}
+    for name, indices in blocks:
+        for i in indices:
+            if not 0 <= i < dim:
+                raise ValueError(f"{fault}: {name} holds {i}")
+            if i in owner:
+                again = " twice" if owner[i] == name else f", as does {owner[i]}"
+                raise ValueError(f"{fault}: {name} holds {i}{again}")
+            owner[i] = name
+    if len(owner) < dim:
+        raise ValueError(f"{fault}: none of them holds {min(set(range(dim)) - owner.keys())}")
 
 
 def jacobi_residual(structure) -> float:
@@ -300,11 +323,12 @@ class MetricLieAlgebra:
 
     def sectional(self, x, y) -> float:
         """Sectional curvature of span{x, y}; raises on a degenerate plane,
-        one whose Gram determinant is at most 1e-12 |x|^2 |y|^2."""
+        one whose Gram determinant is at most DEGENERATE_PLANE_TOL |x|^2 |y|^2
+        or not a number."""
         x, y = self._vec(x), self._vec(y)
         xx, yy = self.inner(x, x), self.inner(y, y)
         den = xx * yy - self.inner(x, y) ** 2
-        if den <= 1e-12 * xx * yy:
+        if not den > DEGENERATE_PLANE_TOL * xx * yy:
             raise ValueError(f"degenerate plane (gram determinant {den:.3e})")
         return self.curvature_inner(x, y, y, x) / den
 
@@ -385,11 +409,7 @@ class MetricLieAlgebra:
         them in one stacked solve.  Both blocks must be nonempty.
         """
         vi, zi = list(v_indices), list(z_indices)
-        claimed = sorted(vi + zi + [a_index])
-        if claimed != list(range(self.dim)):
-            raise ValueError(
-                "v_indices, z_indices and a_index must partition the basis indices"
-            )
+        _check_partition(self.dim, (("v_indices", vi), ("z_indices", zi), ("a_index", [a_index])))
         if not vi:
             raise ValueError("v_indices is empty: the v block needs at least one index")
         if not zi:

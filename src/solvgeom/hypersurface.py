@@ -34,13 +34,15 @@ throughout the test suite:
   Koszul engine.
 
 Since w R w / w . w does not change when u, v are replaced by another basis
-of their plane, the sampled-plane queries (``nonpositivity_scan``,
-``zero_curvature_search``) read K straight off the wedges of raw Gaussian
-pairs and orthonormalise only the planes they return or start a descent
-from.  Both draw one stream: for n planes, the n rows of u in one draw, then
-the rows of v 768 at a time.  The scan draws 20000 planes at a time and
-holds one draw of u (1.1 MB) and one block of v with its wedges, so its
-memory does not grow with the samples.
+of their plane, one kernel, ``_sectional_rows``, reads K off the wedges of
+raw pairs for ``gauss_sectional`` and the sampled-plane queries
+(``nonpositivity_scan``, ``zero_curvature_search``), which orthonormalise
+only the planes they return or start a descent from.  Both queries draw one
+stream: for n planes, the n rows of u in one draw, then the rows of v 768 at
+a time.  A degenerate pair (``DEGENERATE_PLANE_TOL``; about 1e-36 likely)
+keeps K = -inf, so it is never a scan extreme nor a descent start.  The scan
+draws 20000 planes at a time and holds one draw of u (1.1 MB) and one block
+of v with its wedges, so its memory does not grow with the samples.
 
 A closed form of the Ricci curvature, its extremes over the unit sphere, the
 Cheeger constant and the shape spectrum make the family's regime changes at
@@ -59,7 +61,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .engine import MetricLieAlgebra, _read_only
+from .engine import DEGENERATE_PLANE_TOL, MetricLieAlgebra, _read_only
 from .matrices import bracket, hermitian_part, inner_ambient, solvable_parts
 
 __all__ = [
@@ -257,15 +259,31 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", a, b)
 
 
-def _plane_terms(
-    model: HypersurfaceModel, u: np.ndarray, v: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sectional numerators <R(u, v) v, u> = w R w and plane Gram determinants
-    w . w = |u|^2 |v|^2 - (u . v)^2 (Lagrange) of the wedges w = u ^ v, for
-    (..., 7) arrays u, v and R = ``_curvature_operator``; shape (...,) each."""
+def _sectional_rows(
+    model: HypersurfaceModel, u: np.ndarray, v: np.ndarray, fill: float
+) -> np.ndarray:
+    """Sectional curvature K = w R w / w . w of the planes span{u, v} for rows
+    u, v (..., 7), the wedges w = u ^ v and R = ``_curvature_operator``, so
+    that w R w = <R(u, v) v, u> and w . w = |u|^2 |v|^2 - (u . v)^2; shape
+    (...,).  u, v need not be orthonormal.  ``fill`` where the plane is
+    degenerate, w . w <= DEGENERATE_PLANE_TOL |u|^2 |v|^2, or not finite."""
     i, j = _PAIRS
-    w = u[..., i] * v[..., j] - u[..., j] * v[..., i]
-    return _dot(w @ model._curvature_operator, w), _dot(w, w)
+    col_dot = lambda a, b: np.einsum("ij,ij->j", a, b)
+    # one row per coordinate, so the pair gathers copy whole rows
+    ut = np.reshape(u, (-1, 7)).T.copy()
+    vt = np.reshape(v, (-1, 7)).T.copy()
+    w, t = ut[i], ut[j]  # w = u ^ v in place, to keep a scan block's peak low
+    w *= vt[j]
+    t *= vt[i]
+    w -= t
+    den = col_dot(w, w)
+    uv = col_dot(ut, vt)
+    spans = den > DEGENERATE_PLANE_TOL * (den + uv * uv)  # |u|^2 |v|^2 by Lagrange
+    # R is symmetric; R.T @ w is the BLAS product of the rows w @ R, so K is
+    # the same to the bit for one row (gauss_sectional) as for a block of them
+    k = np.divide(col_dot(model._curvature_operator.T @ w, w), den,
+                  out=np.full(den.shape, fill), where=spans)
+    return k.reshape(np.shape(u)[:-1])
 
 
 # -- second fundamental form and curvature ---------------------------------------
@@ -285,12 +303,12 @@ def gauss_sectional(
     model: HypersurfaceModel, x1: TangentVector, x2: TangentVector
 ) -> float:
     """Sectional curvature of span{X1, X2}; raises on a degenerate plane,
-    one whose Gram determinant is at most 1e-12 |X1|^2 |X2|^2."""
-    u, v = x1.coeffs(), x2.coeffs()
-    num, den = _plane_terms(model, u, v)
-    if den <= 1e-12 * (u @ u) * (v @ v):
-        raise ValueError(f"degenerate plane (gram determinant {float(den):.3e})")
-    return float(num) / float(den)
+    one whose Gram determinant is at most DEGENERATE_PLANE_TOL |X1|^2 |X2|^2."""
+    k = float(_sectional_rows(model, x1.coeffs(), x2.coeffs(), math.nan))
+    if math.isnan(k):
+        raise ValueError(f"degenerate plane: gram determinant at most {DEGENERATE_PLANE_TOL:g}"
+                         " |X1|^2 |X2|^2, or a coefficient not finite")
+    return k
 
 
 def ricci_gauss_many(model: HypersurfaceModel, coeffs: np.ndarray) -> np.ndarray:
@@ -614,66 +632,33 @@ _SCAN_BLOCK = 768
 
 
 def _gaussian_planes(
-    rng: np.random.Generator, n: int, model: HypersurfaceModel | None = None
-) -> tuple[np.ndarray, Iterator[tuple]]:
-    """n random planes span{u, v}: u (n, 7) and the blocks (rows, v, k).
+    rng: np.random.Generator, n: int, model: HypersurfaceModel
+) -> tuple[np.ndarray, Iterator[tuple[np.ndarray, np.ndarray]]]:
+    """n random planes span{u, v}: u (n, 7) and the blocks (v, k) in row order.
 
     The stream: all n rows of u in one draw, made here, then v _SCAN_BLOCK
     rows at a time as the blocks are read (chunked draws repeat the one-shot
     draw bit for bit).  u and v are the raw Gaussian rows, and k is the
-    sectional curvature under ``model`` (None without one), w R w / w . w on
-    the wedge w = u ^ v: K does not depend on the basis of the plane.  A row
-    whose v lies within 1e-8 of the line of u (w . w < 1e-16 |u|^2) gets
-    k = -inf, and after the last block those rows draw v again together,
-    ``rows`` then an index array, until each spans a plane.
+    sectional curvature of their planes under ``model``: -inf on a degenerate
+    plane, which is thus never a scan extreme nor a descent start.
     """
     u = rng.standard_normal((n, 7))
-    i, j = _PAIRS
-    col_dot = lambda a, b: np.einsum("ij,ij->j", a, b)
-
-    def planes(rows, v):
-        # one row per coordinate, so the pair gathers copy whole rows; the
-        # sums are _plane_terms' own, bit for bit
-        ut, vt = u[rows].T.copy(), v.T.copy()
-        w, t = ut[i], ut[j]  # w = u ^ v in place, to keep the block's peak low
-        w *= vt[j]
-        t *= vt[i]
-        w -= t
-        den = col_dot(w, w)
-        flat = den < 1e-16 * col_dot(ut, ut)
-        k = None if model is None else np.divide(
-            col_dot(model._curvature_operator @ w, w), den,
-            out=np.full(len(v), -math.inf), where=~flat,
-        )
-        return (rows, v, k), flat
 
     def blocks():
-        redo = [np.empty(0, dtype=int)]
         for b in range(0, n, _SCAN_BLOCK):
-            block, flat = planes(slice(b, b + _SCAN_BLOCK),
-                                 rng.standard_normal((min(_SCAN_BLOCK, n - b), 7)))
-            yield block
-            redo.append(b + np.flatnonzero(flat))
-        rows = np.concatenate(redo)
-        while rows.size:
-            block, flat = planes(rows, rng.standard_normal((rows.size, 7)))
-            yield block
-            rows = rows[flat]
+            v = rng.standard_normal((min(_SCAN_BLOCK, n - b), 7))
+            yield v, _sectional_rows(model, u[b:b + _SCAN_BLOCK], v, -math.inf)
 
     return u, blocks()
 
 
 def _sample_planes(
-    rng: np.random.Generator, n: int, model: HypersurfaceModel | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    rng: np.random.Generator, n: int, model: HypersurfaceModel
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every plane of ``_gaussian_planes`` at once: u, v (n, 7) and k (n,)."""
     u, blocks = _gaussian_planes(rng, n, model)
-    v, k = np.empty((n, 7)), None if model is None else np.empty(n)
-    for rows, vb, kb in blocks:
-        v[rows] = vb
-        if k is not None:
-            k[rows] = kb
-    return u, v, k
+    v, k = zip(*blocks, (np.empty((0, 7)), np.empty(0)))
+    return u, np.concatenate(v), np.concatenate(k)
 
 
 def _gram_schmidt(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -715,13 +700,14 @@ def nonpositivity_scan(alpha: float, samples: int, seed: int = 0) -> PlaneScan:
     chunk = 20000
     for done in range(0, samples, chunk):
         u, blocks = _gaussian_planes(rng, min(chunk, samples - done), model)
-        for rows, v, k in blocks:
+        for b, (v, k) in enumerate(blocks):
+            r = b * _SCAN_BLOCK  # the row of u of the block's first v
             i = int(np.argmax(k))
             if k[i] > best_max:  # copies, so no row keeps its chunk alive
-                best_max, arg_max = float(k[i]), (u[rows][i].copy(), v[i].copy())
+                best_max, arg_max = float(k[i]), (u[r + i].copy(), v[i].copy())
             j = int(np.argmin(np.abs(k)))
             if abs(k[j]) < best_min:
-                best_min, arg_min = abs(float(k[j])), (u[rows][j].copy(), v[j].copy())
+                best_min, arg_min = abs(float(k[j])), (u[r + j].copy(), v[j].copy())
         del u, v  # free this chunk's u before the next one is drawn
     s1, s2 = reference_plane()
     ref = (s1.coeffs(), s2.coeffs())
@@ -736,61 +722,51 @@ def nonpositivity_scan(alpha: float, samples: int, seed: int = 0) -> PlaneScan:
     )
 
 
-def _plane_abs_curvature(model: HypersurfaceModel, w: np.ndarray) -> np.ndarray:
-    """|K| of the plane spanned by the two halves u, v of each row of w (m, 14),
-    which need not be orthonormal; inf where the plane is degenerate, its
-    Gram determinant at most 1e-12 |u|^2 |v|^2."""
-    u, v = w[:, :7], w[:, 7:]
-    num, den = _plane_terms(model, u, v)
-    spans = den > 1e-12 * _dot(u, u) * _dot(v, v)
-    return np.abs(np.divide(num, den, out=np.full(len(w), math.inf), where=spans))
-
-
 # Coordinate moves of the descent in the order they are tried: +e0, -e0, +e1, ...
 _MOVES = np.kron(np.eye(14), [[1.0], [-1.0]])
 _MOVES.setflags(write=False)
 
 
+_ZERO_SAMPLES = 4000
+_ZERO_STARTS = 5
+_ZERO_SWEEPS = 400
+_ZERO_TARGET = 1e-8
+
+
 def zero_curvature_search(
-    alpha: float,
-    samples: int = 4000,
-    seed: int = 0,
-    target: float = 1e-8,
-    starts: int = 5,
-    max_sweeps: int = 400,
+    alpha: float, seed: int = 0
 ) -> tuple[float, tuple[TangentVector, TangentVector]]:
     """Search for a plane of (near) zero sectional curvature.
 
-    Samples random planes from ``_gaussian_planes``, then runs
+    Samples _ZERO_SAMPLES random planes from ``_gaussian_planes``, then runs
     derivative-free coordinate descent on the fourteen spanning coordinates
-    of the ``starts`` best, orthonormalised, minimising |K| with a shrinking
-    step.  A sweep tries the moves +e0,
-    -e0, +e1, ..., -e13 of the current step in that order and accepts the
-    first one that lowers |K|; the moves after it are then tried from the
-    new point, in one batched evaluation per accepted move.  A sweep with
-    no accepted move halves the step.  Returns the smallest |K| found and
-    the plane attaining it.
+    of the _ZERO_STARTS best, orthonormalised, minimising |K| with a
+    shrinking step.  A sweep tries the moves +e0, -e0, +e1, ..., -e13 of the
+    current step in that order and accepts the first one that lowers |K|;
+    the moves after it are then tried from the new point, in one batched
+    evaluation per accepted move.  A sweep with no accepted move halves the
+    step.  A descent stops after _ZERO_SWEEPS sweeps or at |K| <= _ZERO_TARGET,
+    which also ends the search.  Returns the smallest |K| found and the plane
+    attaining it.
     """
     alpha = _validate_alpha(alpha)
-    for name, count in (("samples", samples), ("starts", starts)):
-        if count < 1:
-            raise ValueError(f"{name} must be at least 1, got {count}")
     model = HypersurfaceModel.from_angle(alpha)
-    rng = np.random.default_rng(seed)
-    u, v, k = _sample_planes(rng, samples, model)
-    order = np.argsort(np.abs(k))[:starts]
+    u, v, k = _sample_planes(np.random.default_rng(seed), _ZERO_SAMPLES, model)
+    order = np.argsort(np.abs(k))[:_ZERO_STARTS]
+    # |K| of the planes spanned by the halves of rows (..., 14); inf if degenerate
+    abs_k = lambda w: np.abs(_sectional_rows(model, w[..., :7], w[..., 7:], math.inf))
     best_val = math.inf
     best_w = None
     for w in np.concatenate(_gram_schmidt(u[order], v[order]), axis=1):
-        val = _plane_abs_curvature(model, w[None, :])[0]
+        val = abs_k(w)
         step = 0.05
         sweeps = 0
-        while step > 1e-10 and val > target and sweeps < max_sweeps:
+        while step > 1e-10 and val > _ZERO_TARGET and sweeps < _ZERO_SWEEPS:
             improved = False
             k = 0
             while k < len(_MOVES):
                 cands = w + step * _MOVES[k:]
-                cvals = _plane_abs_curvature(model, cands)
+                cvals = abs_k(cands)
                 better = np.flatnonzero(cvals < val)
                 if not better.size:
                     break
@@ -803,7 +779,7 @@ def zero_curvature_search(
             sweeps += 1
         if val < best_val:
             best_val, best_w = val, w
-        if best_val <= target:
+        if best_val <= _ZERO_TARGET:
             break
     uu, vv = best_w[:7], best_w[7:]
     uu = uu / np.linalg.norm(uu)

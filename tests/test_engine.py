@@ -429,6 +429,19 @@ class TestJOperatorAndAxioms:
         with pytest.raises(ValueError, match="partition"):
             complex_hyperbolic_plane().damek_ricci_check((0, 1), (2,), 2)
 
+    @pytest.mark.parametrize("v_indices, z_indices, a_index, fault", [
+        ((0, 1), (2,), 2, "a_index holds 2, as does z_indices"),
+        ((0, 1), (2,), 4, "a_index holds 4"),
+        ((0, 0), (2,), 3, "v_indices holds 0 twice"),
+        ((0,), (2,), 3, "none of them holds 1"),
+    ])
+    def test_partition_fault_names_the_parameter_and_index(self, v_indices, z_indices,
+                                                            a_index, fault):
+        names = "v_indices, z_indices and a_index"
+        with pytest.raises(ValueError) as info:
+            complex_hyperbolic_plane().damek_ricci_check(v_indices, z_indices, a_index)
+        assert str(info.value) == f"{names} must partition the basis indices 0 to 3: {fault}"
+
     @pytest.mark.parametrize(
         "v_indices, z_indices, empty",
         [((0, 1, 2), (), "z_indices"), ((), (0, 1, 2), "v_indices")],

@@ -22,13 +22,15 @@ from solvgeom.hypersurface import (
     Regime,
     TangentVector,
     _SCAN_BLOCK,
+    _ZERO_SAMPLES,
+    _ZERO_STARTS,
+    _ZERO_TARGET,
     _abelian_diagonals,
     _gaussian_planes,
     _gram_schmidt,
     _model_at,
-    _plane_abs_curvature,
-    _plane_terms,
     _sample_planes,
+    _sectional_rows,
     ambient_curvature,
     build_hypersurface_algebra,
     classify,
@@ -48,11 +50,28 @@ from solvgeom.hypersurface import (
     volume_distortion,
     zero_curvature_search,
 )
+from solvgeom import hypersurface
+from solvgeom.engine import DEGENERATE_PLANE_TOL
 from solvgeom.matrices import inner_solvable
 
 HALF_SQRT3 = math.sqrt(3.0) / 2.0
 
 ANGLES = [0.0, 0.2, math.pi / 6, math.pi / 4, math.pi / 3, 1.3, math.pi / 2]
+
+
+def _plane_terms(model, u, v):
+    """The row-major reference for ``_sectional_rows``: w R w and w . w of the
+    wedges w = u ^ v of rows u, v (..., 7), one row of w per plane."""
+    i, j = np.triu_indices(7, 1)
+    w = u[..., i] * v[..., j] - u[..., j] * v[..., i]
+    dot = lambda a, b: np.einsum("...i,...i->...", a, b)
+    return dot(w @ model._curvature_operator, w), dot(w, w)
+
+
+def plane_abs_curvature(model, w):
+    """|K| of the planes spanned by the halves u, v of rows w (m, 14), inf where
+    degenerate: the value the zero-curvature descent minimises."""
+    return np.abs(_sectional_rows(model, w[:, :7], w[:, 7:], math.inf))
 
 
 def unit_tangent(seed, n=1):
@@ -673,6 +692,13 @@ class TestFlowAndFoliation:
             math.exp(-4.0), rel=1e-15
         )
 
+    @pytest.mark.parametrize("s", [-2.0, 0.37, 3.0])
+    def test_first_variation_of_volume_is_the_mean_curvature(self, s):
+        # log(volume factor) / s = H ties the foliation to the Gauss pipeline
+        for alpha in np.linspace(0.0, math.pi / 2, 101):
+            got = math.log(volume_distortion(alpha, s)) / s
+            assert abs(got - mean_curvature(HypersurfaceModel.from_angle(alpha))) <= 1e-14
+
     @pytest.mark.parametrize("alpha", ANGLES)
     def test_volume_matches_coordinate_scalings(self, alpha):
         # unipotent coordinates are complex, so each scaling counts twice
@@ -683,43 +709,38 @@ class TestFlowAndFoliation:
         assert product == pytest.approx(volume_distortion(alpha, s), rel=1e-12)
 
 
-# zero_curvature_search(alpha, seed=seed, **kwargs): value and plane, exactly
+# zero_curvature_search(alpha, seed=seed): value and plane, exactly
 ZERO_SEARCH_PINS = [
-    (0.0, 1, {}, 1.8580066001474516e-09, (
+    (0.0, 1, 1.8580066001474516e-09, (
         [-0.4751439092613849, -0.20540961487354734, 0.5897024509016877, -0.22571377107860938,
          0.5518317247855911, 0.16979756498351675, 5.47827841110551e-05],
         [-0.20541537335080323, 0.47518096004570565, -0.2257269178631837, -0.589675602592939,
          -0.1697636131616337, 0.5518314393960178, -5.098630365512985e-07])),
-    (0.2, 8, {}, 9.488704798687137e-09, (
+    (0.2, 8, 9.488704798687137e-09, (
         [-0.06960250131243469, 0.21909202447085693, 0.82286711460188, -0.061124979382078955,
          -0.1555586265118303, -0.43721154060312467, 0.22573260222623132],
         [-0.20102650166479447, 0.30843266446076123, 0.11489764088369717, 0.658441679381095,
          -0.2942465066973366, 0.5305211621836481, 0.22288340868476428])),
-    (0.7, 3, {}, 5.760160922606361e-09, (
+    (0.7, 3, 5.760160922606361e-09, (
         [0.23721200293598066, -0.06409282618899338, -0.1302018099601431, -0.3332128287415369,
          -0.6390258014554573, 0.5686634579538273, 0.28267856551493187],
         [0.1898760221992716, -0.20976195361480582, -0.5880853679448994, -0.04188357764782612,
          -0.37810414732747644, -0.6513569097903384, -0.07155288103322922])),
-    (math.pi / 3, 4, {}, 2.1262139755931525e-09, (
+    (math.pi / 3, 4, 2.1262139755931525e-09, (
         [-0.16164258388264277, 0.2871600620000344, -0.5255318351867373, 0.15560098065143846,
          0.5051685955815928, -0.36117366528408995, 0.4531817212077594],
         [-0.06327425334185315, 0.22735728491302243, -0.4786900711668042, 0.013697229332065892,
          -0.12851658961682122, 0.8319163462758167, 0.07982427280164606])),
-    (1.2, 6, {}, 7.7154340242815e-09, (
+    (1.2, 6, 7.7154340242815e-09, (
         [-0.1720875334815546, 0.3540526117504801, 0.199958790932387, 0.6507763566888373,
          -0.49633554437823013, -0.3432819602485498, 0.1317109243428155],
         [0.15839459575320827, 0.3150675645907019, -0.23786689666848598, 0.021648107437856473,
          -0.429348728302727, 0.5465648281677155, -0.579241606592233])),
-    (math.pi / 2, 2, {}, 1.8550051046761178e-09, (
+    (math.pi / 2, 2, 1.8550051046761178e-09, (
         [-0.06202359094227623, 0.07180356588409607, -0.5592391109578438, 0.07586934275885228,
          -0.15685355486353653, 0.802184681712283, -0.06625315426610676],
         [-0.45555003369481684, 0.18693740240389026, 0.5506761464134092, 0.25066315116523474,
          0.3715605471593875, 0.40552284720959414, 0.29823869800542346])),
-    (0.45, 11, {"samples": 600, "starts": 3}, 4.963345973585912e-09, (
-        [-0.0644160961582026, 0.13250056707401162, -0.17068478793082367, -0.6751512193334763,
-         -0.43375628244268866, 0.4792471795850673, -0.2747896082161573],
-        [-0.041423792486160696, -0.06808459189370662, 0.3263244391067548, 0.40020208628266235,
-         0.15785943499374572, 0.8378963514180273, 0.003051459193621069])),
 ]
 
 
@@ -763,7 +784,7 @@ class TestScans:
             nonpositivity_scan(0.3, samples=-5)
 
     def test_zero_plane_search(self):
-        val, (x1, x2) = zero_curvature_search(0.0, samples=1500, seed=3)
+        val, (x1, x2) = zero_curvature_search(0.0, seed=3)
         assert val <= 1e-6
         model = HypersurfaceModel.from_angle(0.0)
         assert abs(gauss_sectional(model, x1, x2)) == pytest.approx(val, abs=1e-12)
@@ -844,58 +865,73 @@ class TestScans:
         "alpha, seed", [(0.0, 1), (0.2, 8), (0.7, 3), (math.pi / 3, 4), (1.2, 6), (1.5, 2)]
     )
     def test_zero_search_contract(self, alpha, seed):
-        target = 1e-8
-        val, (x1, x2) = zero_curvature_search(alpha, seed=seed, target=target)
+        target = _ZERO_TARGET
+        val, (x1, x2) = zero_curvature_search(alpha, seed=seed)
         assert val <= target
         model = HypersurfaceModel.from_angle(alpha)
         assert abs(gauss_sectional(model, x1, x2)) == pytest.approx(val, abs=1e-12)
 
-    @pytest.mark.parametrize("alpha, seed, kwargs, value, plane", ZERO_SEARCH_PINS,
+    @pytest.mark.parametrize("alpha, seed, value, plane", ZERO_SEARCH_PINS,
                              ids=[f"{p[0]:.4g}-seed{p[1]}" for p in ZERO_SEARCH_PINS])
-    def test_zero_search_pinned(self, alpha, seed, kwargs, value, plane):
+    def test_zero_search_pinned(self, alpha, seed, value, plane):
         # exact values: any change to the plane stream, to the choice of the
         # starts or to the descent shows here
-        val, (x1, x2) = zero_curvature_search(alpha, seed=seed, **kwargs)
+        val, (x1, x2) = zero_curvature_search(alpha, seed=seed)
         assert val == value
         assert x1.coeffs().tolist() == plane[0]
         assert x2.coeffs().tolist() == plane[1]
 
-    def test_degenerate_rows_are_redrawn_after_the_last_block(self, monkeypatch):
-        gen = np.random.default_rng(13)
-        u, good = gen.standard_normal((3, 7)), gen.standard_normal((3, 7))
-        # row 1: v = 2 u exactly; row 2: v within 1e-10 of the line of u,
-        # below the 1e-8 floor; row 1 draws a parallel v once more
-        v = np.array([good[0], 2.0 * u[1], u[2] + 1e-10 * np.eye(7)[4]])
-        draws = [u, v, np.array([-4.0 * u[1], good[2]]), good[1:2]]
+    def test_degenerate_rows_are_never_scan_extremes_nor_descent_starts(self, monkeypatch):
         model = HypersurfaceModel.from_angle(0.7)
+        # a plane of |K| below 1e-8; a v within 1e-9 of the line of its x1 spans
+        # no plane, but the raw quotient would give it the smallest |K| of all
+        _, (x1, x2) = zero_curvature_search(0.7, seed=3)
+        x1, x2 = x1.coeffs(), x2.coeffs()
+        gen = np.random.default_rng(13)
+        u, v = gen.standard_normal((2, 3, 7))
+        u[2] = x1
+        v[1], v[2] = 2.0 * u[1], x1 + 1e-9 * x2  # exactly parallel; sin^2 about 1e-18
+        draws = [u, v]
         stream = ScriptedNormals(draws)
-        raw_u, blocks = _gaussian_planes(stream, 3, model)
-        assert np.array_equal(raw_u, u)
-        blocks = list(blocks)
-        assert stream.shapes == [(3, 7), (3, 7), (2, 7), (1, 7)]
-        k = [b[2] for b in blocks]
-        assert [b[0].tolist() for b in blocks[1:]] == [[1, 2], [1]]
-        assert np.isfinite(k[0][0]) and k[0][1] == k[0][2] == k[1][0] == -math.inf
-        want = [gauss_sectional(model, TangentVector.from_coeffs(a), TangentVector.from_coeffs(b))
-                for a, b in zip(u, good)]
-        got = [k[0][0], k[2][0], k[1][1]]
-        assert np.max(np.abs(np.subtract(got, want))) <= 1e-14
+        got_u, got_v, k = _sample_planes(stream, 3, model)
+        assert stream.shapes == [(3, 7), (3, 7)]  # no draw after the last block
+        assert np.array_equal(got_u, u) and np.array_equal(got_v, v)
+        k_good = gauss_sectional(model, TangentVector.from_coeffs(u[0]),
+                                 TangentVector.from_coeffs(v[0]))
+        assert k[0] == pytest.approx(k_good, abs=1e-14) and k[1] == k[2] == -math.inf
+        ref = reference_plane()
+        k_ref = gauss_sectional(model, *ref)
+        raw = np.divide(*_plane_terms(model, u[2], v[2]))
+        assert abs(raw) < min(abs(k[0]), abs(k_ref))
 
-        # every plane at once and the scan read the same stream
-        for rows, want_rows in zip(_sample_planes(ScriptedNormals(draws), 3)[:2], (u, good)):
-            assert np.array_equal(rows, want_rows)
+        # the scan reports row 0 or the reference plane, whichever is extreme
         monkeypatch.setattr(np.random, "default_rng", lambda seed: ScriptedNormals(draws))
         scan = nonpositivity_scan(0.7, 3)
-        k_ref = reference_plane_curvature(0.7)
-        assert scan.max_curvature == pytest.approx(max(want + [k_ref]), abs=1e-14)
-        assert scan.min_abs_curvature == pytest.approx(
-            min(abs(x) for x in want + [k_ref]), abs=1e-14)
+        assert scan.max_curvature == max(k[0], k_ref)
+        assert scan.min_abs_curvature == min(abs(k[0]), abs(k_ref))
+        ref, good = [x.coeffs() for x in ref], _gram_schmidt(u[0], v[0])
+        for plane, want in ((scan.max_plane, ref if k_ref > k[0] else good),
+                            (scan.min_abs_plane, ref if abs(k_ref) < abs(k[0]) else good)):
+            assert all(np.array_equal(x.coeffs(), y) for x, y in zip(plane, want))
 
-    @pytest.mark.parametrize("name", ["samples", "starts"])
-    @pytest.mark.parametrize("count", [0, -3])
-    def test_zero_search_needs_a_sample_and_a_start(self, name, count):
-        with pytest.raises(ValueError, match=f"^{name} must be at least 1, got {count}$"):
-            zero_curvature_search(0.3, **{name: count})
+        # the descent starts from the planes of smallest |K| among the others
+        u, v = gen.standard_normal((2, _ZERO_SAMPLES, 7))
+        u[1234] = x1
+        v[77], v[1234] = 2.0 * u[77], x1 + 1e-9 * x2
+        with np.errstate(invalid="ignore"):  # row 77 is 0 / 0
+            k = np.divide(*_plane_terms(model, u, v))
+        assert int(np.nanargmin(np.abs(k))) == 1234
+        k[[77, 1234]] = math.inf
+        want = np.argsort(np.abs(k))[:_ZERO_STARTS]
+        draws = [u] + [v[b:b + _SCAN_BLOCK] for b in range(0, _ZERO_SAMPLES, _SCAN_BLOCK)]
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: ScriptedNormals(draws))
+        starts = []
+        gram_schmidt = hypersurface._gram_schmidt
+        monkeypatch.setattr(hypersurface, "_gram_schmidt",
+                            lambda a, b: starts.append((a, b)) or gram_schmidt(a, b))
+        zero_curvature_search(0.7)
+        assert np.array_equal(starts[0][0], u[want])
+        assert np.array_equal(starts[0][1], v[want])
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -919,7 +955,7 @@ class TestScans:
             elif kind == "parallel":
                 v = lam * u
             w[r] = np.concatenate([u, v])
-        got = _plane_abs_curvature(model, w)
+        got = plane_abs_curvature(model, w)
         for r, (kind, _, _) in enumerate(rows):
             # the scalar evaluation, one plane at a time, on an orthonormal basis
             u, v = w[r, :7], w[r, 7:]
@@ -940,20 +976,20 @@ class TestScans:
     @pytest.mark.parametrize("alpha", [0.0, 0.7, math.pi / 2])
     def test_abs_curvature_ignores_the_basis_of_the_plane(self, alpha):
         model = HypersurfaceModel.from_angle(alpha)
-        pairs = _gram_schmidt(*_sample_planes(np.random.default_rng(5), 200)[:2])
+        pairs = _gram_schmidt(*_sample_planes(np.random.default_rng(5), 200, model)[:2])
         w = np.concatenate(pairs, axis=1)
-        base = _plane_abs_curvature(model, w)
+        base = plane_abs_curvature(model, w)
         assert np.all(np.isfinite(base))
         for scale in (4.0, 0.125):  # exact in binary
             scaled = w.copy()
             scaled[:, :7] *= scale
-            assert np.array_equal(_plane_abs_curvature(model, scaled), base)
+            assert np.array_equal(plane_abs_curvature(model, scaled), base)
         for scale, lam in ((3.7, 0.0), (1e-3, 0.0), (1e3, 0.0), (1.0, 0.3), (1.0, -2.5),
                            (1.0, 10.0), (2.9, 1.7)):
             moved = w.copy()
             moved[:, 7:] += lam * moved[:, :7]
             moved[:, :7] *= scale
-            got = _plane_abs_curvature(model, moved)
+            got = plane_abs_curvature(model, moved)
             assert np.max(np.abs(got - base)) <= 1e-14 * (1.0 + abs(lam))
 
     def test_abs_curvature_is_inf_exactly_on_degenerate_rows(self):
@@ -962,7 +998,7 @@ class TestScans:
         u, e = np.eye(7)[0] * 3.0, np.eye(7)[2]
         rows = [(0 * u, e), (u, 0 * e), (u, -2.0 * u), (u, u + 1e-7 * e), (u, u + 1e-5 * e),
                 (u, e)]
-        got = _plane_abs_curvature(model, np.array([np.concatenate(r) for r in rows]))
+        got = plane_abs_curvature(model, np.array([np.concatenate(r) for r in rows]))
         assert list(got[:4]) == [math.inf] * 4
         want = abs(gauss_sectional(model, TangentVector.from_coeffs(u),
                                    TangentVector.from_coeffs(e)))
@@ -974,12 +1010,12 @@ class TestScans:
         model = HypersurfaceModel.from_angle(alpha)
         rng = np.random.default_rng(12)
         u, v = rng.standard_normal((2, 500, 7))
-        num, den = _plane_terms(model, u, v)
+        k = _sectional_rows(model, u, v, math.nan)
         want = np.array([model.algebra.sectional(x, y) for x, y in zip(u, v)])
-        assert np.max(np.abs(num / den - want)) <= 1e-14 * np.max(np.abs(want))
+        assert np.max(np.abs(k - want)) <= 1e-14 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("alpha", [0.0, math.pi / 6, math.pi / 3, 1.2, math.pi / 2])
-    def test_plane_terms_match_the_curvature_tensor(self, alpha):
+    def test_kernel_is_the_row_major_contraction_of_the_curvature_tensor(self, alpha):
         model = HypersurfaceModel.from_angle(alpha)
         rng = np.random.default_rng(11)
         u, v = rng.standard_normal((2, 500, 7))
@@ -990,6 +1026,12 @@ class TestScans:
         gram = np.einsum("...i,...i->...", u, u) * np.einsum("...i,...i->...", v, v)
         assert np.allclose(den, gram - np.einsum("...i,...i->...", u, v) ** 2,
                            rtol=1e-14, atol=0)
+        # bit for bit the row-major reference, for one row and for every block size
+        one = _sectional_rows(model, u[0], v[0], math.nan)
+        assert one.shape == () and one == np.divide(*_plane_terms(model, u[0], v[0]))
+        for n in (1, 2, 3, 27, 28, 100, 500):
+            got = _sectional_rows(model, u[:n], v[:n], math.nan)
+            assert np.array_equal(got, np.divide(*_plane_terms(model, u[:n], v[:n])))
 
     @pytest.mark.parametrize("alpha", [0.0, 0.7, math.pi / 2])
     def test_bivector_form_is_the_curvature_operator(self, alpha):
@@ -1004,11 +1046,14 @@ class TestScans:
             for q, (l, k) in enumerate(pairs):
                 assert form[p, q] == model._curvature_tensor[i, j, k, l]
 
-    def test_gauss_numerator_zero_for_parallel(self):
+    @pytest.mark.parametrize("fill", [-math.inf, math.inf, math.nan])
+    def test_parallel_plane_gets_the_fill(self, fill):
         model = HypersurfaceModel.from_angle(0.4)
-        v = TangentVector(a=1, t=0.5)
-        num, _ = _plane_terms(model, v.coeffs(), v.coeffs())
-        assert num == pytest.approx(0.0, abs=1e-13)
+        v = TangentVector(a=1, t=0.5).coeffs()
+        rows = np.array([v, -3.0 * v, TangentVector(b=1).coeffs()])
+        got = _sectional_rows(model, np.array([v, v, v]), rows, fill)
+        assert np.array_equal(got[:2], [fill, fill], equal_nan=True)
+        assert np.isfinite(got[2])
 
 
 class TestAlgebraConstruction:

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from solvgeom.engine import MetricLieAlgebra
+from solvgeom.engine import DEGENERATE_PLANE_TOL, MetricLieAlgebra
 from solvgeom.hypersurface import (
     AMBIENT_BASIS,
     HypersurfaceModel,
@@ -60,12 +60,46 @@ def test_ricci_gauss_vs_koszul(alpha):
 def test_sectional_gauss_vs_koszul(alpha):
     model = HypersurfaceModel.from_angle(alpha)
     alg = build_hypersurface_algebra(alpha)
-    u, v = _gram_schmidt(*_sample_planes(np.random.default_rng(3), 50)[:2])
+    u, v = _gram_schmidt(*_sample_planes(np.random.default_rng(3), 50, model)[:2])
     for a, b in zip(u, v):
         ks = gauss_sectional(
             model, TangentVector.from_coeffs(a), TangentVector.from_coeffs(b)
         )
         assert ks == pytest.approx(alg.sectional(a, b), abs=1e-10)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.7, math.pi / 2])
+@pytest.mark.parametrize("ratio", [0.5, 0.9, 1.1, 2.0])
+def test_both_pipelines_refuse_at_the_same_bound(alpha, ratio):
+    # u, v at the angle whose sin^2 = w . w / (|u|^2 |v|^2) is ratio * the bound
+    model = HypersurfaceModel.from_angle(alpha)
+    alg = build_hypersurface_algebra(alpha)
+    sin = math.sqrt(ratio * DEGENERATE_PLANE_TOL)
+    a, b = _gram_schmidt(*np.random.default_rng(4).standard_normal((2, 20, 7)))
+    for u, v in zip(3.0 * a, 0.5 * (math.sqrt(1.0 - sin**2) * a + sin * b)):
+        refused = []
+        for sectional in (lambda: gauss_sectional(model, TangentVector.from_coeffs(u),
+                                                  TangentVector.from_coeffs(v)),
+                          lambda: alg.sectional(u, v)):
+            try:
+                sectional()
+                refused.append(False)
+            except ValueError as exc:
+                assert str(exc).startswith("degenerate plane")
+                refused.append(True)
+        assert refused == [ratio < 1.0] * 2
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_both_pipelines_refuse_a_plane_that_is_not_finite(bad):
+    model = HypersurfaceModel.from_angle(0.7)
+    u, v = np.eye(7)[:2]
+    u[3] = bad
+    with np.errstate(invalid="ignore"):  # inf * 0 in the products is nan, refused
+        with pytest.raises(ValueError, match="^degenerate plane"):
+            gauss_sectional(model, TangentVector.from_coeffs(u), TangentVector.from_coeffs(v))
+        with pytest.raises(ValueError, match="^degenerate plane"):
+            build_hypersurface_algebra(0.7).sectional(u, v)
 
 
 def test_ambient_koszul_vs_nested_bracket():
