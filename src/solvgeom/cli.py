@@ -131,8 +131,6 @@ def _angles(args) -> np.ndarray:
     if args.steps > MAX_STEPS:
         raise ValueError(f"--steps must be at most {MAX_STEPS}, got {args.steps}")
     start = _endpoint(args, "--alpha-start", args.alpha_start)
-    if args.steps == 1:
-        return np.array([start])
     return np.linspace(start, _endpoint(args, "--alpha-end", args.alpha_end), args.steps)
 
 

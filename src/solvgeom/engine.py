@@ -14,7 +14,7 @@ the curvature tensor R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z
 - nabla_[X,Y] Z, and from those sectional curvature, Ricci curvature and an
 Einstein test; the Ricci form, the metric-free trace Ric(Y, Z) = tr(X -> R(X, Y) Z)
 (Milnor, Adv. Math. 21, 1976), is contracted from the connection without forming
-the curvature tensor, and Gram-orthonormal frames come from a Cholesky factor.
+the curvature tensor; a cached Gram inverse serves the connection and the Ricci frame.
 It also exposes two extras used by the hypersurface model:
 
 * trace_form_vector: the metric dual of X -> tr(ad X), i.e. the solution h
@@ -110,7 +110,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 def _finite(name: str, a: np.ndarray) -> np.ndarray:
     """``a`` made read-only; ValueError naming it if an entry overflowed."""
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} overflows the float range for this structure and gram matrix")
     return _read_only(a)
 
@@ -167,9 +167,9 @@ class MetricLieAlgebra:
         n = c.shape[0]
         if g.shape != (n, n):
             raise ValueError(f"gram matrix must be {n}*{n}, got {g.shape}")
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise ValueError("structure constants are not all finite")
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise ValueError("gram matrix entries are not all finite")
         anti = float(np.max(np.abs(c + np.swapaxes(c, 0, 1))))
         if not anti <= ANTISYMMETRY_TOL:
@@ -267,6 +267,11 @@ class MetricLieAlgebra:
         return _read_only(np.linalg.inv(self._gram))
 
     @cached_property
+    def _frame(self) -> np.ndarray:
+        """Rows F with F g F^T = I: the transposed Cholesky factor of ``_gram_inv``."""
+        return _read_only(np.linalg.cholesky(self._gram_inv).T)
+
+    @cached_property
     def _connection(self) -> np.ndarray:
         """Gamma[i, j, :] = coefficients of nabla_{e_i} e_j (Koszul formula)."""
         c, g = self._structure, self._gram
@@ -292,10 +297,11 @@ class MetricLieAlgebra:
     def _ricci_form(self) -> np.ndarray:
         """Ric[j, k] = sum_i R_ijk^i, symmetrised, contracted from the connection
         without the curvature tensor; refused if the symmetrising sum overflows."""
-        c, gam = self._structure, self._connection
-        with np.errstate(over="ignore", invalid="ignore"):
-            ric = (gam @ np.einsum("imi->m", gam) - np.einsum("ikm,jmi->jk", gam, gam)
-                   - np.einsum("ijm,mki->jk", c, gam))
+        c, gam, n = self._structure, self._connection, self.dim
+        p = gam.transpose(2, 0, 1).reshape(n * n, n)  # p[(a, b), k] = Gamma[b, k, a]
+        with np.errstate(over="ignore", invalid="ignore"):  # the last two sums over (a, b) at once
+            ric = (gam @ np.trace(gam, axis1=0, axis2=2)
+                   - (gam + c.transpose(1, 0, 2)).reshape(n, n * n) @ p)
             return _finite("Ricci form", 0.5 * (ric + ric.T))
 
     @cached_property
@@ -345,10 +351,9 @@ class MetricLieAlgebra:
         return ric if rows is v else float(ric[0])
 
     def ricci_matrix(self) -> np.ndarray:
-        """Matrix of the Ricci form in a gram-orthonormal basis."""
-        frame = self._subspace_orthonormal(range(self.dim))
+        """Matrix of the Ricci form in the gram-orthonormal basis ``_frame``."""
         with np.errstate(over="ignore", invalid="ignore"):
-            ric = frame @ self._ricci_form @ frame.T
+            ric = self._frame @ self._ricci_form @ self._frame.T
         return _finite("Ricci form in a gram-orthonormal basis", ric)
 
     def einstein_check(self, tol: float) -> tuple[bool, float]:
@@ -385,13 +390,11 @@ class MetricLieAlgebra:
 
     def _j_matrices(self, zs, vi) -> np.ndarray:
         """(m, |v|, |v|) matrices of J_z on the v block, one per row of ``zs``:
-        <J_z u, u'> = <z, [u, u']> for u, u' in v.
-
-        Column q solves g_vv J e_q = (<z, [e_q, e_p]>)_p over p in v.
-        """
-        g, c = self._gram, self._structure
-        rhs = np.einsum("qpk,mk->mpq", c[vi][:, vi], zs @ g)
-        return np.linalg.solve(g[np.ix_(vi, vi)], rhs)
+        <J_z u, u'> = <z, [u, u']> for u, u' in v.  So g_vv J_z = sum_k (g z)_k C_k for
+        C_k[p, q] = c[q, p, k]: one solve gives every g_vv^-1 C_k, one product every J_z."""
+        g, c, nv = self._gram, self._structure, len(vi)
+        j_k = np.linalg.solve(g[np.ix_(vi, vi)], c[vi][:, vi].transpose(1, 0, 2).reshape(nv, -1))
+        return ((zs @ g) @ j_k.reshape(nv * nv, -1).T).reshape(len(zs), nv, nv)
 
     def damek_ricci_check(
         self,
@@ -406,7 +409,7 @@ class MetricLieAlgebra:
 
         Axiom 4 is tested on a Gram-orthonormal frame of z plus ``n_random``
         random unit vectors of z drawn from ``seed``; J_z is built for all of
-        them in one stacked solve.  Both blocks must be nonempty.
+        them from one solve.  Both blocks must be nonempty.
         """
         vi, zi = list(v_indices), list(z_indices)
         _check_partition(self.dim, (("v_indices", vi), ("z_indices", zi), ("a_index", [a_index])))
@@ -451,11 +454,10 @@ class MetricLieAlgebra:
         checks = (axiom_1, axiom_2, axiom_3, axiom_4, axiom_5)
         return DamekRicciReport(*checks, overall=all(ch.passed for ch in checks))
 
-    def _subspace_orthonormal(self, indices) -> np.ndarray:
-        """Gram-orthonormal rows spanning the given coordinate subspace: on those
-        coordinates the inverse Cholesky factor of their Gram block, the unique
+    def _subspace_orthonormal(self, idx) -> np.ndarray:
+        """Gram-orthonormal rows spanning the coordinate subspace of the indices ``idx``:
+        on those coordinates the inverse Cholesky factor of their Gram block, the unique
         lower-triangular frame with positive diagonal (that of Gram-Schmidt)."""
-        idx = list(indices)
         frame = np.zeros((len(idx), self.dim))
         frame[:, idx] = np.tril(np.linalg.inv(np.linalg.cholesky(self._gram[np.ix_(idx, idx)])))
         return frame
@@ -464,17 +466,35 @@ class MetricLieAlgebra:
 # -- JSON interchange -------------------------------------------------------
 
 
-def _format_fault(entry) -> str | None:
-    """The message of the first format rule a structure entry breaks, if any."""
-    if not (isinstance(entry, list) and len(entry) == 4):
-        return f"structure entries must be [i, j, k, value], got {entry!r}"
-    if not all(isinstance(m, int) and not isinstance(m, bool) for m in entry[:3]):
-        return f"structure indices must be integers, got {entry!r}"
-    if isinstance(entry[3], bool) or not isinstance(entry[3], (int, float)):
-        return f"structure value must be a number, got {entry!r}"
-    if isinstance(entry[3], int) and abs(entry[3]) >= 2**1024 - 2**970:  # float() overflows
-        return f"structure value is an integer too large for a float, got {entry!r}"
-    return None
+def _structure_entries(entries: list, n: int):
+    """((i, j, k), value) arrays of the structure entries, checked as ``load_algebra_json`` says."""
+    if set(map(type, entries)) == {list} and set(map(len, entries)) == {4}:
+        i, j, k, val = zip(*entries)
+        if (set(map(type, i + j + k)) == {int} and set(map(type, val)) == {float}
+                and set(i + j + k) <= set(range(n))):
+            i, j, k = idx = np.array(i + j + k, dtype=np.intp).reshape(3, -1)
+            if (i < j).all() and np.bincount((i * n + j) * n + k).max() < 2:
+                return idx, np.array(val)
+    seen = set()  # not plain: read one entry at a time, to name the first fault
+    for e in entries:
+        if not (isinstance(e, list) and len(e) == 4):
+            raise ValueError(f"structure entries must be [i, j, k, value], got {e!r}")
+        if not all(isinstance(m, int) and not isinstance(m, bool) for m in e[:3]):
+            raise ValueError(f"structure indices must be integers, got {e!r}")
+        if isinstance(e[3], bool) or not isinstance(e[3], (int, float)):
+            raise ValueError(f"structure value must be a number, got {e!r}")
+        if isinstance(e[3], int) and abs(e[3]) >= 2**1024 - 2**970:  # float() overflows
+            raise ValueError(f"structure value is an integer too large for a float, got {e!r}")
+        i, j, k = key = tuple(e[:3])
+        if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
+            raise ValueError(f"structure index out of range in {e!r}")
+        if i >= j:
+            raise ValueError(f"structure entries must have i < j, got {e!r}")
+        if key in seen:
+            raise ValueError(f"duplicate structure entry for indices ({i}, {j}, {k})")
+        seen.add(key)
+    idx = np.array([e[:3] for e in entries], dtype=np.intp).reshape(-1, 3).T
+    return idx, np.array([e[3] for e in entries], dtype=float)
 
 
 def load_algebra_json(source) -> MetricLieAlgebra:
@@ -530,27 +550,7 @@ def load_algebra_json(source) -> MetricLieAlgebra:
     entries = doc.get("structure")
     if not isinstance(entries, list):
         raise ValueError("missing or invalid 'structure'")
-    # one cheap pass over the types; only a document that fails it is read entry by entry
-    plain = set(map(type, entries)) == {list} and set(map(len, entries)) == {4}
-    i, j, k, val = list(zip(*entries)) if plain else [()] * 4
-    p = len(entries)  # the first entry of a bad shape or type
-    if not (plain and set(map(type, i + j + k)) == {int} and set(map(type, val)) == {float}):
-        p = next((q for q, e in enumerate(entries) if _format_fault(e)), p)
-        i, j, k, val = list(zip(*entries[:p])) or [()] * 4
-    r = p if set(i + j + k) <= set(range(n)) else next(  # the first out of range before p
-        q for q in range(p) if not {i[q], j[q], k[q]} <= set(range(n)))
-    i, j, k = np.array([i[:r], j[:r], k[:r]], dtype=np.intp)
-    bad = np.ones(r, dtype=bool)  # a repeat: all but the first entry of each linear key
-    bad[np.unique((i * n + j) * n + k, return_index=True)[1]] = False
-    q = int(np.argmax(np.append(bad | (i >= j), True)))  # the first bad entry before r, else r
-    if q < r:
-        iq, jq, kq = entries[q][:3]
-        raise ValueError(f"structure entries must have i < j, got {entries[q]!r}" if iq >= jq
-                         else f"duplicate structure entry for indices ({iq}, {jq}, {kq})")
-    if r < len(entries):  # an entry out of range, else one of a bad shape or type
-        raise ValueError(f"structure index out of range in {entries[r]!r}" if r < p
-                         else _format_fault(entries[p]))
-    val = np.array(val, dtype=float)
+    (i, j, k), val = _structure_entries(entries, n)
     c = np.zeros((n, n, n))
     c[i, j, k], c[j, i, k] = val, -val
     return MetricLieAlgebra(c, gram, labels=labels)

@@ -603,9 +603,11 @@ def foliation_residual_many(alpha: float, xyz, t, s, q_s=0.0) -> np.ndarray:
 
 
 def volume_distortion(alpha: float, s: float) -> float:
-    """Leafwise volume factor exp(-4 s sin alpha) of the time-s flow."""
+    """Leafwise volume factor exp(-s tr ad T) of the time-s flow, which conjugates by exp(-s T)."""
+    model = HypersurfaceModel.from_angle(alpha)
+    tr_ad = float(np.real(np.vdot(model.basis, bracket(model.normal, model.basis))))
     try:
-        return math.exp(-4.0 * float(s) * math.sin(alpha))
+        return math.exp(-float(s) * tr_ad)
     except OverflowError:
         raise ValueError(f"flow time s = {s!r} overflows the float range") from None
 

@@ -168,6 +168,14 @@ class TestSweep:
         rc, out, err = run_cli(capsys, "sweep", "--steps", "3", "--samples", "2", *args)
         assert (rc, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("end", ["5", "nan"])
+    def test_one_step_sweep_still_checks_the_end(self, capsys, end):
+        # one step evaluates --alpha-start alone, but a bad --alpha-end is still refused
+        rc, out, err = run_cli(capsys, "sweep", "--steps", "1", "--samples", "2",
+                               "--alpha-end", end)
+        assert (rc, out, err) == (
+            2, "", f"error: --alpha-end must lie in [0, pi/2], got {float(end)!r}\n")
+
     def test_negative_samples_rejected(self, capsys):
         rc, out, err = run_cli(capsys, "sweep", "--steps", "2", "--samples", "-1")
         assert (rc, out) == (2, "")

@@ -335,7 +335,8 @@ class TestConnectionAndCurvature:
         assert type(alg.ricci(rows[0])) is float
 
     @pytest.mark.parametrize(
-        "attr", ["structure", "gram", "_gram_inv", "_connection", "_riemann", "_ricci_form"]
+        "attr",
+        ["structure", "gram", "_gram_inv", "_frame", "_connection", "_riemann", "_ricci_form"],
     )
     def test_cached_tensors_are_read_only(self, attr):
         # hypersurface algebras are shared by every caller of one angle
@@ -842,6 +843,9 @@ def test_subspace_frame_matches_the_per_row_loop(n):
         a = rng.standard_normal((n, n))
         g = a @ a.T + 0.1 * np.eye(n)
         alg = MetricLieAlgebra(np.zeros((n, n, n)), 0.5 * (g + g.T))
+        f = alg._frame  # the Ricci matrix's frame, read off the cached inverse: upper triangular
+        assert not np.any(np.tril(f, -1)) and np.all(np.diag(f) > 0)
+        assert np.max(np.abs(f @ alg.gram @ f.T - np.eye(n))) <= 1e-13
         subsets = [range(n)] + [rng.permutation(n)[:rng.integers(1, n + 1)] for _ in range(3)]
         for indices in subsets:
             idx = list(indices)

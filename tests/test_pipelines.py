@@ -7,11 +7,13 @@ tests pin the three against each other and check that the Koszul route is
 basis independent.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from solvgeom.cli import main
 from solvgeom.engine import DEGENERATE_PLANE_TOL, MetricLieAlgebra
 from solvgeom.hypersurface import (
     AMBIENT_BASIS,
@@ -221,6 +223,51 @@ def test_koszul_ricci_basis_independent():
     op_straight = np.sort(np.linalg.eigvalsh(straight.ricci_matrix()))
     op_crooked = np.sort(np.linalg.eigvalsh(crooked.ricci_matrix()))
     assert np.max(np.abs(op_straight - op_crooked)) <= 1e-9
+
+
+def _rebased_hypersurface(alpha, rng):
+    """The tangent algebra at alpha as a JSON document in the basis
+    f_a = sum_i P[a, i] e_i, and P: P = Q1 diag(d) Q2 with Q1, Q2 random
+    orthogonal and d in [0.7, 1.4], the re-basing of the generated files that
+    the benchmark's checks feed the engine."""
+    alg = build_hypersurface_algebra(alpha)
+    n = alg.dim
+    q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    p = q1 @ np.diag(rng.uniform(0.7, 1.4, n)) @ q2
+    c = np.einsum("ai,bj,ijk,kc->abc", p, p, alg.structure, np.linalg.inv(p))
+    gram = p @ alg.gram @ p.T
+    doc = {
+        "dim": n,
+        "structure": [[a, b, k, float(c[a, b, k])]
+                      for a in range(n) for b in range(a + 1, n) for k in range(n)],
+        "gram": (0.5 * (gram + gram.T)).tolist(),
+    }
+    return doc, p
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_rebased_hypersurface_file_matches_the_gauss_ricci_form(tmp_path, capsys, seed):
+    """einstein --file and ricci --file on a re-based hypersurface algebra give
+    the Gauss tensor's Ricci form pulled back by the re-basing."""
+    rng = np.random.default_rng(seed)
+    alpha = float(rng.uniform(0.1, math.pi / 2))
+    doc, p = _rebased_hypersurface(alpha, rng)
+    path = tmp_path / "rebased.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    ric = np.einsum("ijki->jk", HypersurfaceModel.from_angle(alpha)._curvature_tensor)
+    pulled = p @ ric @ p.T  # the Ricci form in the basis f
+    gram = np.array(doc["gram"])
+
+    assert main(["algebra", "einstein", "--file", str(path)]) == 0
+    constant = json.loads(capsys.readouterr().out)["constant"]
+    assert constant == pytest.approx(np.trace(np.linalg.solve(gram, pulled)) / 7, abs=1e-12)
+    for x in rng.standard_normal((3, 7)):
+        argv = ["algebra", "ricci", "--file", str(path),
+                "--vector=" + ",".join(repr(float(v)) for v in x)]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["ricci"] == pytest.approx(
+            x @ pulled @ x, abs=1e-12)
 
 
 def test_j_operator_frozen_maps():
