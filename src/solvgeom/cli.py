@@ -135,6 +135,8 @@ def _angles(args) -> np.ndarray:
 
 
 def _check_samples(args) -> None:
+    if args.samples < 0:
+        raise ValueError(f"--samples must be nonnegative, got {args.samples}")
     if args.samples > MAX_SAMPLES:
         raise ValueError(f"--samples must be at most {MAX_SAMPLES}, got {args.samples}")
 
@@ -174,8 +176,6 @@ def _worst(residual: np.ndarray) -> tuple[float, str]:
 
 
 def _cmd_verify(args) -> int:
-    if args.samples < 0:
-        raise ValueError(f"--samples must be nonnegative, got {args.samples}")
     _check_samples(args)
     alpha = _endpoint(args, "--alpha", args.alpha)
     model = HypersurfaceModel.from_angle(alpha)

@@ -108,6 +108,13 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _binary_scaled(x: np.ndarray) -> np.ndarray:
+    """x times the power of two that puts its largest |entry| in [0.5, 1): exact short
+    of subnormals, so a sectional curvature keeps its bits and no Gram term of a tiny
+    or huge x under- or overflows.  Zero and non-finite x pass unchanged."""
+    return np.ldexp(x, -np.frexp(np.max(np.abs(x)))[1])
+
+
 def _finite(name: str, a: np.ndarray) -> np.ndarray:
     """``a`` made read-only; ValueError naming it if an entry overflowed."""
     if not np.isfinite(a).all():
@@ -331,9 +338,10 @@ class MetricLieAlgebra:
         """Sectional curvature of span{x, y}; raises on a degenerate plane,
         one whose Gram determinant is at most DEGENERATE_PLANE_TOL |x|^2 |y|^2
         or not a number."""
-        x, y = self._vec(x), self._vec(y)
-        xx, yy = self.inner(x, x), self.inner(y, y)
-        den = xx * yy - self.inner(x, y) ** 2
+        x, y = _binary_scaled(self._vec(x)), _binary_scaled(self._vec(y))
+        with np.errstate(invalid="ignore"):  # inf * 0 of a non-finite entry, refused below
+            xx, yy = self.inner(x, x), self.inner(y, y)
+            den = xx * yy - self.inner(x, y) ** 2
         if not den > DEGENERATE_PLANE_TOL * xx * yy:
             raise ValueError(f"degenerate plane (gram determinant {den:.3e})")
         return self.curvature_inner(x, y, y, x) / den

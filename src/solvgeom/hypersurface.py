@@ -37,12 +37,11 @@ Since w R w / w . w does not change when u, v are replaced by another basis
 of their plane, one kernel, ``_sectional_rows``, reads K off the wedges of
 raw pairs for ``gauss_sectional`` and the sampled-plane queries
 (``nonpositivity_scan``, ``zero_curvature_search``), which orthonormalise
-only the planes they return or start a descent from.  Both queries draw one
-stream: for n planes, the n rows of u in one draw, then the rows of v 768 at
-a time.  A degenerate pair (``DEGENERATE_PLANE_TOL``; about 1e-36 likely)
-keeps K = -inf, so it is never a scan extreme nor a descent start.  The scan
-draws 20000 planes at a time and holds one draw of u (1.1 MB) and one block
-of v with its wedges, so its memory does not grow with the samples.
+only the planes they return or start a descent from.  Both read one stream,
+``_plane_blocks``: plane r is row r of one standard-normal (n, 2, 7) draw,
+made and contracted 768 planes at a time, so the scan's memory does not grow
+with the samples.  A degenerate pair (``DEGENERATE_PLANE_TOL``; about 1e-36
+likely) keeps K = -inf, so it is never a scan extreme nor a descent start.
 
 A closed form of the Ricci curvature, its extremes over the unit sphere, the
 Cheeger constant and the shape spectrum make the family's regime changes at
@@ -61,7 +60,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .engine import DEGENERATE_PLANE_TOL, MetricLieAlgebra, _read_only
+from .engine import DEGENERATE_PLANE_TOL, MetricLieAlgebra, _binary_scaled, _read_only
 from .matrices import bracket, hermitian_part, inner_ambient, solvable_parts
 
 __all__ = [
@@ -304,7 +303,9 @@ def gauss_sectional(
 ) -> float:
     """Sectional curvature of span{X1, X2}; raises on a degenerate plane,
     one whose Gram determinant is at most DEGENERATE_PLANE_TOL |X1|^2 |X2|^2."""
-    k = float(_sectional_rows(model, x1.coeffs(), x2.coeffs(), math.nan))
+    u, v = _binary_scaled(x1.coeffs()), _binary_scaled(x2.coeffs())
+    with np.errstate(invalid="ignore"):  # inf - inf of a non-finite coefficient, refused below
+        k = float(_sectional_rows(model, u, v, math.nan))
     if math.isnan(k):
         raise ValueError(f"degenerate plane: gram determinant at most {DEGENERATE_PLANE_TOL:g}"
                          " |X1|^2 |X2|^2, or a coefficient not finite")
@@ -629,38 +630,21 @@ def random_unit_tangents(rng: np.random.Generator, n: int) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-# Rows per block of the plane stream: one draw of v, its wedges and their K.
+# Planes per block of the plane stream: one draw, its wedges and their K.
 _SCAN_BLOCK = 768
 
 
-def _gaussian_planes(
+def _plane_blocks(
     rng: np.random.Generator, n: int, model: HypersurfaceModel
-) -> tuple[np.ndarray, Iterator[tuple[np.ndarray, np.ndarray]]]:
-    """n random planes span{u, v}: u (n, 7) and the blocks (v, k) in row order.
-
-    The stream: all n rows of u in one draw, made here, then v _SCAN_BLOCK
-    rows at a time as the blocks are read (chunked draws repeat the one-shot
-    draw bit for bit).  u and v are the raw Gaussian rows, and k is the
-    sectional curvature of their planes under ``model``: -inf on a degenerate
-    plane, which is thus never a scan extreme nor a descent start.
-    """
-    u = rng.standard_normal((n, 7))
-
-    def blocks():
-        for b in range(0, n, _SCAN_BLOCK):
-            v = rng.standard_normal((min(_SCAN_BLOCK, n - b), 7))
-            yield v, _sectional_rows(model, u[b:b + _SCAN_BLOCK], v, -math.inf)
-
-    return u, blocks()
-
-
-def _sample_planes(
-    rng: np.random.Generator, n: int, model: HypersurfaceModel
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every plane of ``_gaussian_planes`` at once: u, v (n, 7) and k (n,)."""
-    u, blocks = _gaussian_planes(rng, n, model)
-    v, k = zip(*blocks, (np.empty((0, 7)), np.empty(0)))
-    return u, np.concatenate(v), np.concatenate(k)
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """n random planes span{u, v} in blocks (u, v, k) of _SCAN_BLOCK rows: plane
+    r is row r of one standard-normal (n, 2, 7) draw, made a block at a time
+    (chunked draws repeat the one-shot draw bit for bit), and k its sectional
+    curvature under ``model``, -inf on a degenerate plane, which is thus never
+    a scan extreme nor a descent start."""
+    for b in range(0, n, _SCAN_BLOCK):
+        u, v = rng.standard_normal((min(_SCAN_BLOCK, n - b), 2, 7)).transpose(1, 0, 2)
+        yield u, v, _sectional_rows(model, u, v, -math.inf)
 
 
 def _gram_schmidt(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -687,30 +671,23 @@ def nonpositivity_scan(alpha: float, samples: int, seed: int = 0) -> PlaneScan:
     The reference plane is always appended to the sample set as a
     deterministic witness, so for alpha > 0 the scan reports positive
     curvature no matter the seed.  Also tracks the plane of smallest |K|.
-    Planes come from ``_gaussian_planes``, 20000 per draw of u and
-    _SCAN_BLOCK per draw of v, so memory does not grow with ``samples``;
-    K is read off the raw wedges, and only the two planes returned are
-    orthonormalised.
+    Planes come from ``_plane_blocks`` a block at a time, so memory does not
+    grow with ``samples``; K is read off the raw wedges, and only the two
+    planes returned are orthonormalised.
     """
     alpha = _validate_alpha(alpha)
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
     model = HypersurfaceModel.from_angle(alpha)
-    rng = np.random.default_rng(seed)
     best_max, best_min = -math.inf, math.inf
     arg_max = arg_min = None
-    chunk = 20000
-    for done in range(0, samples, chunk):
-        u, blocks = _gaussian_planes(rng, min(chunk, samples - done), model)
-        for b, (v, k) in enumerate(blocks):
-            r = b * _SCAN_BLOCK  # the row of u of the block's first v
-            i = int(np.argmax(k))
-            if k[i] > best_max:  # copies, so no row keeps its chunk alive
-                best_max, arg_max = float(k[i]), (u[r + i].copy(), v[i].copy())
-            j = int(np.argmin(np.abs(k)))
-            if abs(k[j]) < best_min:
-                best_min, arg_min = abs(float(k[j])), (u[r + j].copy(), v[j].copy())
-        del u, v  # free this chunk's u before the next one is drawn
+    for u, v, k in _plane_blocks(np.random.default_rng(seed), samples, model):
+        i = int(np.argmax(k))
+        if k[i] > best_max:
+            best_max, arg_max = float(k[i]), (u[i], v[i])
+        j = int(np.argmin(np.abs(k)))
+        if abs(k[j]) < best_min:
+            best_min, arg_min = abs(float(k[j])), (u[j], v[j])
     s1, s2 = reference_plane()
     ref = (s1.coeffs(), s2.coeffs())
     k_ref = gauss_sectional(model, s1, s2)
@@ -740,7 +717,7 @@ def zero_curvature_search(
 ) -> tuple[float, tuple[TangentVector, TangentVector]]:
     """Search for a plane of (near) zero sectional curvature.
 
-    Samples _ZERO_SAMPLES random planes from ``_gaussian_planes``, then runs
+    Samples _ZERO_SAMPLES random planes from ``_plane_blocks``, then runs
     derivative-free coordinate descent on the fourteen spanning coordinates
     of the _ZERO_STARTS best, orthonormalised, minimising |K| with a
     shrinking step.  A sweep tries the moves +e0, -e0, +e1, ..., -e13 of the
@@ -753,7 +730,8 @@ def zero_curvature_search(
     """
     alpha = _validate_alpha(alpha)
     model = HypersurfaceModel.from_angle(alpha)
-    u, v, k = _sample_planes(np.random.default_rng(seed), _ZERO_SAMPLES, model)
+    blocks = _plane_blocks(np.random.default_rng(seed), _ZERO_SAMPLES, model)
+    u, v, k = (np.concatenate(x) for x in zip(*blocks))
     order = np.argsort(np.abs(k))[:_ZERO_STARTS]
     # |K| of the planes spanned by the halves of rows (..., 14); inf if degenerate
     abs_k = lambda w: np.abs(_sectional_rows(model, w[..., :7], w[..., 7:], math.inf))
@@ -783,8 +761,5 @@ def zero_curvature_search(
             best_val, best_w = val, w
         if best_val <= _ZERO_TARGET:
             break
-    uu, vv = best_w[:7], best_w[7:]
-    uu = uu / np.linalg.norm(uu)
-    vv = vv - (uu @ vv) * uu
-    vv = vv / np.linalg.norm(vv)
+    uu, vv = _gram_schmidt(best_w[:7], best_w[7:])
     return float(best_val), (TangentVector.from_coeffs(uu), TangentVector.from_coeffs(vv))

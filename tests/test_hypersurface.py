@@ -26,10 +26,9 @@ from solvgeom.hypersurface import (
     _ZERO_STARTS,
     _ZERO_TARGET,
     _abelian_diagonals,
-    _gaussian_planes,
     _gram_schmidt,
     _model_at,
-    _sample_planes,
+    _plane_blocks,
     _sectional_rows,
     ambient_curvature,
     build_hypersurface_algebra,
@@ -711,36 +710,42 @@ class TestFlowAndFoliation:
 
 # zero_curvature_search(alpha, seed=seed): value and plane, exactly
 ZERO_SEARCH_PINS = [
-    (0.0, 1, 1.8580066001474516e-09, (
-        [-0.4751439092613849, -0.20540961487354734, 0.5897024509016877, -0.22571377107860938,
-         0.5518317247855911, 0.16979756498351675, 5.47827841110551e-05],
-        [-0.20541537335080323, 0.47518096004570565, -0.2257269178631837, -0.589675602592939,
-         -0.1697636131616337, 0.5518314393960178, -5.098630365512985e-07])),
-    (0.2, 8, 9.488704798687137e-09, (
-        [-0.06960250131243469, 0.21909202447085693, 0.82286711460188, -0.061124979382078955,
-         -0.1555586265118303, -0.43721154060312467, 0.22573260222623132],
-        [-0.20102650166479447, 0.30843266446076123, 0.11489764088369717, 0.658441679381095,
-         -0.2942465066973366, 0.5305211621836481, 0.22288340868476428])),
-    (0.7, 3, 5.760160922606361e-09, (
-        [0.23721200293598066, -0.06409282618899338, -0.1302018099601431, -0.3332128287415369,
-         -0.6390258014554573, 0.5686634579538273, 0.28267856551493187],
-        [0.1898760221992716, -0.20976195361480582, -0.5880853679448994, -0.04188357764782612,
-         -0.37810414732747644, -0.6513569097903384, -0.07155288103322922])),
-    (math.pi / 3, 4, 2.1262139755931525e-09, (
-        [-0.16164258388264277, 0.2871600620000344, -0.5255318351867373, 0.15560098065143846,
-         0.5051685955815928, -0.36117366528408995, 0.4531817212077594],
-        [-0.06327425334185315, 0.22735728491302243, -0.4786900711668042, 0.013697229332065892,
-         -0.12851658961682122, 0.8319163462758167, 0.07982427280164606])),
-    (1.2, 6, 7.7154340242815e-09, (
-        [-0.1720875334815546, 0.3540526117504801, 0.199958790932387, 0.6507763566888373,
-         -0.49633554437823013, -0.3432819602485498, 0.1317109243428155],
-        [0.15839459575320827, 0.3150675645907019, -0.23786689666848598, 0.021648107437856473,
-         -0.429348728302727, 0.5465648281677155, -0.579241606592233])),
-    (math.pi / 2, 2, 1.8550051046761178e-09, (
-        [-0.06202359094227623, 0.07180356588409607, -0.5592391109578438, 0.07586934275885228,
-         -0.15685355486353653, 0.802184681712283, -0.06625315426610676],
-        [-0.45555003369481684, 0.18693740240389026, 0.5506761464134092, 0.25066315116523474,
-         0.3715605471593875, 0.40552284720959414, 0.29823869800542346])),
+    (0.0, 1, 7.603089822596871e-09, (
+        [0.5133507478233876, 0.4028239086848564, -0.16161011714863477, 0.4633543657612096,
+         0.49943084363190493, -0.28975444710844106, 5.363077493302165e-05],
+        [0.4028000381350458, -0.5134240038045902, 0.463391670816513, 0.16158892741818115,
+         0.2898043689226101, 0.4993180618759181, -1.9678333689665686e-05])),
+    (0.2, 8, 3.0131810495506114e-09, (
+        [0.35932721542894613, 0.22935678113018107, -0.500110898470632, 0.1983334014008107,
+         0.1895776544579307, 0.6997782909775765, -0.05659528892139302],
+        [0.057397867885258726, -0.01745874305231472, 0.28365307346086804,
+         0.8348082217873836, -0.37071557983260245, 0.06528687020841223,
+         0.27810866087451713])),
+    (0.7, 3, 9.899135116647599e-09, (
+        [0.3995507131218031, -0.15283326197731595, -0.17605555104611018,
+         0.8330507743149479, -0.009842736857233518, 0.2598029465799165,
+         -0.15632537067251867],
+        [0.08695186667534398, -0.5481271519161128, -0.12159138336027245,
+         0.12672492846320507, 0.05620829831709872, -0.7301653910827638,
+         0.35334325390162075])),
+    (math.pi / 3, 4, 6.059920832042357e-09, (
+        [-0.15534179780966786, -0.08018134979459247, -0.0642768452038531,
+         -0.49157888740471734, 0.4157277778413953, -0.7226229528853116,
+         0.16924846918458658],
+        [-0.7559680409474033, 0.2997183104451425, -0.3208417991248942, 0.11052901575406363,
+         0.3616109672055285, 0.3012080255297545, 0.04512611011312771])),
+    (1.2, 6, 6.217589495826183e-09, (
+        [0.5811897054828495, -0.22423790316274422, 0.30225213384238386,
+         -0.04350268835377375, -0.03748033410272673, -0.7129510221347871,
+         0.09477930846004747],
+        [-0.03966023119288409, 0.5172969694704778, -0.38002657078535435,
+         0.2728439795382127, -0.00048084043394649485, -0.44703559829634204,
+         -0.5586822195251703])),
+    (math.pi / 2, 2, 8.971931716154171e-09, (
+        [0.5404303082921127, -0.1946108431157678, 0.7326682339008067, -0.16178629438295258,
+         -0.2679897324169737, 0.09687619403951701, 0.1608746777807635],
+        [0.1542381329098643, 0.3267211770484595, -0.24786185156315474,
+         -0.03973504771163195, -0.586946120333729, -0.587387342818268, 0.34193546272603176])),
 ]
 
 
@@ -796,15 +801,11 @@ class TestScans:
     def test_blocked_scan_matches_one_shot_contraction(self, samples):
         alpha, seed = 0.3, 4
         scan = nonpositivity_scan(alpha, samples, seed)
-        # the same raw draws, u then v for each 20000-plane chunk, each chunk
+        # the same raw draw made in one piece, plane r its row r, and
         # contracted in one piece
         model = HypersurfaceModel.from_angle(alpha)
-        rng = np.random.default_rng(seed)
-        chunks = [[rng.standard_normal((min(20000, samples - d), 7)) for _ in "uv"]
-                  for d in range(0, samples, 20000)]
-        u = np.concatenate([c[0] for c in chunks] + [np.empty((0, 7))])
-        v = np.concatenate([c[1] for c in chunks] + [np.empty((0, 7))])
-        k = np.concatenate([np.divide(*_plane_terms(model, *c)) for c in chunks] + [[]])
+        u, v = np.random.default_rng(seed).standard_normal((samples, 2, 7)).transpose(1, 0, 2)
+        k = np.divide(*_plane_terms(model, u, v))
         s1, s2 = reference_plane()
         k_ref = gauss_sectional(model, s1, s2)
         ref = (s1.coeffs(), s2.coeffs())
@@ -847,11 +848,12 @@ class TestScans:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            # one chunk at a time: the next chunk's u is drawn after the last is freed
-            assert peak <= 1.8e6
+            # one block at a time: a draw, its wedges and their K
+            assert peak <= 1.0e6
 
     def test_scan_high_water_mark(self):
-        # one chunk of u rows (1.12 MB) and one block of v rows and wedges
+        # one block of _SCAN_BLOCK planes, its wedges and their K, plus the
+        # blocks the two extremes so far are rows of
         nonpositivity_scan(0.7, samples=10)
         tracemalloc.start()
         try:
@@ -859,7 +861,7 @@ class TestScans:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.8e6
+        assert peak <= 1.0e6
 
     @pytest.mark.parametrize(
         "alpha, seed", [(0.0, 1), (0.2, 8), (0.7, 3), (math.pi / 3, 4), (1.2, 6), (1.5, 2)]
@@ -880,6 +882,9 @@ class TestScans:
         assert val == value
         assert x1.coeffs().tolist() == plane[0]
         assert x2.coeffs().tolist() == plane[1]
+        # each pin is a flat plane by the Koszul pipeline too
+        koszul = build_hypersurface_algebra(alpha).sectional(*plane)
+        assert value <= _ZERO_TARGET and abs(abs(koszul) - value) <= 1e-12
 
     def test_degenerate_rows_are_never_scan_extremes_nor_descent_starts(self, monkeypatch):
         model = HypersurfaceModel.from_angle(0.7)
@@ -891,10 +896,10 @@ class TestScans:
         u, v = gen.standard_normal((2, 3, 7))
         u[2] = x1
         v[1], v[2] = 2.0 * u[1], x1 + 1e-9 * x2  # exactly parallel; sin^2 about 1e-18
-        draws = [u, v]
+        draws = [np.stack([u, v], axis=1)]
         stream = ScriptedNormals(draws)
-        got_u, got_v, k = _sample_planes(stream, 3, model)
-        assert stream.shapes == [(3, 7), (3, 7)]  # no draw after the last block
+        [(got_u, got_v, k)] = _plane_blocks(stream, 3, model)
+        assert stream.shapes == [(3, 2, 7)]  # no draw after the last block
         assert np.array_equal(got_u, u) and np.array_equal(got_v, v)
         k_good = gauss_sectional(model, TangentVector.from_coeffs(u[0]),
                                  TangentVector.from_coeffs(v[0]))
@@ -923,7 +928,8 @@ class TestScans:
         assert int(np.nanargmin(np.abs(k))) == 1234
         k[[77, 1234]] = math.inf
         want = np.argsort(np.abs(k))[:_ZERO_STARTS]
-        draws = [u] + [v[b:b + _SCAN_BLOCK] for b in range(0, _ZERO_SAMPLES, _SCAN_BLOCK)]
+        planes = np.stack([u, v], axis=1)
+        draws = [planes[b:b + _SCAN_BLOCK] for b in range(0, _ZERO_SAMPLES, _SCAN_BLOCK)]
         monkeypatch.setattr(np.random, "default_rng", lambda seed: ScriptedNormals(draws))
         starts = []
         gram_schmidt = hypersurface._gram_schmidt
@@ -976,7 +982,7 @@ class TestScans:
     @pytest.mark.parametrize("alpha", [0.0, 0.7, math.pi / 2])
     def test_abs_curvature_ignores_the_basis_of_the_plane(self, alpha):
         model = HypersurfaceModel.from_angle(alpha)
-        pairs = _gram_schmidt(*_sample_planes(np.random.default_rng(5), 200, model)[:2])
+        pairs = _gram_schmidt(*np.random.default_rng(5).standard_normal((2, 200, 7)))
         w = np.concatenate(pairs, axis=1)
         base = plane_abs_curvature(model, w)
         assert np.all(np.isfinite(base))

@@ -20,7 +20,6 @@ from solvgeom.hypersurface import (
     HypersurfaceModel,
     TangentVector,
     _gram_schmidt,
-    _sample_planes,
     ambient_algebra,
     ambient_curvature,
     build_hypersurface_algebra,
@@ -62,7 +61,7 @@ def test_ricci_gauss_vs_koszul(alpha):
 def test_sectional_gauss_vs_koszul(alpha):
     model = HypersurfaceModel.from_angle(alpha)
     alg = build_hypersurface_algebra(alpha)
-    u, v = _gram_schmidt(*_sample_planes(np.random.default_rng(3), 50, model)[:2])
+    u, v = _gram_schmidt(*np.random.default_rng(3).standard_normal((2, 50, 7)))
     for a, b in zip(u, v):
         ks = gauss_sectional(
             model, TangentVector.from_coeffs(a), TangentVector.from_coeffs(b)
@@ -97,11 +96,31 @@ def test_both_pipelines_refuse_a_plane_that_is_not_finite(bad):
     model = HypersurfaceModel.from_angle(0.7)
     u, v = np.eye(7)[:2]
     u[3] = bad
-    with np.errstate(invalid="ignore"):  # inf * 0 in the products is nan, refused
-        with pytest.raises(ValueError, match="^degenerate plane"):
-            gauss_sectional(model, TangentVector.from_coeffs(u), TangentVector.from_coeffs(v))
-        with pytest.raises(ValueError, match="^degenerate plane"):
-            build_hypersurface_algebra(0.7).sectional(u, v)
+    # refused without a numpy warning, though inf * 0 in the products is nan
+    with pytest.raises(ValueError, match="^degenerate plane"):
+        gauss_sectional(model, TangentVector.from_coeffs(u), TangentVector.from_coeffs(v))
+    with pytest.raises(ValueError, match="^degenerate plane"):
+        build_hypersurface_algebra(0.7).sectional(u, v)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.7, math.pi / 2])
+@pytest.mark.parametrize("scale", [2.0**-700, 2.0**700], ids=["2^-700", "2^700"])
+def test_both_pipelines_read_planes_of_any_scale(alpha, scale):
+    # K does not depend on the lengths of u and v, and both pipelines first
+    # scale each by a power of two, which is exact: K at 2^+-700, where the
+    # Gram determinant itself under- or overflows, is the unit-scale K
+    model = HypersurfaceModel.from_angle(alpha)
+    gauss = lambda u, v: gauss_sectional(model, TangentVector.from_coeffs(u),
+                                         TangentVector.from_coeffs(v))
+    planes = [np.eye(7)[[0, 2]], *np.random.default_rng(6).standard_normal((5, 2, 7))]
+    for sectional in (gauss, build_hypersurface_algebra(alpha).sectional):
+        for u, v in planes:
+            want = sectional(u, v)
+            for su, sv in ((scale, 1.0), (1.0, scale), (scale, scale)):
+                assert sectional(su * u, sv * v) == want
+            for bad in (0.0, math.nan, math.inf):
+                with pytest.raises(ValueError, match="^degenerate plane"):
+                    sectional(np.full(7, bad), scale * v)
 
 
 def test_ambient_koszul_vs_nested_bracket():
