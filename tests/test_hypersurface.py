@@ -2,7 +2,13 @@
 
 import dataclasses
 import math
+import multiprocessing
+import os
 import re
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -21,6 +27,7 @@ from solvgeom.hypersurface import (
     HypersurfaceModel,
     Regime,
     TangentVector,
+    _HANDOFF,
     _SCAN_BLOCK,
     _ZERO_SAMPLES,
     _ZERO_STARTS,
@@ -751,16 +758,29 @@ ZERO_SEARCH_PINS = [
 
 class ScriptedNormals:
     """Stands in for np.random.Generator: standard_normal hands out the
-    given arrays in order and records the shapes asked for."""
+    given arrays in order, raises an exception given in their place, and
+    records the shapes asked for and the thread that asked.  Each draw after
+    the first takes ``delay`` seconds."""
 
-    def __init__(self, draws):
-        self.draws, self.shapes = list(draws), []
+    def __init__(self, draws, delay=0.0):
+        self.draws, self.delay, self.shapes, self.threads = list(draws), delay, [], []
 
     def standard_normal(self, shape):
+        if self.shapes:
+            time.sleep(self.delay)
         self.shapes.append(shape)
-        out = np.array(self.draws.pop(0), dtype=float)
+        self.threads.append(threading.get_ident())
+        out = self.draws.pop(0)
+        if isinstance(out, Exception):
+            raise out
+        out = np.array(out, dtype=float)
         assert out.shape == shape
         return out
+
+
+def _scan_max(alpha, samples, seed, want):
+    # run in a forked child: exit code 0 only if the scan repeats the parent's
+    assert nonpositivity_scan(alpha, samples, seed).max_curvature == want
 
 
 class TestScans:
@@ -787,6 +807,112 @@ class TestScans:
     def test_negative_samples_rejected(self):
         with pytest.raises(ValueError, match="samples"):
             nonpositivity_scan(0.3, samples=-5)
+
+    @pytest.mark.parametrize("samples", [True, False, np.bool_(True), 2.5, 3.0, "3", None])
+    def test_samples_must_be_an_integer(self, samples, monkeypatch):
+        def no_draw(seed):
+            raise AssertionError("a draw was made")
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        before = threading.active_count()
+        with pytest.raises(TypeError, match="samples must be an integer"):
+            nonpositivity_scan(0.3, samples=samples)
+        assert threading.active_count() == before
+
+    def test_numpy_integer_samples_scan_as_int(self):
+        scan = nonpositivity_scan(0.3, samples=np.int64(2 * _SCAN_BLOCK), seed=4)
+        assert type(scan.samples) is int and scan.samples == 2 * _SCAN_BLOCK
+        assert scan == nonpositivity_scan(0.3, samples=2 * _SCAN_BLOCK, seed=4)
+
+    def test_no_thread_outlives_a_query(self):
+        model = HypersurfaceModel.from_angle(0.7)
+        before = threading.active_count()
+        for samples in (0, 1, 20000):
+            nonpositivity_scan(0.7, samples, seed=1)
+            assert threading.active_count() == before
+        zero_curvature_search(0.7, seed=1)
+        assert threading.active_count() == before
+        # a stream closed after its first block joins its helper
+        stream = _plane_blocks(np.random.default_rng(2), 5 * _SCAN_BLOCK, model)
+        next(stream)
+        assert threading.active_count() == before + 1
+        stream.close()
+        assert threading.active_count() == before
+
+    def test_helper_draw_error_reaches_the_caller(self):
+        model = HypersurfaceModel.from_angle(0.7)
+        gen = np.random.default_rng(3)
+        block = lambda: gen.standard_normal((_SCAN_BLOCK, 2, 7))
+        stream = ScriptedNormals([block(), block(), LookupError("no block 2 here")])
+        before = threading.active_count()
+        got = []
+        with pytest.raises(LookupError, match="^no block 2 here$"):
+            for u, v, k in _plane_blocks(stream, 4 * _SCAN_BLOCK, model):
+                got.append(k)
+        assert len(got) == 2 and len(stream.shapes) == 3
+        assert threading.active_count() == before
+
+    def test_scripted_stream_draws_ahead_in_block_order(self):
+        model = HypersurfaceModel.from_angle(0.7)
+        sizes = [_SCAN_BLOCK, _SCAN_BLOCK, _SCAN_BLOCK, 5]
+        gen = np.random.default_rng(6)
+        draws = [gen.standard_normal((m, 2, 7)) for m in sizes]
+        # slow draws: a block handed over alone would arrive before its batch
+        stream = ScriptedNormals(draws, delay=0.02)
+        got = []
+        for u, v, k in _plane_blocks(stream, sum(sizes), model):
+            # the batch of _HANDOFF blocks in hand is drawn, and at most the next
+            batch = len(got) // _HANDOFF + 1
+            assert min(batch * _HANDOFF, len(sizes)) <= len(stream.shapes)
+            assert len(stream.shapes) <= (batch + 1) * _HANDOFF
+            got.append((u, v, k))
+        assert stream.shapes == [(m, 2, 7) for m in sizes]  # no draw after the last block
+        # every draw is made on the one helper thread, none on the caller's
+        assert len(set(stream.threads)) == 1
+        assert threading.get_ident() not in stream.threads
+        for (u, v, k), planes in zip(got, draws):
+            assert np.array_equal(u, planes[:, 0]) and np.array_equal(v, planes[:, 1])
+            assert np.array_equal(k, _sectional_rows(model, planes[:, 0], planes[:, 1],
+                                                     -math.inf))
+
+    def test_stream_state_does_not_grow_with_its_length(self):
+        model = HypersurfaceModel.from_angle(0.7)
+        peaks = []
+        for n in (4 * _SCAN_BLOCK, 10**8):
+            stream = _plane_blocks(np.random.default_rng(1), n, model)
+            tracemalloc.start()
+            try:
+                next(stream)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+                stream.close()
+        # nothing kept per block: 130,209 blocks cost what 4 do
+        assert peaks[1] <= peaks[0] + 1e5
+
+    def test_a_stream_left_open_does_not_hold_the_interpreter_at_exit(self):
+        code = ("import numpy as np\n"
+                "from solvgeom.hypersurface import HypersurfaceModel, _plane_blocks\n"
+                "stream = _plane_blocks(np.random.default_rng(1), 5000,\n"
+                "                       HypersurfaceModel.from_angle(0.7))\n"
+                "next(stream)\n")
+        src = os.path.dirname(os.path.dirname(hypersurface.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", code], env=env, timeout=30,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+
+    def test_scan_in_a_forked_child(self):
+        for seed in range(3):
+            want = nonpositivity_scan(0.7, 5000, seed).max_curvature
+        child = multiprocessing.get_context("fork").Process(
+            target=_scan_max, args=(0.7, 5000, 2, want))
+        child.start()
+        child.join(timeout=30)
+        hung = child.is_alive()
+        if hung:
+            child.kill()
+            child.join()
+        assert not hung and child.exitcode == 0
 
     def test_zero_plane_search(self):
         val, (x1, x2) = zero_curvature_search(0.0, seed=3)
@@ -848,12 +974,12 @@ class TestScans:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            # one block at a time: a draw, its wedges and their K
+            # a batch of draws at a time, one block's wedges and their K
             assert peak <= 1.0e6
 
     def test_scan_high_water_mark(self):
-        # one block of _SCAN_BLOCK planes, its wedges and their K, plus the
-        # blocks the two extremes so far are rows of
+        # a batch of _HANDOFF blocks in hand, the next batch drawn ahead, one
+        # block's wedges and their K; the two extremes so far are copied rows
         nonpositivity_scan(0.7, samples=10)
         tracemalloc.start()
         try:
