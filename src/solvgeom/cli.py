@@ -38,10 +38,10 @@ from .hypersurface import (
     GroupElement,
     HypersurfaceModel,
     _ambient_curvature_tensor,
+    _report,
     _validate_alpha,
     ambient_algebra,
     build_hypersurface_algebra,
-    classify,
     flow_point,
     foliation_residual_many,
     leaf_conjugate,
@@ -67,10 +67,10 @@ SWEEP_COLUMNS = (
 
 
 def _csv_cell(value) -> str:
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".12g")
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".12g")
     return str(value)
 
 
@@ -81,10 +81,10 @@ def _json_text(value, indent: int = 0) -> str:
         return "true" if value else "false"
     if value is None:
         return "null"
-    if isinstance(value, float):
+    if isinstance(value, (float, np.floating)):
         if not math.isfinite(value):
             raise ValueError(f"non-finite value {value} has no JSON form")
-        return format(value, ".17g")
+        return format(float(value), ".17g")
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, complex):
@@ -143,10 +143,10 @@ def _check_samples(args) -> None:
 
 def _cmd_sweep(args) -> int:
     _check_samples(args)
-    rows = [
-        classify(alpha, samples=args.samples, seed=args.seed).as_row()
-        for alpha in _angles(args)
-    ]
+    angles = _angles(args)
+    # one sample for every angle: the draws classify makes from the same seed
+    vecs = random_unit_tangents(np.random.default_rng(args.seed), args.samples)
+    rows = [_report(HypersurfaceModel.from_angle(alpha), vecs).as_row() for alpha in angles]
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

@@ -25,13 +25,20 @@ one tangent algebra and one curvature tensor.
 Curvature of the hypersurface is computed two independent ways and compared
 throughout the test suite:
 
-* extrinsically, by the Gauss equation: each model caches the curvature
-  tensor R_ijkl = <R(e_i, e_j) e_k, e_l> of its basis, the ambient term
+* extrinsically, by the Gauss equation: the curvature tensor
+  R_ijkl = <R(e_i, e_j) e_k, e_l> of the basis is the ambient term
   -<[[phi e_i, phi e_j], phi e_k], phi e_l> plus II_il II_jk - II_ik II_jl;
   Ricci curvatures contract it, and the sectional curvature of span{u, v}
   is w R w / w . w for its 21x21 operator R on the wedges w = u ^ v, and
 * intrinsically, by handing the seven-dimensional subalgebra to the generic
   Koszul engine.
+
+Only the basis row of H depends on alpha, and it and the normal T are
+linear in (cos alpha, sin alpha).  So the Gauss side is one alpha-family,
+``_gauss_family``, derived from the basis matrices once per process, on the
+first Gauss query: II is linear and R quadratic in (cos alpha, sin alpha),
+and so are the operator, the Ricci form and the reference plane's K.  A
+model's arrays are the family's members at its alpha (``_at``).
 
 Since w R w / w . w does not change when u, v are replaced by another basis
 of their plane, one kernel, ``_sectional_rows``, reads K off the wedges of
@@ -56,11 +63,13 @@ hypersurface.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -178,34 +187,25 @@ class HypersurfaceModel:
     @cached_property
     def _shape_matrix(self) -> np.ndarray:
         """II_ij = <nabla_{e_i} T, e_j> over ``basis``; diagonal for this family."""
-        p = hermitian_part(self.basis)
-        q = hermitian_part(bracket(self.basis, self.normal))
-        m = 2.0 * np.real(np.einsum("iab,jab->ij", p, np.conj(q)))
-        return _read_only(0.5 * (m + m.T))
+        return _read_only(_at(self.alpha, _gauss_family().shape))
 
     @cached_property
     def _curvature_tensor(self) -> np.ndarray:
         """R_ijkl = <R(e_i, e_j) e_k, e_l> by the Gauss equation:
         the ambient term plus II_il II_jk - II_ik II_jl."""
-        # rows: the basis over AMBIENT_BASIS; H = cos(alpha) H0 + sin(alpha) H1
-        frame = np.eye(7, 8)
-        frame[6, 6:] = math.cos(self.alpha), math.sin(self.alpha)
-        t = _ambient_curvature_tensor()
-        for _ in range(4):
-            t = np.tensordot(t, frame, axes=([0], [1]))
-        s = self._shape_matrix
-        return _read_only(
-            t + np.einsum("il,jk->ijkl", s, s) - np.einsum("ik,jl->ijkl", s, s)
-        )
+        return _read_only(_at(self.alpha, _gauss_family().tensor))
 
     @cached_property
     def _curvature_operator(self) -> np.ndarray:
         """The Gauss curvature operator on Lambda^2 R^7 over the e_i ^ e_j of
         _PAIRS: symmetric, read-only and 21x21, with R_ijkl at row i < j and
         column l < k, so that w R w = <R(u, v) v, u> for w = u ^ v."""
-        i, j = _PAIRS
-        t = self._curvature_tensor
-        return _read_only(t[i[:, None], j[:, None], j[None, :], i[None, :]])
+        return _read_only(_at(self.alpha, _gauss_family().operator))
+
+    @cached_property
+    def _ricci_form(self) -> np.ndarray:
+        """The Gauss Ricci form Ric_jk = R_ijk^i, 7x7 and read-only."""
+        return _read_only(_at(self.alpha, _gauss_family().ricci))
 
 
 # Four models: verify reads two (its alpha and the alpha = 0 leaf), and a
@@ -255,6 +255,73 @@ def _ambient_curvature_tensor() -> np.ndarray:
 
 # The pairs i < j indexing the bivector basis e_i ^ e_j of Lambda^2 R^7.
 _PAIRS = np.triu_indices(7, 1)
+
+
+class _GaussFamily(NamedTuple):
+    """The Gauss pipeline as polynomials in c = cos(alpha), s = sin(alpha):
+    member m of each array is the coefficient of monomial m of
+    (1, c, s, c^2, c s, s^2), the first three for the linear ``shape``."""
+
+    shape: np.ndarray  # (3, 7, 7), II
+    tensor: np.ndarray  # (6, 7, 7, 7, 7), R_ijkl
+    operator: np.ndarray  # (6, 21, 21), R on Lambda^2 R^7
+    ricci: np.ndarray  # (6, 7, 7), Ric_jk
+    k_sigma: np.ndarray  # (6,), K of the reference plane
+
+
+@lru_cache(maxsize=1)
+def _gauss_family() -> _GaussFamily:
+    """The alpha-family of the Gauss pipeline, read-only, derived from the
+    basis matrices without sampling an angle.
+
+    Over AMBIENT_BASIS the frame is F = F_1 + c F_c + s F_s: the rows e_0..e_5
+    in F_1, the row of H = c H0 + s H1 in F_c and F_s.  The ambient term is
+    multilinear in F; a pair of R with H in both slots sums to R(H, H) = 0, so
+    each pair carries 1, c or s.  II is linear in T = c (-H1) + s H0 and
+    vanishes on H, since H is diagonal and [H, T] = 0.
+    """
+    product = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])  # of monomials p, q of (1, c, s)
+    parts = np.zeros((3, 7, 8))  # F_1, F_c, F_s
+    parts[0, :6, :6] = np.eye(6)
+    parts[1, 6, 6] = parts[2, 6, 7] = 1.0
+    pair_words = [(0, 0), (0, 1), (0, 2), (1, 0), (2, 0)]  # H in one slot at most
+    tensor = np.zeros((6, 7, 7, 7, 7))
+    for word in itertools.product(pair_words, pair_words):
+        t = _ambient_curvature_tensor()
+        for part in itertools.chain(*word):
+            t = np.tensordot(t, parts[part], axes=([0], [1]))
+        tensor[product[sum(word[0]), sum(word[1])]] += t
+
+    nil = AMBIENT_BASIS[:6]
+    phi = hermitian_part(nil)
+    shape = np.zeros((3, 7, 7))
+    for m, normal in ((1, -H1), (2, H0)):
+        q = hermitian_part(bracket(nil, normal))
+        ii = 2.0 * np.real(np.einsum("iab,jab->ij", phi, np.conj(q)))
+        shape[m, :6, :6] = 0.5 * (ii + ii.T)
+    for p, q in np.ndindex(3, 3):
+        a, b = shape[p], shape[q]
+        tensor[product[p, q]] += np.einsum("il,jk->ijkl", a, b) - np.einsum("ik,jl->ijkl", a, b)
+
+    i, j = _PAIRS
+    operator = tensor[:, i[:, None], j[:, None], j[None, :], i[None, :]]
+    u, v = (x.coeffs() for x in reference_plane())
+    w = u[i] * v[j] - u[j] * v[i]
+    return _GaussFamily(*map(_read_only, (
+        shape, tensor, operator, np.einsum("mijki->mjk", tensor), operator @ w @ w / (w @ w),
+    )))
+
+
+def _at(alpha: float, family: np.ndarray) -> np.ndarray:
+    """The member of a Gauss family array at alpha: the sum over its leading
+    axis of each monomial times its coefficient.  The sum runs entry by entry
+    in one order, so entries equal in the family are equal in the result: the
+    operator stays symmetric and a gather of the tensor."""
+    c, s = math.cos(alpha), math.sin(alpha)
+    out = family[0].copy()
+    for x, f in zip((c, s, c * c, c * s, s * s), family[1:]):
+        out += x * f
+    return out
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -319,8 +386,7 @@ def gauss_sectional(
 def ricci_gauss_many(model: HypersurfaceModel, coeffs: np.ndarray) -> np.ndarray:
     """Ricci curvature x . Ric . x of each row of ``coeffs``, Ric_jk = R_ijk^i."""
     coeffs = np.asarray(coeffs, dtype=float)
-    ric = np.einsum("ijki->jk", model._curvature_tensor)
-    return np.sum((coeffs @ ric) * coeffs, axis=-1)
+    return np.sum((coeffs @ model._ricci_form) * coeffs, axis=-1)
 
 
 def ricci_closed_many(alpha: float, coeffs: np.ndarray) -> np.ndarray:
@@ -447,21 +513,36 @@ class CurvatureReport:
         }
 
 
+def _sample_count(samples) -> int:
+    """``samples`` as an int; it must be an int (not a bool) or a numpy
+    integer, at least 0."""
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
+        raise TypeError(f"samples must be an integer, got {samples!r}")
+    if samples < 0:
+        raise ValueError(f"samples must be nonnegative, got {samples}")
+    return int(samples)
+
+
 def classify(alpha: float, samples: int = 1000, seed: int = 0) -> CurvatureReport:
     """Compute the full curvature report for one angle.
 
     ``samples`` random unit tangent vectors feed the cross-pipeline
     residual, the largest disagreement between the Gauss-equation Ricci and
     its closed form.  Results are deterministic for a fixed seed.
+    ``samples`` must be an int (not a bool) or a numpy integer, at least 0.
     """
     alpha = _validate_alpha(alpha)
-    if samples < 0:
-        raise ValueError(f"samples must be nonnegative, got {samples}")
-    model = HypersurfaceModel.from_angle(alpha)
+    samples = _sample_count(samples)
+    vecs = random_unit_tangents(np.random.default_rng(seed), samples)
+    return _report(HypersurfaceModel.from_angle(alpha), vecs)
+
+
+def _report(model: HypersurfaceModel, vecs: np.ndarray) -> CurvatureReport:
+    """The curvature report of ``model``, its cross-pipeline residual taken
+    over the unit rows of ``vecs`` (n, 7), and 0 for n = 0."""
+    alpha = model.alpha
     mean = mean_curvature(model)
-    ch = model.algebra.cheeger()
     rmin, rmax = ricci_extremes(alpha)
-    k_sigma = gauss_sectional(model, *reference_plane())
     if alpha < HOROSPHERE_ONSET - ALPHA_BOUNDARY_TOL:
         regime = Regime.NEGATIVE_RICCI
     elif alpha <= HOROSPHERE_ONSET + ALPHA_BOUNDARY_TOL:
@@ -469,19 +550,17 @@ def classify(alpha: float, samples: int = 1000, seed: int = 0) -> CurvatureRepor
     else:
         regime = Regime.MIXED_RICCI
     residual = 0.0
-    if samples:
-        rng = np.random.default_rng(seed)
-        vecs = random_unit_tangents(rng, samples)
+    if len(vecs):
         residual = float(
             np.max(np.abs(ricci_gauss_many(model, vecs) - ricci_closed_many(alpha, vecs)))
         )
     return CurvatureReport(
         alpha=alpha,
         mean_curvature=mean,
-        cheeger=ch,
+        cheeger=model.algebra.cheeger(),
         ricci_min=rmin,
         ricci_max=rmax,
-        k_sigma=k_sigma,
+        k_sigma=float(_at(alpha, _gauss_family().k_sigma)),
         regime=regime,
         is_minimal=abs(mean) <= 1e-12,
         is_einstein=alpha <= ALPHA_BOUNDARY_TOL,
@@ -722,11 +801,7 @@ def nonpositivity_scan(alpha: float, samples: int, seed: int = 0) -> PlaneScan:
     bool) or a numpy integer, at least 0.
     """
     alpha = _validate_alpha(alpha)
-    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
-        raise TypeError(f"samples must be an integer, got {samples!r}")
-    samples = int(samples)
-    if samples < 0:
-        raise ValueError(f"samples must be nonnegative, got {samples}")
+    samples = _sample_count(samples)
     model = HypersurfaceModel.from_angle(alpha)
     best_max, best_min = -math.inf, math.inf
     arg_max = arg_min = None

@@ -24,6 +24,7 @@ from solvgeom.hypersurface import (
     _model_at,
     ambient_algebra,
     build_hypersurface_algebra,
+    classify,
     foliation_residual_many,
     nonpositivity_scan,
     random_unit_tangents,
@@ -92,6 +93,23 @@ class TestSweep:
         assert list(doc[0]) == list(SWEEP_COLUMNS)
         assert doc[0]["minimal"] is True
 
+    def test_rows_are_the_classify_reports(self, capsys):
+        # the sweep draws its sample once; every angle reads the draws
+        # classify makes from the same seed
+        rc, out, _ = run_cli(capsys, "sweep", "--steps", "4", "--samples", "30",
+                             "--seed", "5", "--format", "json")
+        rows = json.loads(out)
+        assert rc == 0 and len(rows) == 4
+        for row in rows:
+            assert row == classify(row["alpha"], samples=30, seed=5).as_row()
+
+    def test_minimal_leaf_row(self, capsys):
+        # the alpha = 0 leaf: H is exactly 0, and it is minimal and Einstein
+        rc, out, _ = run_cli(capsys, "sweep", "--steps", "1", "--samples", "0")
+        [row] = csv.DictReader(io.StringIO(out))
+        assert rc == 0
+        assert (row["mean_curvature"], row["minimal"], row["einstein"]) == ("0", "true", "true")
+
     def test_deterministic_output(self, capsys):
         args = ("sweep", "--steps", "4", "--samples", "40", "--seed", "7")
         _, out1, _ = run_cli(capsys, *args)
@@ -132,9 +150,10 @@ class TestSweep:
 
     def test_steps_above_the_limit_rejected_before_classifying(self, capsys, monkeypatch):
         def never(*args, **kwargs):
-            raise AssertionError("classify called")
+            raise AssertionError("an angle was classified or a sample drawn")
 
-        monkeypatch.setattr(cli, "classify", never)
+        monkeypatch.setattr(cli, "_report", never)
+        monkeypatch.setattr(cli, "random_unit_tangents", never)
         monkeypatch.setattr(np, "linspace", never)
         rc, out, err = run_cli(capsys, "sweep", "--steps", "1000000000000")
         assert (rc, out, err) == (
@@ -216,6 +235,23 @@ class TestTolerance:
         rc, out, err = run_cli(capsys, *TOL_ARGV["algebra einstein"], "--tol", "0")
         assert (rc, out, err) == (
             2, "", "error: --tol must be positive for op 'einstein', got 0.0\n")
+
+
+class TestCellFormatting:
+    """A numpy scalar is written as the Python scalar of its kind."""
+
+    @pytest.mark.parametrize("value, csv_text, json_text", [
+        (True, "true", "true"),
+        (np.True_, "true", "true"),
+        (np.False_, "false", "false"),
+        (1.0 / 3.0, "0.333333333333", "0.33333333333333331"),
+        (np.float64(1.0 / 3.0), "0.333333333333", "0.33333333333333331"),
+        (np.float32(0.1), "0.10000000149", "0.10000000149011612"),
+        (np.float16(-2.5), "-2.5", "-2.5"),
+    ])
+    def test_numpy_scalars(self, value, csv_text, json_text):
+        assert cli._csv_cell(value) == csv_text
+        assert cli._json_text(value) == json_text
 
 
 class TestSamplingOptions:

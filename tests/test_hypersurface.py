@@ -33,6 +33,9 @@ from solvgeom.hypersurface import (
     _ZERO_STARTS,
     _ZERO_TARGET,
     _abelian_diagonals,
+    _ambient_curvature_tensor,
+    _at,
+    _gauss_family,
     _gram_schmidt,
     _model_at,
     _plane_blocks,
@@ -57,8 +60,8 @@ from solvgeom.hypersurface import (
     zero_curvature_search,
 )
 from solvgeom import hypersurface
-from solvgeom.engine import DEGENERATE_PLANE_TOL
-from solvgeom.matrices import inner_solvable
+from solvgeom.engine import MetricLieAlgebra
+from solvgeom.matrices import bracket, hermitian_part, inner_solvable
 
 HALF_SQRT3 = math.sqrt(3.0) / 2.0
 
@@ -156,7 +159,7 @@ class TestModel:
     @pytest.mark.parametrize(
         "attr",
         ["axis", "normal", "basis", "_shape_matrix", "_curvature_tensor",
-         "_curvature_operator"],
+         "_curvature_operator", "_ricci_form"],
     )
     def test_shared_arrays_are_read_only(self, attr):
         array = getattr(HypersurfaceModel.from_angle(0.3), attr)
@@ -410,6 +413,89 @@ class TestReferencePlane:
         )
 
 
+def direct_gauss(alpha):
+    """The Gauss equation at one angle, evaluated on the basis matrices: II
+    from the brackets of the basis with the normal, R from four tensordots
+    of the ambient tensor with the frame.  The reference for the alpha-family;
+    returns II, R, the operator on Lambda^2 R^7 and the Ricci form."""
+    c, s = math.cos(alpha), math.sin(alpha)
+    basis = np.concatenate([AMBIENT_BASIS[:6], (c * H0 + s * H1)[None]])
+    p = hermitian_part(basis)
+    q = hermitian_part(bracket(basis, s * H0 + (-c) * H1))
+    m = 2.0 * np.real(np.einsum("iab,jab->ij", p, np.conj(q)))
+    shape = 0.5 * (m + m.T)
+    frame = np.eye(7, 8)
+    frame[6, 6:] = c, s
+    t = _ambient_curvature_tensor()
+    for _ in range(4):
+        t = np.tensordot(t, frame, axes=([0], [1]))
+    tensor = t + np.einsum("il,jk->ijkl", shape, shape) - np.einsum("ik,jl->ijkl", shape, shape)
+    i, j = np.triu_indices(7, 1)
+    operator = tensor[i[:, None], j[:, None], j[None, :], i[None, :]]
+    return shape, tensor, operator, np.einsum("ijki->jk", tensor)
+
+
+class TestGaussFamily:
+    def test_family_is_the_direct_gauss_equation(self):
+        i, j = np.triu_indices(7, 1)
+        u, v = (x.coeffs() for x in reference_plane())
+        w = u[i] * v[j] - u[j] * v[i]
+        # 101 angles, with 0, pi/3 and pi/2
+        for alpha in [*np.linspace(0.0, math.pi / 2, 100), math.pi / 3]:
+            model = HypersurfaceModel(alpha)
+            shape, tensor, operator, ricci = direct_gauss(alpha)
+            assert np.max(np.abs(model._shape_matrix - shape)) <= 1e-15
+            assert np.max(np.abs(model._curvature_tensor - tensor)) <= 1e-15
+            assert np.max(np.abs(model._curvature_operator - operator)) <= 1e-15
+            # each entry sums seven of R and reaches |4|: 1e-15 of the largest
+            assert np.max(np.abs(model._ricci_form - ricci)) <= 1e-15 * np.max(np.abs(ricci))
+            k_sigma = _at(alpha, _gauss_family().k_sigma)
+            assert abs(k_sigma - w @ operator @ w / (w @ w)) <= 1e-15
+
+    def test_minimal_leaf_has_mean_curvature_exactly_zero(self):
+        trace = np.trace(HypersurfaceModel(0.0)._shape_matrix)
+        assert trace == 0.0 and not np.signbit(trace)
+        assert repr(classify(0.0, samples=0).mean_curvature) == "0.0"
+
+    def test_family_is_built_on_the_first_gauss_query(self):
+        # not at import, and not by the ambient engine queries
+        code = ("import contextlib, io\n"
+                "from solvgeom import cli, hypersurface as h\n"
+                "built = h._gauss_family.cache_info\n"
+                "assert built().currsize == 0\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    assert cli.main(['algebra', 'einstein', '--ambient']) == 0\n"
+                "assert built().currsize == 0\n"
+                "h.ricci_gauss_many(h.HypersurfaceModel.from_angle(0.3), [1.0] * 7)\n"
+                "assert built().currsize == 1\n")
+        src = os.path.dirname(os.path.dirname(hypersurface.__file__))
+        done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                              timeout=60, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+
+    def test_gauss_pipeline_reads_no_koszul_structure_constants(self, monkeypatch):
+        def no_algebra(self, *args, **kwargs):
+            raise AssertionError("a MetricLieAlgebra was built")
+
+        monkeypatch.setattr(MetricLieAlgebra, "__init__", no_algebra)
+        # a fresh angle, and the family and the ambient tensor built again
+        for cached in (_model_at, _gauss_family, _ambient_curvature_tensor):
+            cached.cache_clear()
+        alpha = 0.4321
+        model = HypersurfaceModel.from_angle(alpha)
+        with pytest.raises(AssertionError, match="MetricLieAlgebra"):
+            model.algebra  # the Koszul side is cut off
+        assert model._curvature_tensor.shape == (7, 7, 7, 7)
+        assert model._curvature_operator.shape == (21, 21)
+        rows = np.eye(7)
+        assert np.max(np.abs(ricci_gauss_many(model, rows) - ricci_closed_many(alpha, rows))) <= 1e-14
+        assert gauss_sectional(model, *reference_plane()) == pytest.approx(
+            reference_plane_curvature(alpha), abs=1e-14)
+        assert shape_spectrum(model)[-1] == pytest.approx(math.cos(alpha + math.pi / 6), abs=1e-14)
+        assert nonpositivity_scan(alpha, 100, seed=1).samples == 100
+        assert zero_curvature_search(alpha, seed=1)[0] <= _ZERO_TARGET
+
+
 class TestClassify:
     def test_flags_at_zero(self):
         rep = classify(0.0, samples=50)
@@ -448,6 +534,9 @@ class TestClassify:
     def test_negative_samples_rejected(self):
         with pytest.raises(ValueError, match="samples"):
             classify(0.5, samples=-1)
+
+    def test_numpy_integer_samples(self):
+        assert classify(0.5, samples=np.int64(20), seed=3) == classify(0.5, samples=20, seed=3)
 
     def test_row_columns(self):
         row = classify(0.25, samples=10).as_row()
@@ -722,33 +811,33 @@ ZERO_SEARCH_PINS = [
          0.49943084363190493, -0.28975444710844106, 5.363077493302165e-05],
         [0.4028000381350458, -0.5134240038045902, 0.463391670816513, 0.16158892741818115,
          0.2898043689226101, 0.4993180618759181, -1.9678333689665686e-05])),
-    (0.2, 8, 3.0131810495506114e-09, (
+    (0.2, 8, 3.0131810282954094e-09, (
         [0.35932721542894613, 0.22935678113018107, -0.500110898470632, 0.1983334014008107,
          0.1895776544579307, 0.6997782909775765, -0.05659528892139302],
         [0.057397867885258726, -0.01745874305231472, 0.28365307346086804,
          0.8348082217873836, -0.37071557983260245, 0.06528687020841223,
          0.27810866087451713])),
-    (0.7, 3, 9.899135116647599e-09, (
+    (0.7, 3, 9.899135222368089e-09, (
         [0.3995507131218031, -0.15283326197731595, -0.17605555104611018,
          0.8330507743149479, -0.009842736857233518, 0.2598029465799165,
          -0.15632537067251867],
         [0.08695186667534398, -0.5481271519161128, -0.12159138336027245,
          0.12672492846320507, 0.05620829831709872, -0.7301653910827638,
          0.35334325390162075])),
-    (math.pi / 3, 4, 6.059920832042357e-09, (
+    (math.pi / 3, 4, 6.059920769590898e-09, (
         [-0.15534179780966786, -0.08018134979459247, -0.0642768452038531,
          -0.49157888740471734, 0.4157277778413953, -0.7226229528853116,
          0.16924846918458658],
         [-0.7559680409474033, 0.2997183104451425, -0.3208417991248942, 0.11052901575406363,
          0.3616109672055285, 0.3012080255297545, 0.04512611011312771])),
-    (1.2, 6, 6.217589495826183e-09, (
+    (1.2, 6, 6.217589551404755e-09, (
         [0.5811897054828495, -0.22423790316274422, 0.30225213384238386,
          -0.04350268835377375, -0.03748033410272673, -0.7129510221347871,
          0.09477930846004747],
         [-0.03966023119288409, 0.5172969694704778, -0.38002657078535435,
          0.2728439795382127, -0.00048084043394649485, -0.44703559829634204,
          -0.5586822195251703])),
-    (math.pi / 2, 2, 8.971931716154171e-09, (
+    (math.pi / 2, 2, 8.971931688384917e-09, (
         [0.5404303082921127, -0.1946108431157678, 0.7326682339008067, -0.16178629438295258,
          -0.2679897324169737, 0.09687619403951701, 0.1608746777807635],
         [0.1542381329098643, 0.3267211770484595, -0.24786185156315474,
@@ -814,8 +903,10 @@ class TestScans:
             raise AssertionError("a draw was made")
         monkeypatch.setattr(np.random, "default_rng", no_draw)
         before = threading.active_count()
-        with pytest.raises(TypeError, match="samples must be an integer"):
-            nonpositivity_scan(0.3, samples=samples)
+        for query in (nonpositivity_scan, classify):
+            with pytest.raises(TypeError,
+                               match=f"^samples must be an integer, got {re.escape(repr(samples))}$"):
+                query(0.3, samples=samples)
         assert threading.active_count() == before
 
     def test_numpy_integer_samples_scan_as_int(self):
