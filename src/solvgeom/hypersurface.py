@@ -47,10 +47,7 @@ raw pairs for ``gauss_sectional`` and the sampled-plane queries
 only the planes they return or start a descent from.  Both read one stream,
 ``_plane_blocks``: plane r is row r of one standard-normal (n, 2, 7) draw,
 made and contracted 768 planes at a time, so the scan's memory does not grow
-with the samples.  The blocks are drawn on a helper thread, two at a time,
-while the caller contracts the two before; every stream starts one and joins
-it.  Results are unchanged, since the same draws run in the same order.
-A degenerate pair (``DEGENERATE_PLANE_TOL``; about 1e-36
+with the samples.  A degenerate pair (``DEGENERATE_PLANE_TOL``; about 1e-36
 likely) keeps K = -inf, so it is never a scan extreme nor a descent start.
 
 A closed form of the Ricci curvature, its extremes over the unit sphere, the
@@ -65,7 +62,6 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -724,51 +720,10 @@ def _plane_blocks(
     r is row r of one standard-normal (n, 2, 7) draw, made a block at a time
     (chunked draws repeat the one-shot draw bit for bit), and k its sectional
     curvature under ``model``, -inf on a degenerate plane, which is thus never
-    a scan extreme nor a descent start.  The draws are made on a helper
-    thread (``_drawn_ahead``), in the same calls and order as inline draws."""
-    for planes in _drawn_ahead(rng, n):
-        u, v = planes.transpose(1, 0, 2)
+    a scan extreme nor a descent start."""
+    for c in range(0, n, _SCAN_BLOCK):
+        u, v = rng.standard_normal((min(_SCAN_BLOCK, n - c), 2, 7)).transpose(1, 0, 2)
         yield u, v, _sectional_rows(model, u, v, -math.inf)
-
-
-# Blocks per hand-off from the helper thread: two cut a scan's thread switches
-# by 30-45 % against one; three would put its peak memory above 1 MB.
-_HANDOFF = 2
-
-
-def _drawn_ahead(rng: np.random.Generator, n: int) -> Iterator[np.ndarray]:
-    """The draws (m, 2, 7) of the blocks of n rows, made in order on one helper
-    thread _HANDOFF blocks at a time, each batch while the caller holds the one
-    before; the caller never touches ``rng``.  A draw that raises is raised in
-    the caller at its batch's turn, and the helper is joined when the stream
-    ends or is closed."""
-    from queue import SimpleQueue  # ~1.3 ms, paid once per process
-
-    step = _HANDOFF * _SCAN_BLOCK
-    requests, draws = SimpleQueue(), SimpleQueue()
-
-    def helper():
-        for b in iter(requests.get, None):
-            try:
-                draws.put([rng.standard_normal((min(_SCAN_BLOCK, n - c), 2, 7))
-                           for c in range(b, min(b + step, n), _SCAN_BLOCK)])
-            except BaseException as exc:  # handed to the caller, which raises it
-                draws.put(exc)
-
-    # a daemon, so a stream left open at exit does not hold the interpreter
-    thread = threading.Thread(target=helper, name="plane-draws", daemon=True)
-    thread.start()
-    try:
-        requests.put(0)
-        for b in range(step, n + step, step):
-            batch = draws.get()
-            if isinstance(batch, BaseException):
-                raise batch
-            requests.put(b if b < n else None)  # the next batch; None ends the helper
-            yield from batch
-    finally:
-        requests.put(None)
-        thread.join()
 
 
 def _gram_schmidt(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -263,3 +263,50 @@ def test_c12_horosphere_range():
         ok,
         f"largest eigenvalue at pi/3 - 0.01: {just_below:.4f}",
     )
+
+
+def test_c13_planes_of_both_signs():
+    # span{E12, H} and span{iE12, H} have K = -sin^2(alpha + pi/6) <= -1/4 in
+    # both pipelines, and the reference plane has K > 0 for every alpha > 0
+    h = TangentVector(t=1.0)
+    x1, x2 = reference_plane()
+    worst = 0.0
+    negatives = positives = True
+    for alpha in np.linspace(0.0, math.pi / 2.0, 101):
+        model = HypersurfaceModel.from_angle(alpha)
+        alg = build_hypersurface_algebra(alpha)
+        want = -math.sin(alpha + math.pi / 6.0) ** 2
+        for x in (TangentVector(a=1.0), TangentVector(a=1j)):
+            for k in (gauss_sectional(model, x, h), alg.sectional(x.coeffs(), h.coeffs())):
+                worst = max(worst, abs(k - want))
+                negatives = negatives and k <= -0.25
+        if alpha > 0.0:
+            positives = positives and gauss_sectional(model, x1, x2) > 0.0
+    ok = worst <= 1e-12 and negatives and positives
+    report(
+        "every alpha > 0 has planes of both signs: K(E12, H) = -sin^2(alpha + pi/6)",
+        ok,
+        f"max dev {worst:.2e}",
+    )
+
+
+def _covariant_curvature(alg):
+    # (nabla_a R)_ijk^l of left-invariant fields, from Gamma and R of the algebra
+    gam, r = alg._connection, alg._riemann
+    return (np.einsum("ijkm,aml->aijkl", r, gam) - np.einsum("aim,mjkl->aijkl", gam, r)
+            - np.einsum("ajm,imkl->aijkl", gam, r) - np.einsum("akm,ijml->aijkl", gam, r))
+
+
+def test_c14_leaf_is_not_symmetric():
+    # the ambient symmetric space has nabla R = 0; the alpha = 0 Damek-Ricci
+    # leaf does not, and no leaf of the family does
+    ambient = float(np.max(np.abs(_covariant_curvature(ambient_algebra()))))
+    norms = [float(np.linalg.norm(_covariant_curvature(build_hypersurface_algebra(a))))
+             for a in np.linspace(0.0, math.pi / 2.0, 101)]
+    at_zero = abs(norms[0] - 6.0 * math.sqrt(2.0))
+    ok = ambient <= 1e-14 and at_zero <= 1e-13 and min(norms) >= 8.0
+    report(
+        "ambient curvature is parallel; the leaves' is not, |nabla R| = 6 sqrt2 at 0",
+        ok,
+        f"ambient max {ambient:.2e}, |nabla R(0)| - 6 sqrt2 = {at_zero:.2e}, min {min(norms):.3f}",
+    )

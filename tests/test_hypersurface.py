@@ -8,7 +8,6 @@ import re
 import subprocess
 import sys
 import threading
-import time
 import tracemalloc
 import warnings
 
@@ -27,7 +26,6 @@ from solvgeom.hypersurface import (
     HypersurfaceModel,
     Regime,
     TangentVector,
-    _HANDOFF,
     _SCAN_BLOCK,
     _ZERO_SAMPLES,
     _ZERO_STARTS,
@@ -848,15 +846,12 @@ ZERO_SEARCH_PINS = [
 class ScriptedNormals:
     """Stands in for np.random.Generator: standard_normal hands out the
     given arrays in order, raises an exception given in their place, and
-    records the shapes asked for and the thread that asked.  Each draw after
-    the first takes ``delay`` seconds."""
+    records the shapes asked for and the thread that asked."""
 
-    def __init__(self, draws, delay=0.0):
-        self.draws, self.delay, self.shapes, self.threads = list(draws), delay, [], []
+    def __init__(self, draws):
+        self.draws, self.shapes, self.threads = list(draws), [], []
 
     def standard_normal(self, shape):
-        if self.shapes:
-            time.sleep(self.delay)
         self.shapes.append(shape)
         self.threads.append(threading.get_ident())
         out = self.draws.pop(0)
@@ -914,7 +909,7 @@ class TestScans:
         assert type(scan.samples) is int and scan.samples == 2 * _SCAN_BLOCK
         assert scan == nonpositivity_scan(0.3, samples=2 * _SCAN_BLOCK, seed=4)
 
-    def test_no_thread_outlives_a_query(self):
+    def test_no_query_starts_a_thread(self):
         model = HypersurfaceModel.from_angle(0.7)
         before = threading.active_count()
         for samples in (0, 1, 20000):
@@ -922,14 +917,14 @@ class TestScans:
             assert threading.active_count() == before
         zero_curvature_search(0.7, seed=1)
         assert threading.active_count() == before
-        # a stream closed after its first block joins its helper
+        # nor does a stream that is open, or closed after its first block
         stream = _plane_blocks(np.random.default_rng(2), 5 * _SCAN_BLOCK, model)
         next(stream)
-        assert threading.active_count() == before + 1
+        assert threading.active_count() == before
         stream.close()
         assert threading.active_count() == before
 
-    def test_helper_draw_error_reaches_the_caller(self):
+    def test_draw_error_reaches_the_caller(self):
         model = HypersurfaceModel.from_angle(0.7)
         gen = np.random.default_rng(3)
         block = lambda: gen.standard_normal((_SCAN_BLOCK, 2, 7))
@@ -942,24 +937,20 @@ class TestScans:
         assert len(got) == 2 and len(stream.shapes) == 3
         assert threading.active_count() == before
 
-    def test_scripted_stream_draws_ahead_in_block_order(self):
+    def test_scripted_stream_draws_each_block_when_asked(self):
         model = HypersurfaceModel.from_angle(0.7)
         sizes = [_SCAN_BLOCK, _SCAN_BLOCK, _SCAN_BLOCK, 5]
         gen = np.random.default_rng(6)
         draws = [gen.standard_normal((m, 2, 7)) for m in sizes]
-        # slow draws: a block handed over alone would arrive before its batch
-        stream = ScriptedNormals(draws, delay=0.02)
+        stream = ScriptedNormals(draws)
         got = []
-        for u, v, k in _plane_blocks(stream, sum(sizes), model):
-            # the batch of _HANDOFF blocks in hand is drawn, and at most the next
-            batch = len(got) // _HANDOFF + 1
-            assert min(batch * _HANDOFF, len(sizes)) <= len(stream.shapes)
-            assert len(stream.shapes) <= (batch + 1) * _HANDOFF
+        for b, (u, v, k) in enumerate(_plane_blocks(stream, sum(sizes), model)):
+            # block b is drawn, and no block after it
+            assert len(stream.shapes) == b + 1
             got.append((u, v, k))
         assert stream.shapes == [(m, 2, 7) for m in sizes]  # no draw after the last block
-        # every draw is made on the one helper thread, none on the caller's
-        assert len(set(stream.threads)) == 1
-        assert threading.get_ident() not in stream.threads
+        # every draw is made once, in block order, on the caller's thread
+        assert stream.threads == [threading.get_ident()] * len(sizes)
         for (u, v, k), planes in zip(got, draws):
             assert np.array_equal(u, planes[:, 0]) and np.array_equal(v, planes[:, 1])
             assert np.array_equal(k, _sectional_rows(model, planes[:, 0], planes[:, 1],
@@ -1065,12 +1056,12 @@ class TestScans:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            # a batch of draws at a time, one block's wedges and their K
+            # one block's draw at a time, its wedges and their K
             assert peak <= 1.0e6
 
     def test_scan_high_water_mark(self):
-        # a batch of _HANDOFF blocks in hand, the next batch drawn ahead, one
-        # block's wedges and their K; the two extremes so far are copied rows
+        # one block's draw in hand, its wedges and their K; the two extremes
+        # so far are copied rows
         nonpositivity_scan(0.7, samples=10)
         tracemalloc.start()
         try:

@@ -19,6 +19,7 @@ from solvgeom.hypersurface import (
     AMBIENT_BASIS,
     HypersurfaceModel,
     TangentVector,
+    _PAIRS,
     _gram_schmidt,
     ambient_algebra,
     ambient_curvature,
@@ -190,6 +191,27 @@ def test_gauss_tensor_matches_koszul(alpha):
     koszul = np.einsum("ijkm,ml->ijkl", alg._riemann, alg.gram)
     assert gauss.shape == koszul.shape == (7, 7, 7, 7)
     assert np.max(np.abs(gauss - koszul)) <= 1e-12
+
+
+# The diagonal 2-torus of SU(3) rotates (E12, iE12), (E23, iE23), (E13, iE13)
+# and fixes H, so the curvature operator on Lambda^2 R^7 commutes with it: it
+# is zero outside these seven blocks of pairs e_i ^ e_j, written "ij".
+TORUS_BLOCKS = ["01 23 45", "02 13 46", "03 12 56", "04 15 26", "05 14 36", "06 24 35",
+                "16 25 34"]
+
+
+def test_curvature_operator_is_torus_equivariant():
+    block_of = {pair: b for b, pairs in enumerate(TORUS_BLOCKS) for pair in pairs.split()}
+    i, j = _PAIRS
+    label = np.array([block_of[f"{p}{q}"] for p, q in zip(i, j)])
+    outside = label[:, None] != label[None, :]
+    assert outside.sum() == 21 * 21 - 7 * 9
+    for alpha in np.linspace(0.0, math.pi / 2.0, 101):
+        gauss = HypersurfaceModel.from_angle(alpha)._curvature_operator
+        alg = build_hypersurface_algebra(alpha)
+        lowered = alg._riemann @ alg.gram
+        koszul = lowered[i[:, None], j[:, None], j[None, :], i[None, :]]
+        assert not np.any(gauss[outside]) and not np.any(koszul[outside])
 
 
 def test_gauss_pipeline_never_builds_an_algebra(monkeypatch):
