@@ -29,12 +29,13 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from .engine import _check_partition, dump_algebra_json, jacobi_residual, load_algebra_json
 from .hypersurface import (
+    CurvatureReport,
     GroupElement,
     HypersurfaceModel,
     _ambient_curvature_tensor,
@@ -59,11 +60,7 @@ MAX_SAMPLES = 10**6
 # near 120 MB.
 MAX_STEPS = 10**5
 
-SWEEP_COLUMNS = (
-    "alpha", "mean_curvature", "cheeger", "ricci_min", "ricci_max",
-    "k_sigma", "regime", "minimal", "einstein", "horosphere_range",
-    "cross_residual",
-)
+SWEEP_COLUMNS = tuple(f.name for f in fields(CurvatureReport))
 
 
 def _csv_cell(value) -> str:

@@ -226,8 +226,8 @@ class MetricLieAlgebra:
         of n (d, d) arrays.  Each pairwise commutator is expanded over the
         basis by real least squares; a residual above CLOSURE_TOL means the
         span is not a subalgebra and raises ValueError.  The Gram matrix is
-        that of ``inner_solvable``, so every basis matrix must lie in the
-        solvable algebra.
+        that of ``inner_solvable``, so every basis matrix must be finite and
+        lie in the solvable algebra.
         """
         try:
             basis = np.asarray(basis, dtype=complex)
@@ -239,18 +239,20 @@ class MetricLieAlgebra:
                 f"expected a nonempty (n, d, d) stack of square matrices, got shape {basis.shape}"
             )
         n = len(basis)
+        bad = ~np.isfinite(basis).all(axis=(1, 2))
+        if bad.any():
+            raise ValueError(f"basis[{int(np.argmax(bad))}] has a non-finite entry")
 
         def flat(stack: np.ndarray) -> np.ndarray:
             v = stack.reshape(len(stack), -1)
             return np.concatenate([v.real, v.imag], axis=1).T
 
         span = flat(basis)
-        if np.linalg.matrix_rank(span) < n:
-            raise ValueError("basis is not linearly independent")
-
         iu, ju = np.triu_indices(n, 1)
         targets = flat(bracket(basis[iu], basis[ju]))
-        coeffs, *_ = np.linalg.lstsq(span, targets, rcond=None)
+        coeffs, _, rank, _ = np.linalg.lstsq(span, targets, rcond=None)
+        if rank < n:
+            raise ValueError("basis is not linearly independent")
         residuals = np.linalg.norm(span @ coeffs - targets, axis=0)
         for i, j, res in zip(iu, ju, residuals):
             if res > CLOSURE_TOL:
@@ -366,8 +368,8 @@ class MetricLieAlgebra:
 
     def einstein_check(self, tol: float) -> tuple[bool, float]:
         """(is Einstein within tol, mean Ricci eigenvalue)."""
-        if tol <= 0:
-            raise ValueError(f"tolerance must be positive, got {tol}")
+        if not (np.isfinite(tol) and tol > 0):
+            raise ValueError(f"tolerance must be finite and positive, got {tol}")
         eig = self._ricci_spectrum
         with np.errstate(over="ignore", invalid="ignore"):  # refused below, by name
             mean = np.mean(eig)
@@ -427,6 +429,8 @@ class MetricLieAlgebra:
             raise ValueError("z_indices is empty: the z block needs at least one index")
         if n_random < 0:
             raise ValueError(f"n_random must be nonnegative, got {n_random}")
+        if not (np.isfinite(tol) and tol >= 0):
+            raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
         g, c = self._gram, self._structure
         ni = vi + zi
 

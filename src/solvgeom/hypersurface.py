@@ -473,7 +473,8 @@ class Regime(enum.Enum):
 
 @dataclass(frozen=True)
 class CurvatureReport:
-    """Per-angle summary of the hypersurface geometry.
+    """Per-angle summary of the hypersurface geometry; its fields, in order,
+    are the sweep columns (``cli.SWEEP_COLUMNS``).
 
     Raw values are carried alongside the boolean flags so callers can apply
     their own thresholds; the flags use ALPHA_BOUNDARY_TOL around the
@@ -487,26 +488,14 @@ class CurvatureReport:
     ricci_max: float
     k_sigma: float
     regime: Regime
-    is_minimal: bool
-    is_einstein: bool
-    is_horosphere_range: bool
-    cross_pipeline_residual: float
+    minimal: bool
+    einstein: bool
+    horosphere_range: bool
+    cross_residual: float
 
     def as_row(self) -> dict:
-        """Flat mapping in the sweep column order."""
-        return {
-            "alpha": self.alpha,
-            "mean_curvature": self.mean_curvature,
-            "cheeger": self.cheeger,
-            "ricci_min": self.ricci_min,
-            "ricci_max": self.ricci_max,
-            "k_sigma": self.k_sigma,
-            "regime": self.regime.value,
-            "minimal": self.is_minimal,
-            "einstein": self.is_einstein,
-            "horosphere_range": self.is_horosphere_range,
-            "cross_residual": self.cross_pipeline_residual,
-        }
+        """The sweep row: the fields in order, the regime as its value."""
+        return {**vars(self), "regime": self.regime.value}
 
 
 def _sample_count(samples) -> int:
@@ -558,10 +547,10 @@ def _report(model: HypersurfaceModel, vecs: np.ndarray) -> CurvatureReport:
         ricci_max=rmax,
         k_sigma=float(_at(alpha, _gauss_family().k_sigma)),
         regime=regime,
-        is_minimal=abs(mean) <= 1e-12,
-        is_einstein=alpha <= ALPHA_BOUNDARY_TOL,
-        is_horosphere_range=alpha >= HOROSPHERE_ONSET - ALPHA_BOUNDARY_TOL,
-        cross_pipeline_residual=residual,
+        minimal=abs(mean) <= 1e-12,
+        einstein=alpha <= ALPHA_BOUNDARY_TOL,
+        horosphere_range=alpha >= HOROSPHERE_ONSET - ALPHA_BOUNDARY_TOL,
+        cross_residual=residual,
     )
 
 
@@ -596,14 +585,8 @@ class GroupElement:
         axis, normal = _abelian_diagonals(self.alpha)
         with np.errstate(over="ignore", invalid="ignore"):  # refused below, by name
             d = np.exp(self.t * axis + self.s * normal)
-            m = np.array(
-                [
-                    [d[0], self.x * d[1], self.z * d[2]],
-                    [0.0, d[1], self.y * d[2]],
-                    [0.0, 0.0, d[2]],
-                ],
-                dtype=complex,
-            )
+            m = np.diag(d).astype(complex)
+            m[_I, _J] = np.array([self.x, self.y, self.z]) * d[_J]
         if not np.all(np.isfinite(m)):
             raise ValueError(f"the point at t = {self.t!r}, s = {self.s!r} overflows the float range")
         return m
@@ -684,6 +667,8 @@ def foliation_residual_many(alpha: float, xyz, t, s, q_s=0.0) -> np.ndarray:
 
 def volume_distortion(alpha: float, s: float) -> float:
     """Leafwise volume factor exp(-s tr ad T) of the time-s flow, which conjugates by exp(-s T)."""
+    if not math.isfinite(float(s)):
+        raise ValueError(f"flow time s = {s!r} is not finite")
     model = HypersurfaceModel.from_angle(alpha)
     tr_ad = float(np.real(np.vdot(model.basis, bracket(model.normal, model.basis))))
     try:

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from solvgeom import cli, hypersurface
 from solvgeom.cli import SWEEP_COLUMNS, main
 from solvgeom.engine import MetricLieAlgebra, dump_algebra_json
 from solvgeom.hypersurface import (
+    CurvatureReport,
     GroupElement,
     HypersurfaceModel,
     _model_at,
@@ -52,6 +54,12 @@ class TestSweep:
         assert rc == 0
         assert out.splitlines()[0] == HEADER
         assert ",".join(SWEEP_COLUMNS) == HEADER
+
+    def test_columns_are_the_report_fields(self):
+        # one definition: the report's fields, in order, are the sweep columns and row keys
+        row = classify(0.3, samples=3).as_row()
+        assert list(row) == list(SWEEP_COLUMNS) == [f.name for f in fields(CurvatureReport)]
+        assert isinstance(row["regime"], str)
 
     def test_row_count_and_parse(self, capsys):
         rc, out, _ = run_cli(capsys, "sweep", "--steps", "5", "--samples", "5")

@@ -174,6 +174,15 @@ class TestFromMatrixBasis:
         with pytest.raises(ValueError, match="not a subalgebra"):
             MetricLieAlgebra.from_matrix_basis((E12, E23))
 
+    @pytest.mark.parametrize("fill", [math.nan, math.inf, -math.inf, complex(0, math.nan)])
+    def test_non_finite_basis_rejected_by_name(self, fill, capfd):
+        # refused before any SVD: LAPACK would print to stderr on a non-finite matrix
+        bad = E23.astype(complex)
+        bad[1, 2] = fill
+        with pytest.raises(ValueError, match=re.escape("basis[1] has a non-finite entry")):
+            MetricLieAlgebra.from_matrix_basis((E12, bad, E13))
+        assert capfd.readouterr() == ("", "")
+
     def test_heisenberg_structure_recovered(self):
         alg = MetricLieAlgebra.from_matrix_basis((E12, E23, E13), labels=("x", "y", "z"))
         expected = np.zeros((3, 3, 3))
@@ -278,9 +287,10 @@ class TestConnectionAndCurvature:
         with pytest.raises(ValueError, match="degenerate"):
             alg.sectional(v, 2.0 * v)
 
-    def test_einstein_tol_validated(self):
+    @pytest.mark.parametrize("tol", [0.0, math.nan, math.inf])
+    def test_einstein_tol_validated(self, tol):
         with pytest.raises(ValueError, match="tolerance"):
-            hyperbolic_plane().einstein_check(0.0)
+            hyperbolic_plane().einstein_check(tol)
 
     def test_einstein_mean_of_a_spectrum_whose_sum_overflows(self):
         # Ric = -6.05e307 I: each eigenvalue is finite, their sum is not
@@ -547,6 +557,13 @@ class TestStackedAxioms:
     def test_negative_draw_count_rejected(self):
         with pytest.raises(ValueError, match="^n_random must be nonnegative, got -3$"):
             complex_hyperbolic_plane().damek_ricci_check((0, 1), (2,), 3, n_random=-3)
+
+    @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf, -math.inf])
+    def test_tol_validated(self, tol):
+        # the --tol rule: finite and nonnegative
+        with pytest.raises(ValueError, match="^tolerance must be finite and nonnegative"):
+            complex_hyperbolic_plane().damek_ricci_check((0, 1), (2,), 3, tol=tol)
+        complex_hyperbolic_plane().damek_ricci_check((0, 1), (2,), 3, tol=0.0)  # 0 is allowed
 
     def test_quaternionic_hyperbolic_line_is_damek_ricci(self):
         assert quaternionic_hyperbolic_line().damek_ricci_check(

@@ -497,37 +497,37 @@ class TestGaussFamily:
 class TestClassify:
     def test_flags_at_zero(self):
         rep = classify(0.0, samples=50)
-        assert rep.is_minimal and rep.is_einstein and not rep.is_horosphere_range
+        assert rep.minimal and rep.einstein and not rep.horosphere_range
         assert rep.regime is Regime.NEGATIVE_RICCI
         assert rep.mean_curvature == pytest.approx(0.0, abs=1e-14)
         assert rep.cheeger == pytest.approx(4.0, abs=1e-12)
 
     def test_flags_mid_range(self):
         rep = classify(math.pi / 6, samples=50)
-        assert not rep.is_minimal and not rep.is_einstein
-        assert not rep.is_horosphere_range
+        assert not rep.minimal and not rep.einstein
+        assert not rep.horosphere_range
         assert rep.regime is Regime.NEGATIVE_RICCI
         assert rep.ricci_max < 0.0
 
     def test_flags_at_boundary(self):
         rep = classify(math.pi / 3, samples=50)
         assert rep.regime is Regime.RICCI_NULL_DIRECTION
-        assert rep.is_horosphere_range
+        assert rep.horosphere_range
         assert rep.ricci_max == pytest.approx(0.0, abs=1e-9)
 
     def test_flags_past_boundary(self):
         rep = classify(1.3, samples=50)
         assert rep.regime is Regime.MIXED_RICCI
-        assert rep.is_horosphere_range
+        assert rep.horosphere_range
         assert rep.ricci_max > 0.0
 
     def test_cross_residual_small(self):
         rep = classify(0.9, samples=300, seed=4)
-        assert rep.cross_pipeline_residual <= 1e-10
+        assert rep.cross_residual <= 1e-10
 
     def test_zero_samples(self):
         rep = classify(0.5, samples=0)
-        assert rep.cross_pipeline_residual == 0.0
+        assert rep.cross_residual == 0.0
 
     def test_negative_samples_rejected(self):
         with pytest.raises(ValueError, match="samples"):
@@ -779,6 +779,11 @@ class TestFlowAndFoliation:
     def test_volume_distortion_exact_at_zero(self):
         for s in np.linspace(-5.0, 5.0, 20):
             assert volume_distortion(0.0, s) == 1.0
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+    def test_volume_distortion_refuses_a_non_finite_time(self, s):
+        with pytest.raises(ValueError, match=f"^flow time s = {s!r} is not finite$"):
+            volume_distortion(0.5, s)
 
     def test_volume_distortion_frozen(self):
         assert volume_distortion(math.pi / 2, 1.0) == pytest.approx(
