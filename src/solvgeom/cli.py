@@ -39,6 +39,8 @@ from .hypersurface import (
     GroupElement,
     HypersurfaceModel,
     _ambient_curvature_tensor,
+    _at,
+    _gauss_family,
     _report,
     _validate_alpha,
     ambient_algebra,
@@ -211,7 +213,7 @@ def _cmd_verify(args) -> int:
         ("Jacobi identity", max(jacobi_residual(a.structure) for a in (alg, amb)), ""),
         ("curvature tensor symmetries", *_worst(symmetries)),
         ("Gauss vs Koszul Ricci", *_worst(ricci_dev)),
-        ("Gauss vs Koszul sectional", *_worst(np.abs(model._curvature_tensor - r))),
+        ("Gauss vs Koszul sectional", *_worst(np.abs(_at(alpha, _gauss_family().tensor) - r))),
         ("ambient bracket vs Koszul curvature",
          *_worst(np.abs(_ambient_curvature_tensor() - amb._riemann @ amb.gram))),
         ("mean curvature trace identity", abs(mean_curvature(model) + 4.0 * s), ""),

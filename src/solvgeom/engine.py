@@ -68,6 +68,8 @@ GRAM_EIGENVALUE_FLOOR = 1e-10
 GRAM_CONDITION_FLOOR = 1e-12
 CLOSURE_TOL = 1e-9
 DAMEK_RICCI_TOL = 1e-10
+# Random unit vectors of z, besides a frame of it, on which axiom 4 is tested.
+_DAMEK_RICCI_DRAWS = 100
 # span{x, y} is degenerate when its Gram determinant |x|^2 |y|^2 - <x, y>^2 is
 # at most this times |x|^2 |y|^2: when x and y are at most 1e-6 rad apart.
 DEGENERATE_PLANE_TOL = 1e-12
@@ -411,15 +413,14 @@ class MetricLieAlgebra:
         v_indices,
         z_indices,
         a_index: int,
-        n_random: int = 100,
         seed: int = 0,
         tol: float = DAMEK_RICCI_TOL,
     ) -> DamekRicciReport:
         """Check the five Damek-Ricci axioms for the split v + z + R A.
 
-        Axiom 4 is tested on a Gram-orthonormal frame of z plus ``n_random``
-        random unit vectors of z drawn from ``seed``; J_z is built for all of
-        them from one solve.  Both blocks must be nonempty.
+        Axiom 4 is tested on a Gram-orthonormal frame of z plus
+        _DAMEK_RICCI_DRAWS random unit vectors of z drawn from ``seed``; J_z is
+        built for all of them from one solve.  Both blocks must be nonempty.
         """
         vi, zi = list(v_indices), list(z_indices)
         _check_partition(self.dim, (("v_indices", vi), ("z_indices", zi), ("a_index", [a_index])))
@@ -427,8 +428,6 @@ class MetricLieAlgebra:
             raise ValueError("v_indices is empty: the v block needs at least one index")
         if not zi:
             raise ValueError("z_indices is empty: the z block needs at least one index")
-        if n_random < 0:
-            raise ValueError(f"n_random must be nonnegative, got {n_random}")
         if not (np.isfinite(tol) and tol >= 0):
             raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
         g, c = self._gram, self._structure
@@ -446,7 +445,7 @@ class MetricLieAlgebra:
         axiom_3 = AxiomCheck(bool(r3 <= tol), float(r3))
 
         z_frame = self._subspace_orthonormal(zi)
-        draws = np.random.default_rng(seed).standard_normal((n_random, len(zi)))
+        draws = np.random.default_rng(seed).standard_normal((_DAMEK_RICCI_DRAWS, len(zi)))
         # stacked matmuls, bit for bit the per-vector w = draw @ z_frame, sqrt(w g w)
         w = (draws[:, None] @ z_frame)[:, 0]
         nw = np.sqrt((w[:, None] @ g @ w[..., None])[:, 0, 0])

@@ -17,10 +17,10 @@ corresponding subgroup orbit is a homogeneous hypersurface with unit normal
 T(alpha) = sin(alpha) H0 - cos(alpha) H1.  alpha = 0 gives the minimal
 Einstein member (a Damek-Ricci space) and alpha = pi/2 a horosphere.
 
-A model is its angle: every array of it is derived from alpha and
-read-only.  ``HypersurfaceModel.from_angle`` memoises the last few models it
-built, so every caller in a process shares one model per angle, and with it
-one tangent algebra and one curvature tensor.
+A model holds its angle, its read-only frame derived from alpha and its
+Koszul tangent algebra, built on first use.  ``HypersurfaceModel.from_angle``
+memoises the last few models it built, so every caller in a process shares
+one model per angle, and with it one frame and one tangent algebra.
 
 Curvature of the hypersurface is computed two independent ways and compared
 throughout the test suite:
@@ -37,12 +37,12 @@ Only the basis row of H depends on alpha, and it and the normal T are
 linear in (cos alpha, sin alpha).  So the Gauss side is one alpha-family,
 ``_gauss_family``, derived from the basis matrices once per process, on the
 first Gauss query: II is linear and R quadratic in (cos alpha, sin alpha),
-and so are the operator, the Ricci form and the reference plane's K.  A
-model's arrays are the family's members at its alpha (``_at``).
+and so are the operator, the Ricci form and the reference plane's K.  Each
+Gauss query reads the member it needs at its alpha (``_at``); no model caches one.
 
 Since w R w / w . w does not change when u, v are replaced by another basis
-of their plane, one kernel, ``_sectional_rows``, reads K off the wedges of
-raw pairs for ``gauss_sectional`` and the sampled-plane queries
+of their plane, one kernel, ``_sectional_rows``, reads K off the 21x21 R and
+the wedges of raw pairs for ``gauss_sectional`` and the sampled-plane queries
 (``nonpositivity_scan``, ``zero_curvature_search``), which orthonormalise
 only the planes they return or start a descent from.  Both read one stream,
 ``_plane_blocks``: plane r is row r of one standard-normal (n, 2, 7) draw,
@@ -145,7 +145,7 @@ def ambient_curvature(x1: np.ndarray, x2: np.ndarray) -> float:
 class HypersurfaceModel:
     """One member of the hypersurface family, given by its angle ``alpha``.
 
-    Every array is derived from ``alpha`` and read-only: ``axis`` is the unit
+    Its frame is derived from ``alpha`` and read-only: ``axis`` is the unit
     diagonal H(alpha) completing the nilpotent part to the tangent algebra
     and ``normal`` the unit normal T(alpha), both (3, 3) complex arrays;
     ``basis`` is the (7, 3, 3) stack of the orthonormal basis
@@ -180,32 +180,9 @@ class HypersurfaceModel:
         """The tangent algebra as a metric Lie algebra (the Koszul pipeline)."""
         return MetricLieAlgebra.from_matrix_basis(self.basis, labels=HYPERSURFACE_LABELS)
 
-    @cached_property
-    def _shape_matrix(self) -> np.ndarray:
-        """II_ij = <nabla_{e_i} T, e_j> over ``basis``; diagonal for this family."""
-        return _read_only(_at(self.alpha, _gauss_family().shape))
 
-    @cached_property
-    def _curvature_tensor(self) -> np.ndarray:
-        """R_ijkl = <R(e_i, e_j) e_k, e_l> by the Gauss equation:
-        the ambient term plus II_il II_jk - II_ik II_jl."""
-        return _read_only(_at(self.alpha, _gauss_family().tensor))
-
-    @cached_property
-    def _curvature_operator(self) -> np.ndarray:
-        """The Gauss curvature operator on Lambda^2 R^7 over the e_i ^ e_j of
-        _PAIRS: symmetric, read-only and 21x21, with R_ijkl at row i < j and
-        column l < k, so that w R w = <R(u, v) v, u> for w = u ^ v."""
-        return _read_only(_at(self.alpha, _gauss_family().operator))
-
-    @cached_property
-    def _ricci_form(self) -> np.ndarray:
-        """The Gauss Ricci form Ric_jk = R_ijk^i, 7x7 and read-only."""
-        return _read_only(_at(self.alpha, _gauss_family().ricci))
-
-
-# Four models: verify reads two (its alpha and the alpha = 0 leaf), and a
-# caller that asks for two more angles in between still finds both.
+# Four models, a frame and a Koszul algebra each: verify reads two (its alpha
+# and the alpha = 0 leaf), and a caller asking for two more still finds both.
 @lru_cache(maxsize=4)
 def _model_at(cls: type, alpha: float) -> HypersurfaceModel:
     """The model at a validated ``alpha``, built once and then shared while
@@ -258,10 +235,10 @@ class _GaussFamily(NamedTuple):
     member m of each array is the coefficient of monomial m of
     (1, c, s, c^2, c s, s^2), the first three for the linear ``shape``."""
 
-    shape: np.ndarray  # (3, 7, 7), II
-    tensor: np.ndarray  # (6, 7, 7, 7, 7), R_ijkl
-    operator: np.ndarray  # (6, 21, 21), R on Lambda^2 R^7
-    ricci: np.ndarray  # (6, 7, 7), Ric_jk
+    shape: np.ndarray  # (3, 7, 7), II_ij = <nabla_{e_i} T, e_j>, diagonal
+    tensor: np.ndarray  # (6, 7, 7, 7, 7), R_ijkl = <R(e_i, e_j) e_k, e_l>
+    operator: np.ndarray  # (6, 21, 21), R on the e_i ^ e_j, i < j: R_ijkl at (ij, lk)
+    ricci: np.ndarray  # (6, 7, 7), Ric_jk = R_ijk^i
     k_sigma: np.ndarray  # (6,), K of the reference plane
 
 
@@ -326,10 +303,10 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _sectional_rows(
-    model: HypersurfaceModel, u: np.ndarray, v: np.ndarray, fill: float
+    operator: np.ndarray, u: np.ndarray, v: np.ndarray, fill: float
 ) -> np.ndarray:
     """Sectional curvature K = w R w / w . w of the planes span{u, v} for rows
-    u, v (..., 7), the wedges w = u ^ v and R = ``_curvature_operator``, so
+    u, v (..., 7), wedges w = u ^ v and R a symmetric 21x21 ``operator``, so
     that w R w = <R(u, v) v, u> and w . w = |u|^2 |v|^2 - (u . v)^2; shape
     (...,).  u, v need not be orthonormal.  ``fill`` where the plane is
     degenerate, w . w <= DEGENERATE_PLANE_TOL |u|^2 |v|^2, or not finite."""
@@ -347,7 +324,7 @@ def _sectional_rows(
     spans = den > DEGENERATE_PLANE_TOL * (den + uv * uv)  # |u|^2 |v|^2 by Lagrange
     # R is symmetric; R.T @ w is the BLAS product of the rows w @ R, so K is
     # the same to the bit for one row (gauss_sectional) as for a block of them
-    k = np.divide(col_dot(model._curvature_operator.T @ w, w), den,
+    k = np.divide(col_dot(operator.T @ w, w), den,
                   out=np.full(den.shape, fill), where=spans)
     return k.reshape(np.shape(u)[:-1])
 
@@ -357,12 +334,12 @@ def _sectional_rows(
 
 def shape_spectrum(model: HypersurfaceModel) -> np.ndarray:
     """Eigenvalues of the shape operator, ascending."""
-    return np.linalg.eigvalsh(model._shape_matrix)
+    return np.linalg.eigvalsh(_at(model.alpha, _gauss_family().shape))
 
 
 def mean_curvature(model: HypersurfaceModel) -> float:
     """Trace of the second fundamental form over the orthonormal basis."""
-    return float(np.trace(model._shape_matrix))
+    return float(np.trace(_at(model.alpha, _gauss_family().shape)))
 
 
 def gauss_sectional(
@@ -372,7 +349,7 @@ def gauss_sectional(
     one whose Gram determinant is at most DEGENERATE_PLANE_TOL |X1|^2 |X2|^2."""
     u, v = _binary_scaled(x1.coeffs()), _binary_scaled(x2.coeffs())
     with np.errstate(invalid="ignore"):  # inf - inf of a non-finite coefficient, refused below
-        k = float(_sectional_rows(model, u, v, math.nan))
+        k = float(_sectional_rows(_at(model.alpha, _gauss_family().operator), u, v, math.nan))
     if math.isnan(k):
         raise ValueError(f"degenerate plane: gram determinant at most {DEGENERATE_PLANE_TOL:g}"
                          " |X1|^2 |X2|^2, or a coefficient not finite")
@@ -382,7 +359,14 @@ def gauss_sectional(
 def ricci_gauss_many(model: HypersurfaceModel, coeffs: np.ndarray) -> np.ndarray:
     """Ricci curvature x . Ric . x of each row of ``coeffs``, Ric_jk = R_ijk^i."""
     coeffs = np.asarray(coeffs, dtype=float)
-    return np.sum((coeffs @ model._ricci_form) * coeffs, axis=-1)
+    return np.sum((coeffs @ _at(model.alpha, _gauss_family().ricci)) * coeffs, axis=-1)
+
+
+def _ricci_sines(alpha: float) -> tuple[float, tuple[float, float, float]]:
+    """s = sin(alpha) and the sines of the closed-form Ricci curvature
+    -3 + 4 s (sin(alpha - pi/3) |a|^2 + sin(alpha + pi/3) |b|^2 + s |c|^2)."""
+    s = math.sin(alpha)
+    return s, (math.sin(alpha - math.pi / 3.0), math.sin(alpha + math.pi / 3.0), s)
 
 
 def ricci_closed_many(alpha: float, coeffs: np.ndarray) -> np.ndarray:
@@ -394,14 +378,10 @@ def ricci_closed_many(alpha: float, coeffs: np.ndarray) -> np.ndarray:
     bb = sq[..., 2] + sq[..., 3]
     cc = sq[..., 4] + sq[..., 5]
     tt = sq[..., 6]
-    bad = np.abs(aa + bb + cc + tt - 1.0) > 1e-10
-    if np.any(bad):
+    if np.any(np.abs(aa + bb + cc + tt - 1.0) > 1e-10):
         raise ValueError("closed-form Ricci curvature requires unit tangent vectors")
-    s = math.sin(alpha)
-    third = math.pi / 3.0
-    return -3.0 + 4.0 * s * (
-        math.sin(alpha - third) * aa + math.sin(alpha + third) * bb + s * cc
-    )
+    s, (ka, kb, kc) = _ricci_sines(alpha)
+    return -3.0 + 4.0 * s * (ka * aa + kb * bb + kc * cc)
 
 
 def ricci_polynomial(alpha: float, x: TangentVector) -> float:
@@ -434,10 +414,7 @@ def ricci_extremes(alpha: float) -> tuple[float, float]:
     at alpha = pi/3 and 4 sin(alpha)^2 - 3 beyond it; the minimum dips below
     -3 exactly for 0 < alpha < pi/3, where the E12 direction is pinched.
     """
-    alpha = _validate_alpha(alpha)
-    s = math.sin(alpha)
-    third = math.pi / 3.0
-    sines = (math.sin(alpha - third), math.sin(alpha + third), s)
+    s, sines = _ricci_sines(_validate_alpha(alpha))
     lo = -3.0 + 4.0 * s * min(0.0, *sines)
     hi = -3.0 + 4.0 * s * max(0.0, *sines)
     return lo, hi
@@ -534,11 +511,7 @@ def _report(model: HypersurfaceModel, vecs: np.ndarray) -> CurvatureReport:
         regime = Regime.RICCI_NULL_DIRECTION
     else:
         regime = Regime.MIXED_RICCI
-    residual = 0.0
-    if len(vecs):
-        residual = float(
-            np.max(np.abs(ricci_gauss_many(model, vecs) - ricci_closed_many(alpha, vecs)))
-        )
+    residual = np.abs(ricci_gauss_many(model, vecs) - ricci_closed_many(alpha, vecs))
     return CurvatureReport(
         alpha=alpha,
         mean_curvature=mean,
@@ -550,7 +523,7 @@ def _report(model: HypersurfaceModel, vecs: np.ndarray) -> CurvatureReport:
         minimal=abs(mean) <= 1e-12,
         einstein=alpha <= ALPHA_BOUNDARY_TOL,
         horosphere_range=alpha >= HOROSPHERE_ONSET - ALPHA_BOUNDARY_TOL,
-        cross_residual=residual,
+        cross_residual=float(np.max(residual, initial=0.0)),
     )
 
 
@@ -581,7 +554,8 @@ class GroupElement:
     s: float = 0.0
 
     def matrix(self) -> np.ndarray:
-        """The upper triangular matrix; ValueError if an entry overflows."""
+        """The upper triangular matrix; ValueError if it is not finite."""
+        _refuse_non_finite(np.array([self.x, self.y, self.z]), t=self.t, q_s=self.s)
         axis, normal = _abelian_diagonals(self.alpha)
         with np.errstate(over="ignore", invalid="ignore"):  # refused below, by name
             d = np.exp(self.t * axis + self.s * normal)
@@ -613,6 +587,15 @@ def _refuse(bad: np.ndarray, message: str, **values) -> None:
         raise ValueError(message.format(name="xyz"[np.argmax(np.atleast_2d(bad)[r])], **row))
 
 
+def _refuse_non_finite(xyz=(), s=0.0, t=0.0, q_s=0.0) -> None:
+    """ValueError, before any exponential, naming the first row whose flow time s,
+    then point coordinates t, q_s, then unipotent coordinates xyz are not finite."""
+    _refuse(~np.isfinite(s), "flow time s = {s!r} is not finite", s=s)
+    _refuse(~(np.isfinite(t) & np.isfinite(q_s)),
+            "the point at t = {t!r}, s = {q_s!r} is not finite", t=t, q_s=q_s)
+    _refuse(~np.isfinite(xyz), "coordinate {name} is not finite")
+
+
 def _conjugates(alpha: float, xyz: np.ndarray, s) -> np.ndarray:
     """xyz exp(tau_j - tau_i), tau = s T: the unipotent entries of the leaf conjugates of
     rows (m, 3) or one row; ValueError names the flow time, then the coordinate, at fault."""
@@ -634,7 +617,9 @@ def leaf_conjugate(q: GroupElement, s: float) -> GroupElement:
     is untouched.  Flowing the hypersurface for time s therefore lands on a
     group-conjugate copy, which is what makes the family a foliation.
     """
-    xyz = _conjugates(q.alpha, np.array([q.x, q.y, q.z], dtype=complex), float(s))
+    xyz, s = np.array([q.x, q.y, q.z], dtype=complex), float(s)
+    _refuse_non_finite(xyz, s)
+    xyz = _conjugates(q.alpha, xyz, s)
     return GroupElement(*map(complex, xyz), t=q.t, alpha=q.alpha, s=q.s)
 
 
@@ -643,10 +628,11 @@ def foliation_residual_many(alpha: float, xyz, t, s, q_s=0.0) -> np.ndarray:
     relative to the largest entry of the two products, for the points q with
     unipotent entries ``xyz`` (m, 3), axis and normal coordinates ``t`` and
     ``q_s`` and flow times ``s``, each a scalar or (m,).  ValueError names the
-    argument at fault in the first row that overflows, stage by stage."""
+    argument at fault in the first row not finite or overflowing, stage by stage."""
     axis, normal = _abelian_diagonals(alpha)
     xyz = np.asarray(xyz, dtype=complex)
     t, s, q_s = (np.asarray(a, dtype=float)[..., None] for a in (t, s, q_s))
+    _refuse_non_finite(xyz, s, t, q_s)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, by name
         e = np.exp(s * normal)  # the diagonal of exp(s T)
         d = np.exp(t * axis + q_s * normal)  # the diagonal of q and of q'
@@ -667,8 +653,7 @@ def foliation_residual_many(alpha: float, xyz, t, s, q_s=0.0) -> np.ndarray:
 
 def volume_distortion(alpha: float, s: float) -> float:
     """Leafwise volume factor exp(-s tr ad T) of the time-s flow, which conjugates by exp(-s T)."""
-    if not math.isfinite(float(s)):
-        raise ValueError(f"flow time s = {s!r} is not finite")
+    _refuse_non_finite(s=float(s))
     model = HypersurfaceModel.from_angle(alpha)
     tr_ad = float(np.real(np.vdot(model.basis, bracket(model.normal, model.basis))))
     try:
@@ -699,16 +684,16 @@ _SCAN_BLOCK = 768
 
 
 def _plane_blocks(
-    rng: np.random.Generator, n: int, model: HypersurfaceModel
+    rng: np.random.Generator, n: int, operator: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """n random planes span{u, v} in blocks (u, v, k) of _SCAN_BLOCK rows: plane
     r is row r of one standard-normal (n, 2, 7) draw, made a block at a time
     (chunked draws repeat the one-shot draw bit for bit), and k its sectional
-    curvature under ``model``, -inf on a degenerate plane, which is thus never
-    a scan extreme nor a descent start."""
+    curvature under the 21x21 ``operator``, -inf on a degenerate plane, which
+    is thus never a scan extreme nor a descent start."""
     for c in range(0, n, _SCAN_BLOCK):
         u, v = rng.standard_normal((min(_SCAN_BLOCK, n - c), 2, 7)).transpose(1, 0, 2)
-        yield u, v, _sectional_rows(model, u, v, -math.inf)
+        yield u, v, _sectional_rows(operator, u, v, -math.inf)
 
 
 def _gram_schmidt(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -742,20 +727,19 @@ def nonpositivity_scan(alpha: float, samples: int, seed: int = 0) -> PlaneScan:
     """
     alpha = _validate_alpha(alpha)
     samples = _sample_count(samples)
-    model = HypersurfaceModel.from_angle(alpha)
+    operator = _at(alpha, _gauss_family().operator)
     best_max, best_min = -math.inf, math.inf
     arg_max = arg_min = None
     # the extremes' rows are copied, so that they keep no block alive
-    for u, v, k in _plane_blocks(np.random.default_rng(seed), samples, model):
+    for u, v, k in _plane_blocks(np.random.default_rng(seed), samples, operator):
         i = int(np.argmax(k))
         if k[i] > best_max:
             best_max, arg_max = float(k[i]), (u[i].copy(), v[i].copy())
         j = int(np.argmin(np.abs(k)))
         if abs(k[j]) < best_min:
             best_min, arg_min = abs(float(k[j])), (u[j].copy(), v[j].copy())
-    s1, s2 = reference_plane()
-    ref = (s1.coeffs(), s2.coeffs())
-    k_ref = gauss_sectional(model, s1, s2)
+    ref = tuple(x.coeffs() for x in reference_plane())
+    k_ref = float(_sectional_rows(operator, *ref, math.nan))
     pack = lambda pair: tuple(TangentVector.from_coeffs(x) for x in pair)
     return PlaneScan(
         max_curvature=max(best_max, k_ref),  # ties keep the sampled plane
@@ -794,12 +778,12 @@ def zero_curvature_search(
     attaining it.
     """
     alpha = _validate_alpha(alpha)
-    model = HypersurfaceModel.from_angle(alpha)
-    blocks = _plane_blocks(np.random.default_rng(seed), _ZERO_SAMPLES, model)
+    operator = _at(alpha, _gauss_family().operator)
+    blocks = _plane_blocks(np.random.default_rng(seed), _ZERO_SAMPLES, operator)
     u, v, k = (np.concatenate(x) for x in zip(*blocks))
     order = np.argsort(np.abs(k))[:_ZERO_STARTS]
     # |K| of the planes spanned by the halves of rows (..., 14); inf if degenerate
-    abs_k = lambda w: np.abs(_sectional_rows(model, w[..., :7], w[..., 7:], math.inf))
+    abs_k = lambda w: np.abs(_sectional_rows(operator, w[..., :7], w[..., 7:], math.inf))
     best_val = math.inf
     best_w = None
     for w in np.concatenate(_gram_schmidt(u[order], v[order]), axis=1):

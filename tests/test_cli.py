@@ -23,6 +23,7 @@ from solvgeom.hypersurface import (
     CurvatureReport,
     GroupElement,
     HypersurfaceModel,
+    _gauss_family,
     _model_at,
     ambient_algebra,
     build_hypersurface_algebra,
@@ -417,24 +418,30 @@ class TestVerifyMutations:
     ENTRY = (1, 2, 3, 4)
 
     @pytest.mark.parametrize(
-        "owner, attr, dim, row, label",
+        "dim, row, label",
         [
-            (HypersurfaceModel, "_curvature_tensor", None, 3, "Gauss vs Koszul sectional"),
-            (MetricLieAlgebra, "_riemann", 7, 1, "curvature tensor symmetries"),
-            (MetricLieAlgebra, "_riemann", 8, 4, "ambient bracket vs Koszul curvature"),
+            (None, 3, "Gauss vs Koszul sectional"),
+            (7, 1, "curvature tensor symmetries"),
+            (8, 4, "ambient bracket vs Koszul curvature"),
         ],
     )
-    def test_row_fails_and_names_the_entry(self, capsys, monkeypatch, owner, attr, dim,
-                                           row, label):
-        compute = vars(owner)[attr].func
+    def test_row_fails_and_names_the_entry(self, capsys, monkeypatch, dim, row, label):
+        if dim is None:
+            # the Gauss family's tensor, in its constant monomial: 1e-6 at every alpha
+            family = _gauss_family()
+            tensor = family.tensor.copy()
+            tensor[(0, *self.ENTRY)] += 1e-6
+            monkeypatch.setattr(cli, "_gauss_family", lambda: family._replace(tensor=tensor))
+        else:
+            compute = vars(MetricLieAlgebra)["_riemann"].func
 
-        def perturbed(obj):
-            t = compute(obj).copy()
-            if dim is None or obj.dim == dim:
-                t[self.ENTRY] += 1e-6
-            return t
+            def perturbed(alg):
+                t = compute(alg).copy()
+                if alg.dim == dim:
+                    t[self.ENTRY] += 1e-6
+                return t
 
-        monkeypatch.setattr(owner, attr, property(perturbed))
+            monkeypatch.setattr(MetricLieAlgebra, "_riemann", property(perturbed))
         rc, out, err = run_cli(capsys, "verify", "--alpha", "0.7", "--samples", "50")
         lines = out.splitlines()
         assert rc == 1

@@ -554,9 +554,11 @@ def per_vector_axioms_4_and_5(alg, vi, zi, a_index, n_random, seed):
 
 
 class TestStackedAxioms:
-    def test_negative_draw_count_rejected(self):
-        with pytest.raises(ValueError, match="^n_random must be nonnegative, got -3$"):
-            complex_hyperbolic_plane().damek_ricci_check((0, 1), (2,), 3, n_random=-3)
+    def test_draw_count_is_not_a_parameter(self):
+        # axiom 4 always reads _DAMEK_RICCI_DRAWS random vectors of z
+        assert engine._DAMEK_RICCI_DRAWS == 100
+        with pytest.raises(TypeError, match="n_random"):
+            complex_hyperbolic_plane().damek_ricci_check((0, 1), (2,), 3, n_random=10)
 
     @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf, -math.inf])
     def test_tol_validated(self, tol):
@@ -583,10 +585,11 @@ class TestStackedAxioms:
         ],
         ids=["alpha0", "alpha0_skewed_basis", "CH2_skewed_gram", "HH1", "HH1_skewed_basis"],
     )
-    def test_stacked_draw_equals_the_per_vector_loop(self, make, split, seed):
+    def test_stacked_draw_equals_the_per_vector_loop(self, make, split, seed, monkeypatch):
         alg = make()
         for n_random in (0, 1, 100, 3000):
-            report = alg.damek_ricci_check(*split, n_random=n_random, seed=seed)
+            monkeypatch.setattr(engine, "_DAMEK_RICCI_DRAWS", n_random)
+            report = alg.damek_ricci_check(*split, seed=seed)
             r4, r5 = per_vector_axioms_4_and_5(alg, *split, n_random, seed)
             assert (report.axiom_4.residual, report.axiom_5.residual) == (r4, r5)
 

@@ -31,6 +31,7 @@ from solvgeom.hypersurface import (
     _ZERO_STARTS,
     _ZERO_TARGET,
     _abelian_diagonals,
+    _GaussFamily,
     _ambient_curvature_tensor,
     _at,
     _gauss_family,
@@ -66,19 +67,24 @@ HALF_SQRT3 = math.sqrt(3.0) / 2.0
 ANGLES = [0.0, 0.2, math.pi / 6, math.pi / 4, math.pi / 3, 1.3, math.pi / 2]
 
 
-def _plane_terms(model, u, v):
+def gauss(alpha, member):
+    """The Gauss family's ``member`` at ``alpha``, as every Gauss query reads it."""
+    return _at(alpha, getattr(_gauss_family(), member))
+
+
+def _plane_terms(operator, u, v):
     """The row-major reference for ``_sectional_rows``: w R w and w . w of the
     wedges w = u ^ v of rows u, v (..., 7), one row of w per plane."""
     i, j = np.triu_indices(7, 1)
     w = u[..., i] * v[..., j] - u[..., j] * v[..., i]
     dot = lambda a, b: np.einsum("...i,...i->...", a, b)
-    return dot(w @ model._curvature_operator, w), dot(w, w)
+    return dot(w @ operator, w), dot(w, w)
 
 
-def plane_abs_curvature(model, w):
+def plane_abs_curvature(operator, w):
     """|K| of the planes spanned by the halves u, v of rows w (m, 14), inf where
     degenerate: the value the zero-curvature descent minimises."""
-    return np.abs(_sectional_rows(model, w[:, :7], w[:, 7:], math.inf))
+    return np.abs(_sectional_rows(operator, w[:, :7], w[:, 7:], math.inf))
 
 
 def unit_tangent(seed, n=1):
@@ -154,13 +160,11 @@ class TestModel:
             HypersurfaceModel.from_angle(alpha)
         assert _model_at.cache_info().currsize == _model_at.cache_info().maxsize
 
-    @pytest.mark.parametrize(
-        "attr",
-        ["axis", "normal", "basis", "_shape_matrix", "_curvature_tensor",
-         "_curvature_operator", "_ricci_form"],
-    )
+    @pytest.mark.parametrize("attr", ["axis", "normal", "basis", *_GaussFamily._fields])
     def test_shared_arrays_are_read_only(self, attr):
-        array = getattr(HypersurfaceModel.from_angle(0.3), attr)
+        # a shared model's frame, and each member of the one Gauss family
+        family = attr in _GaussFamily._fields
+        array = getattr(_gauss_family() if family else HypersurfaceModel.from_angle(0.3), attr)
         with pytest.raises(ValueError, match="read-only"):
             array[(0,) * array.ndim] = 1.0
 
@@ -191,12 +195,12 @@ class TestModel:
         assert repr(HypersurfaceModel(-0.0).alpha) == "0.0"
 
     def test_direct_model_pipelines_agree(self):
-        # an unshared model: its Gauss tensor and its Koszul algebra both
-        # follow from alpha, so they describe the same hypersurface
+        # an unshared model: the Gauss tensor at its alpha and its Koszul
+        # algebra both follow from alpha, so they describe the same hypersurface
         model = HypersurfaceModel(0.7)
         assert model is not HypersurfaceModel.from_angle(0.7)
         koszul = model.algebra._riemann @ model.algebra.gram
-        assert np.max(np.abs(model._curvature_tensor - koszul)) <= 1e-12
+        assert np.max(np.abs(gauss(model.alpha, "tensor") - koszul)) <= 1e-12
 
 
 class TestTangentVector:
@@ -224,11 +228,11 @@ class TestTangentVector:
 
 
 class TestSecondFundamentalForm:
-    # II(x, y) = x @ _shape_matrix @ y on coefficient vectors
+    # II(x, y) = x @ gauss(alpha, "shape") @ y on coefficient vectors
 
     @pytest.mark.parametrize("alpha", ANGLES)
     def test_diagonal_values(self, alpha):
-        s = HypersurfaceModel.from_angle(alpha)._shape_matrix
+        s = gauss(alpha, "shape")
         sa, ca = math.sin(alpha), math.cos(alpha)
         vv, ww, zz, hh = np.eye(7)[[0, 2, 4, 6]]  # E12, E23, E13, H
         assert vv @ s @ vv == pytest.approx(HALF_SQRT3 * ca - sa / 2, abs=1e-13)
@@ -238,17 +242,17 @@ class TestSecondFundamentalForm:
         assert vv @ s @ ww == pytest.approx(0.0, abs=1e-13)
 
     def test_value_at_pi_sixth(self):
-        s = HypersurfaceModel.from_angle(math.pi / 6)._shape_matrix
+        s = gauss(math.pi / 6, "shape")
         v = TangentVector(a=1).coeffs()
         assert v @ s @ v == pytest.approx(0.5, abs=1e-14)
 
     @pytest.mark.parametrize("alpha", ANGLES)
     def test_matrix_is_diagonal(self, alpha):
-        m = HypersurfaceModel.from_angle(alpha)._shape_matrix
+        m = gauss(alpha, "shape")
         assert np.max(np.abs(m - np.diag(np.diag(m)))) <= 1e-13
 
     def test_symmetric_bilinear(self):
-        s = HypersurfaceModel.from_angle(0.9)._shape_matrix
+        s = gauss(0.9, "shape")
         x, y = (v.coeffs() for v in unit_tangent(3, 2))
         assert x @ s @ y == pytest.approx(y @ s @ x, abs=1e-14)
 
@@ -440,18 +444,17 @@ class TestGaussFamily:
         w = u[i] * v[j] - u[j] * v[i]
         # 101 angles, with 0, pi/3 and pi/2
         for alpha in [*np.linspace(0.0, math.pi / 2, 100), math.pi / 3]:
-            model = HypersurfaceModel(alpha)
             shape, tensor, operator, ricci = direct_gauss(alpha)
-            assert np.max(np.abs(model._shape_matrix - shape)) <= 1e-15
-            assert np.max(np.abs(model._curvature_tensor - tensor)) <= 1e-15
-            assert np.max(np.abs(model._curvature_operator - operator)) <= 1e-15
+            assert np.max(np.abs(gauss(alpha, "shape") - shape)) <= 1e-15
+            assert np.max(np.abs(gauss(alpha, "tensor") - tensor)) <= 1e-15
+            assert np.max(np.abs(gauss(alpha, "operator") - operator)) <= 1e-15
             # each entry sums seven of R and reaches |4|: 1e-15 of the largest
-            assert np.max(np.abs(model._ricci_form - ricci)) <= 1e-15 * np.max(np.abs(ricci))
+            assert np.max(np.abs(gauss(alpha, "ricci") - ricci)) <= 1e-15 * np.max(np.abs(ricci))
             k_sigma = _at(alpha, _gauss_family().k_sigma)
             assert abs(k_sigma - w @ operator @ w / (w @ w)) <= 1e-15
 
     def test_minimal_leaf_has_mean_curvature_exactly_zero(self):
-        trace = np.trace(HypersurfaceModel(0.0)._shape_matrix)
+        trace = np.trace(gauss(0.0, "shape"))
         assert trace == 0.0 and not np.signbit(trace)
         assert repr(classify(0.0, samples=0).mean_curvature) == "0.0"
 
@@ -483,8 +486,8 @@ class TestGaussFamily:
         model = HypersurfaceModel.from_angle(alpha)
         with pytest.raises(AssertionError, match="MetricLieAlgebra"):
             model.algebra  # the Koszul side is cut off
-        assert model._curvature_tensor.shape == (7, 7, 7, 7)
-        assert model._curvature_operator.shape == (21, 21)
+        assert gauss(alpha, "tensor").shape == (7, 7, 7, 7)
+        assert gauss(alpha, "operator").shape == (21, 21)
         rows = np.eye(7)
         assert np.max(np.abs(ricci_gauss_many(model, rows) - ricci_closed_many(alpha, rows))) <= 1e-14
         assert gauss_sectional(model, *reference_plane()) == pytest.approx(
@@ -697,6 +700,51 @@ class TestFlowAndFoliation:
             else:
                 with pytest.raises(ValueError, match=f"^{re.escape(conjugate_message)}$"):
                     leaf_conjugate(q, s)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_leaf_conjugate_refuses_a_non_finite_input_by_name(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # named before any exponential: no RuntimeWarning
+            with pytest.raises(ValueError, match=f"^flow time s = {bad!r} is not finite$"):
+                leaf_conjugate(GroupElement(1.0, alpha=0.3), bad)
+            for name, q in (("x", GroupElement(complex(bad, 0.0))),
+                            ("y", GroupElement(1.0, y=complex(0.0, bad))),
+                            ("z", GroupElement(z=bad))):
+                with pytest.raises(ValueError, match=f"^coordinate {name} is not finite$"):
+                    leaf_conjugate(q, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_foliation_residual_refuses_a_non_finite_input_by_name(self, bad):
+        ok = [0.5, 0.5]
+        xyz = [[1.0, 0, 0], [1.0, 2.0, 0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^flow time s = {bad!r} is not finite$"):
+                foliation_residual_many(0.3, xyz, ok, [0.5, bad])
+            with pytest.raises(ValueError, match=f"^the point at t = {bad!r}, s = 0.5 is not "
+                                                 "finite$"):
+                foliation_residual_many(0.3, xyz, [0.5, bad], ok, ok)
+            with pytest.raises(ValueError, match=f"^the point at t = 0.5, s = {bad!r} is not "
+                                                 "finite$"):
+                foliation_residual_many(0.3, xyz, ok, ok, [bad, 0.5])
+            with pytest.raises(ValueError, match="^coordinate y is not finite$"):
+                foliation_residual_many(0.3, [[1.0, 0, 0], [1.0, bad, 0]], ok, ok)
+            # the flow time first, then the point, then the coordinates, each
+            # before an overflow of any stage
+            with pytest.raises(ValueError, match=f"^flow time s = {bad!r} is not finite$"):
+                foliation_residual_many(0.3, [[bad, 0, 0]], bad, [2000.0, bad])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_matrix_refuses_a_non_finite_input_by_name(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for point, message in (
+                (GroupElement(1.0, t=bad), f"the point at t = {bad!r}, s = 0.0"),
+                (GroupElement(1.0, alpha=0.7, s=bad), f"the point at t = 0.0, s = {bad!r}"),
+                (GroupElement(1.0, z=complex(bad, 1.0)), "coordinate z"),
+            ):
+                with pytest.raises(ValueError, match=f"^{re.escape(message)} is not finite$"):
+                    point.matrix()
 
     def test_the_first_faulty_row_is_named(self):
         xyz = [[1.0, 0, 0], [1.5e308, 0, 0], [1.0, 0, 0], [0, 1.5e308, 0]]
@@ -915,7 +963,6 @@ class TestScans:
         assert scan == nonpositivity_scan(0.3, samples=2 * _SCAN_BLOCK, seed=4)
 
     def test_no_query_starts_a_thread(self):
-        model = HypersurfaceModel.from_angle(0.7)
         before = threading.active_count()
         for samples in (0, 1, 20000):
             nonpositivity_scan(0.7, samples, seed=1)
@@ -923,33 +970,33 @@ class TestScans:
         zero_curvature_search(0.7, seed=1)
         assert threading.active_count() == before
         # nor does a stream that is open, or closed after its first block
-        stream = _plane_blocks(np.random.default_rng(2), 5 * _SCAN_BLOCK, model)
+        stream = _plane_blocks(np.random.default_rng(2), 5 * _SCAN_BLOCK, gauss(0.7, "operator"))
         next(stream)
         assert threading.active_count() == before
         stream.close()
         assert threading.active_count() == before
 
     def test_draw_error_reaches_the_caller(self):
-        model = HypersurfaceModel.from_angle(0.7)
+        operator = gauss(0.7, "operator")
         gen = np.random.default_rng(3)
         block = lambda: gen.standard_normal((_SCAN_BLOCK, 2, 7))
         stream = ScriptedNormals([block(), block(), LookupError("no block 2 here")])
         before = threading.active_count()
         got = []
         with pytest.raises(LookupError, match="^no block 2 here$"):
-            for u, v, k in _plane_blocks(stream, 4 * _SCAN_BLOCK, model):
+            for u, v, k in _plane_blocks(stream, 4 * _SCAN_BLOCK, operator):
                 got.append(k)
         assert len(got) == 2 and len(stream.shapes) == 3
         assert threading.active_count() == before
 
     def test_scripted_stream_draws_each_block_when_asked(self):
-        model = HypersurfaceModel.from_angle(0.7)
+        operator = gauss(0.7, "operator")
         sizes = [_SCAN_BLOCK, _SCAN_BLOCK, _SCAN_BLOCK, 5]
         gen = np.random.default_rng(6)
         draws = [gen.standard_normal((m, 2, 7)) for m in sizes]
         stream = ScriptedNormals(draws)
         got = []
-        for b, (u, v, k) in enumerate(_plane_blocks(stream, sum(sizes), model)):
+        for b, (u, v, k) in enumerate(_plane_blocks(stream, sum(sizes), operator)):
             # block b is drawn, and no block after it
             assert len(stream.shapes) == b + 1
             got.append((u, v, k))
@@ -958,14 +1005,14 @@ class TestScans:
         assert stream.threads == [threading.get_ident()] * len(sizes)
         for (u, v, k), planes in zip(got, draws):
             assert np.array_equal(u, planes[:, 0]) and np.array_equal(v, planes[:, 1])
-            assert np.array_equal(k, _sectional_rows(model, planes[:, 0], planes[:, 1],
+            assert np.array_equal(k, _sectional_rows(operator, planes[:, 0], planes[:, 1],
                                                      -math.inf))
 
     def test_stream_state_does_not_grow_with_its_length(self):
-        model = HypersurfaceModel.from_angle(0.7)
+        operator = gauss(0.7, "operator")
         peaks = []
         for n in (4 * _SCAN_BLOCK, 10**8):
-            stream = _plane_blocks(np.random.default_rng(1), n, model)
+            stream = _plane_blocks(np.random.default_rng(1), n, operator)
             tracemalloc.start()
             try:
                 next(stream)
@@ -978,9 +1025,9 @@ class TestScans:
 
     def test_a_stream_left_open_does_not_hold_the_interpreter_at_exit(self):
         code = ("import numpy as np\n"
-                "from solvgeom.hypersurface import HypersurfaceModel, _plane_blocks\n"
+                "from solvgeom.hypersurface import _at, _gauss_family, _plane_blocks\n"
                 "stream = _plane_blocks(np.random.default_rng(1), 5000,\n"
-                "                       HypersurfaceModel.from_angle(0.7))\n"
+                "                       _at(0.7, _gauss_family().operator))\n"
                 "next(stream)\n")
         src = os.path.dirname(os.path.dirname(hypersurface.__file__))
         env = dict(os.environ, PYTHONPATH=src)
@@ -1018,7 +1065,7 @@ class TestScans:
         # contracted in one piece
         model = HypersurfaceModel.from_angle(alpha)
         u, v = np.random.default_rng(seed).standard_normal((samples, 2, 7)).transpose(1, 0, 2)
-        k = np.divide(*_plane_terms(model, u, v))
+        k = np.divide(*_plane_terms(gauss(alpha, "operator"), u, v))
         s1, s2 = reference_plane()
         k_ref = gauss_sectional(model, s1, s2)
         ref = (s1.coeffs(), s2.coeffs())
@@ -1044,7 +1091,7 @@ class TestScans:
         scan = nonpositivity_scan(alpha, 5000, seed)
         model = HypersurfaceModel.from_angle(alpha)
         # |K| of any plane is at most the largest |eigenvalue| of the operator
-        k_bound = np.max(np.abs(np.linalg.eigvalsh(model._curvature_operator)))
+        k_bound = np.max(np.abs(np.linalg.eigvalsh(gauss(alpha, "operator"))))
         for (x1, x2), k, read in ((scan.max_plane, scan.max_curvature, float),
                                   (scan.min_abs_plane, scan.min_abs_curvature, abs)):
             u, v = x1.coeffs(), x2.coeffs()
@@ -1100,7 +1147,7 @@ class TestScans:
         assert value <= _ZERO_TARGET and abs(abs(koszul) - value) <= 1e-12
 
     def test_degenerate_rows_are_never_scan_extremes_nor_descent_starts(self, monkeypatch):
-        model = HypersurfaceModel.from_angle(0.7)
+        model, operator = HypersurfaceModel.from_angle(0.7), gauss(0.7, "operator")
         # a plane of |K| below 1e-8; a v within 1e-9 of the line of its x1 spans
         # no plane, but the raw quotient would give it the smallest |K| of all
         _, (x1, x2) = zero_curvature_search(0.7, seed=3)
@@ -1111,7 +1158,7 @@ class TestScans:
         v[1], v[2] = 2.0 * u[1], x1 + 1e-9 * x2  # exactly parallel; sin^2 about 1e-18
         draws = [np.stack([u, v], axis=1)]
         stream = ScriptedNormals(draws)
-        [(got_u, got_v, k)] = _plane_blocks(stream, 3, model)
+        [(got_u, got_v, k)] = _plane_blocks(stream, 3, operator)
         assert stream.shapes == [(3, 2, 7)]  # no draw after the last block
         assert np.array_equal(got_u, u) and np.array_equal(got_v, v)
         k_good = gauss_sectional(model, TangentVector.from_coeffs(u[0]),
@@ -1119,7 +1166,7 @@ class TestScans:
         assert k[0] == pytest.approx(k_good, abs=1e-14) and k[1] == k[2] == -math.inf
         ref = reference_plane()
         k_ref = gauss_sectional(model, *ref)
-        raw = np.divide(*_plane_terms(model, u[2], v[2]))
+        raw = np.divide(*_plane_terms(operator, u[2], v[2]))
         assert abs(raw) < min(abs(k[0]), abs(k_ref))
 
         # the scan reports row 0 or the reference plane, whichever is extreme
@@ -1137,7 +1184,7 @@ class TestScans:
         u[1234] = x1
         v[77], v[1234] = 2.0 * u[77], x1 + 1e-9 * x2
         with np.errstate(invalid="ignore"):  # row 77 is 0 / 0
-            k = np.divide(*_plane_terms(model, u, v))
+            k = np.divide(*_plane_terms(operator, u, v))
         assert int(np.nanargmin(np.abs(k))) == 1234
         k[[77, 1234]] = math.inf
         want = np.argsort(np.abs(k))[:_ZERO_STARTS]
@@ -1165,7 +1212,7 @@ class TestScans:
         )
     )
     def test_row_wise_abs_curvature_matches_scalar(self, rows):
-        model = HypersurfaceModel.from_angle(0.4)
+        operator = gauss(0.4, "operator")
         w = np.zeros((len(rows), 14))
         for r, (kind, coords, lam) in enumerate(rows):
             u, v = np.array(coords[:7]), np.array(coords[7:])
@@ -1174,7 +1221,7 @@ class TestScans:
             elif kind == "parallel":
                 v = lam * u
             w[r] = np.concatenate([u, v])
-        got = plane_abs_curvature(model, w)
+        got = plane_abs_curvature(operator, w)
         for r, (kind, _, _) in enumerate(rows):
             # the scalar evaluation, one plane at a time, on an orthonormal basis
             u, v = w[r, :7], w[r, 7:]
@@ -1187,28 +1234,28 @@ class TestScans:
             if sin < 0.5e-6:  # Gram determinant below 1e-12 |u|^2 |v|^2
                 assert got[r] == math.inf
             elif sin > 2e-6:
-                num, den = _plane_terms(model, u, v_perp / np.linalg.norm(v_perp))
+                num, den = _plane_terms(operator, u, v_perp / np.linalg.norm(v_perp))
                 # round-off in the wedge grows like 1 / sin
                 tol = 1e-12 * (1.0 + 1.0 / sin)
                 assert got[r] == pytest.approx(abs(float(num) / float(den)), rel=1e-12, abs=tol)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.7, math.pi / 2])
     def test_abs_curvature_ignores_the_basis_of_the_plane(self, alpha):
-        model = HypersurfaceModel.from_angle(alpha)
+        operator = gauss(alpha, "operator")
         pairs = _gram_schmidt(*np.random.default_rng(5).standard_normal((2, 200, 7)))
         w = np.concatenate(pairs, axis=1)
-        base = plane_abs_curvature(model, w)
+        base = plane_abs_curvature(operator, w)
         assert np.all(np.isfinite(base))
         for scale in (4.0, 0.125):  # exact in binary
             scaled = w.copy()
             scaled[:, :7] *= scale
-            assert np.array_equal(plane_abs_curvature(model, scaled), base)
+            assert np.array_equal(plane_abs_curvature(operator, scaled), base)
         for scale, lam in ((3.7, 0.0), (1e-3, 0.0), (1e3, 0.0), (1.0, 0.3), (1.0, -2.5),
                            (1.0, 10.0), (2.9, 1.7)):
             moved = w.copy()
             moved[:, 7:] += lam * moved[:, :7]
             moved[:, :7] *= scale
-            got = plane_abs_curvature(model, moved)
+            got = plane_abs_curvature(operator, moved)
             assert np.max(np.abs(got - base)) <= 1e-14 * (1.0 + abs(lam))
 
     def test_abs_curvature_is_inf_exactly_on_degenerate_rows(self):
@@ -1217,7 +1264,7 @@ class TestScans:
         u, e = np.eye(7)[0] * 3.0, np.eye(7)[2]
         rows = [(0 * u, e), (u, 0 * e), (u, -2.0 * u), (u, u + 1e-7 * e), (u, u + 1e-5 * e),
                 (u, e)]
-        got = plane_abs_curvature(model, np.array([np.concatenate(r) for r in rows]))
+        got = plane_abs_curvature(gauss(0.4, "operator"), np.array([np.concatenate(r) for r in rows]))
         assert list(got[:4]) == [math.inf] * 4
         want = abs(gauss_sectional(model, TangentVector.from_coeffs(u),
                                    TangentVector.from_coeffs(e)))
@@ -1229,50 +1276,72 @@ class TestScans:
         model = HypersurfaceModel.from_angle(alpha)
         rng = np.random.default_rng(12)
         u, v = rng.standard_normal((2, 500, 7))
-        k = _sectional_rows(model, u, v, math.nan)
+        k = _sectional_rows(gauss(alpha, "operator"), u, v, math.nan)
         want = np.array([model.algebra.sectional(x, y) for x, y in zip(u, v)])
         assert np.max(np.abs(k - want)) <= 1e-14 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("alpha", [0.0, math.pi / 6, math.pi / 3, 1.2, math.pi / 2])
     def test_kernel_is_the_row_major_contraction_of_the_curvature_tensor(self, alpha):
-        model = HypersurfaceModel.from_angle(alpha)
+        operator = gauss(alpha, "operator")
         rng = np.random.default_rng(11)
         u, v = rng.standard_normal((2, 500, 7))
-        num, den = _plane_terms(model, u, v)
-        want = np.einsum("...i,...j,...k,...l,ijkl->...", u, v, v, u,
-                         model._curvature_tensor)
+        num, den = _plane_terms(operator, u, v)
+        want = np.einsum("...i,...j,...k,...l,ijkl->...", u, v, v, u, gauss(alpha, "tensor"))
         assert np.max(np.abs(num - want)) <= 1e-14 * np.max(np.abs(want))
         gram = np.einsum("...i,...i->...", u, u) * np.einsum("...i,...i->...", v, v)
         assert np.allclose(den, gram - np.einsum("...i,...i->...", u, v) ** 2,
                            rtol=1e-14, atol=0)
         # bit for bit the row-major reference, for one row and for every block size
-        one = _sectional_rows(model, u[0], v[0], math.nan)
-        assert one.shape == () and one == np.divide(*_plane_terms(model, u[0], v[0]))
+        one = _sectional_rows(operator, u[0], v[0], math.nan)
+        assert one.shape == () and one == np.divide(*_plane_terms(operator, u[0], v[0]))
         for n in (1, 2, 3, 27, 28, 100, 500):
-            got = _sectional_rows(model, u[:n], v[:n], math.nan)
-            assert np.array_equal(got, np.divide(*_plane_terms(model, u[:n], v[:n])))
+            got = _sectional_rows(operator, u[:n], v[:n], math.nan)
+            assert np.array_equal(got, np.divide(*_plane_terms(operator, u[:n], v[:n])))
 
     @pytest.mark.parametrize("alpha", [0.0, 0.7, math.pi / 2])
     def test_bivector_form_is_the_curvature_operator(self, alpha):
         # the form on bivectors is the Gauss curvature operator R-hat
-        model = HypersurfaceModel.from_angle(alpha)
-        form = model._curvature_operator
+        form, tensor = gauss(alpha, "operator"), gauss(alpha, "tensor")
         assert form.shape == (21, 21)
         assert np.array_equal(form, form.T)
-        assert not form.flags.writeable
+        assert not _gauss_family().operator.flags.writeable
         pairs = [(i, j) for i in range(7) for j in range(i + 1, 7)]
         for p, (i, j) in enumerate(pairs):
             for q, (l, k) in enumerate(pairs):
-                assert form[p, q] == model._curvature_tensor[i, j, k, l]
+                assert form[p, q] == tensor[i, j, k, l]
 
     @pytest.mark.parametrize("fill", [-math.inf, math.inf, math.nan])
     def test_parallel_plane_gets_the_fill(self, fill):
-        model = HypersurfaceModel.from_angle(0.4)
         v = TangentVector(a=1, t=0.5).coeffs()
         rows = np.array([v, -3.0 * v, TangentVector(b=1).coeffs()])
-        got = _sectional_rows(model, np.array([v, v, v]), rows, fill)
+        got = _sectional_rows(gauss(0.4, "operator"), np.array([v, v, v]), rows, fill)
         assert np.array_equal(got[:2], [fill, fill], equal_nan=True)
         assert np.isfinite(got[2])
+
+    @pytest.mark.parametrize("fill", [-math.inf, math.inf, math.nan])
+    def test_identity_operator_gives_unit_curvature(self, fill):
+        # w I w = w . w to the bit: K = 1 on every spanning pair, the fill elsewhere
+        u, v = np.random.default_rng(8).standard_normal((2, 300, 7))
+        u[0] = 0.0
+        v[1] = 0.0
+        v[2] = -2.5 * u[2]
+        v[3] = 1e-3 * u[3]
+        got = _sectional_rows(np.eye(21), u, v, fill)
+        assert np.array_equal(got[:4], [fill] * 4, equal_nan=True)
+        assert np.all(got[4:] == 1.0)
+
+    def test_random_symmetric_operator_is_contracted_row_by_row(self):
+        rng = np.random.default_rng(9)
+        a = rng.standard_normal((21, 21))
+        operator = a + a.T
+        u, v = rng.standard_normal((2, 200, 7))
+        i, j = np.triu_indices(7, 1)
+        for n in (1, 27, 200):
+            got = _sectional_rows(operator, u[:n], v[:n], math.nan)
+            for r in range(n):
+                w = u[r, i] * v[r, j] - u[r, j] * v[r, i]
+                want = (w @ operator @ w) / (w @ w)
+                assert got[r] == pytest.approx(want, rel=1e-13, abs=1e-13)
 
 
 class TestAlgebraConstruction:
