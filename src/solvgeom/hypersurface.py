@@ -44,11 +44,11 @@ Since w R w / w . w does not change when u, v are replaced by another basis
 of their plane, one kernel, ``_sectional_rows``, reads K off the 21x21 R and
 the wedges of raw pairs for ``gauss_sectional`` and the sampled-plane queries
 (``nonpositivity_scan``, ``zero_curvature_search``), which orthonormalise
-only the planes they return or start a descent from.  Both read one stream,
+only the planes they return or start Newton steps from.  Both read one stream,
 ``_plane_blocks``: plane r is row r of one standard-normal (n, 2, 7) draw,
 made and contracted 768 planes at a time, so the scan's memory does not grow
 with the samples.  A degenerate pair (``DEGENERATE_PLANE_TOL``; about 1e-36
-likely) keeps K = -inf, so it is never a scan extreme nor a descent start.
+likely) keeps K = -inf, so it is never a scan extreme nor a search start.
 
 A closed form of the Ricci curvature, its extremes over the unit sphere, the
 Cheeger constant and the shape spectrum make the family's regime changes at
@@ -475,14 +475,14 @@ class CurvatureReport:
         return {**vars(self), "regime": self.regime.value}
 
 
-def _sample_count(samples) -> int:
-    """``samples`` as an int; it must be an int (not a bool) or a numpy
-    integer, at least 0."""
-    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
-        raise TypeError(f"samples must be an integer, got {samples!r}")
-    if samples < 0:
-        raise ValueError(f"samples must be nonnegative, got {samples}")
-    return int(samples)
+def _count(value, name: str) -> int:
+    """``value`` of the argument ``name`` (a sample count or a seed) as an int;
+    it must be an int (not a bool) or a numpy integer, at least 0."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
+    return int(value)
 
 
 def classify(alpha: float, samples: int = 1000, seed: int = 0) -> CurvatureReport:
@@ -491,11 +491,12 @@ def classify(alpha: float, samples: int = 1000, seed: int = 0) -> CurvatureRepor
     ``samples`` random unit tangent vectors feed the cross-pipeline
     residual, the largest disagreement between the Gauss-equation Ricci and
     its closed form.  Results are deterministic for a fixed seed.
-    ``samples`` must be an int (not a bool) or a numpy integer, at least 0.
+    ``samples`` and ``seed`` must be ints (not bools) or numpy integers, at
+    least 0.
     """
     alpha = _validate_alpha(alpha)
-    samples = _sample_count(samples)
-    vecs = random_unit_tangents(np.random.default_rng(seed), samples)
+    samples = _count(samples, "samples")
+    vecs = random_unit_tangents(np.random.default_rng(_count(seed, "seed")), samples)
     return _report(HypersurfaceModel.from_angle(alpha), vecs)
 
 
@@ -690,7 +691,7 @@ def _plane_blocks(
     r is row r of one standard-normal (n, 2, 7) draw, made a block at a time
     (chunked draws repeat the one-shot draw bit for bit), and k its sectional
     curvature under the 21x21 ``operator``, -inf on a degenerate plane, which
-    is thus never a scan extreme nor a descent start."""
+    is thus never a scan extreme nor a search start."""
     for c in range(0, n, _SCAN_BLOCK):
         u, v = rng.standard_normal((min(_SCAN_BLOCK, n - c), 2, 7)).transpose(1, 0, 2)
         yield u, v, _sectional_rows(operator, u, v, -math.inf)
@@ -722,16 +723,16 @@ def nonpositivity_scan(alpha: float, samples: int, seed: int = 0) -> PlaneScan:
     curvature no matter the seed.  Also tracks the plane of smallest |K|.
     Planes come from ``_plane_blocks`` a block at a time, so memory does not
     grow with ``samples``; K is read off the raw wedges, and only the two
-    planes returned are orthonormalised.  ``samples`` must be an int (not a
-    bool) or a numpy integer, at least 0.
+    planes returned are orthonormalised.  ``samples`` and ``seed`` must be
+    ints (not bools) or numpy integers, at least 0.
     """
     alpha = _validate_alpha(alpha)
-    samples = _sample_count(samples)
+    samples = _count(samples, "samples")
     operator = _at(alpha, _gauss_family().operator)
     best_max, best_min = -math.inf, math.inf
     arg_max = arg_min = None
     # the extremes' rows are copied, so that they keep no block alive
-    for u, v, k in _plane_blocks(np.random.default_rng(seed), samples, operator):
+    for u, v, k in _plane_blocks(np.random.default_rng(_count(seed, "seed")), samples, operator):
         i = int(np.argmax(k))
         if k[i] > best_max:
             best_max, arg_max = float(k[i]), (u[i].copy(), v[i].copy())
@@ -750,15 +751,28 @@ def nonpositivity_scan(alpha: float, samples: int, seed: int = 0) -> PlaneScan:
     )
 
 
-# Coordinate moves of the descent in the order they are tried: +e0, -e0, +e1, ...
-_MOVES = np.kron(np.eye(14), [[1.0], [-1.0]])
-_MOVES.setflags(write=False)
-
-
 _ZERO_SAMPLES = 4000
 _ZERO_STARTS = 5
-_ZERO_SWEEPS = 400
+_ZERO_STEPS = 100
 _ZERO_TARGET = 1e-8
+
+
+def _sectional_gradient(
+    operator: np.ndarray, u: np.ndarray, v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The gradient (dK/du, dK/dv) of K = w R w / w . w at an orthonormal pair
+    u, v (7,).  With N = w R w and A the antisymmetric 7x7 matrix holding
+    (R w)_p at each pair p = (i, j) of _PAIRS, dN/du = 2 A v and dN/dv = -2 A u;
+    K does not change under a change of basis of its plane, so its gradient is
+    their part orthogonal to span{u, v}, where w . w moves too."""
+    i, j = _PAIRS
+    a = np.zeros((7, 7))
+    a[i, j] = (u[i] * v[j] - u[j] * v[i]) @ operator
+    a -= a.T
+    g = 2.0 * np.stack([a @ v, -(a @ u)])
+    plane = np.stack([u, v])
+    g -= (g @ plane.T) @ plane
+    return g[0], g[1]
 
 
 def zero_curvature_search(
@@ -766,49 +780,34 @@ def zero_curvature_search(
 ) -> tuple[float, tuple[TangentVector, TangentVector]]:
     """Search for a plane of (near) zero sectional curvature.
 
-    Samples _ZERO_SAMPLES random planes from ``_plane_blocks``, then runs
-    derivative-free coordinate descent on the fourteen spanning coordinates
-    of the _ZERO_STARTS best, orthonormalised, minimising |K| with a
-    shrinking step.  A sweep tries the moves +e0, -e0, +e1, ..., -e13 of the
-    current step in that order and accepts the first one that lowers |K|;
-    the moves after it are then tried from the new point, in one batched
-    evaluation per accepted move.  A sweep with no accepted move halves the
-    step.  A descent stops after _ZERO_SWEEPS sweeps or at |K| <= _ZERO_TARGET,
-    which also ends the search.  Returns the smallest |K| found and the plane
-    attaining it.
+    Samples _ZERO_SAMPLES random planes from ``_plane_blocks`` and takes the
+    _ZERO_STARTS of smallest |K|, orthonormalised, in that order.  From each
+    it takes Newton steps on K along its gradient on the planes
+    (``_sectional_gradient``): (u, v) moves by -K g / |g|^2 and is
+    orthonormalised again.  A start stops at |K| <= _ZERO_TARGET, which also
+    ends the search, after _ZERO_STEPS evaluations, or where K is not a
+    number or g is 0 or not finite.  Returns the smallest |K| found and the
+    orthonormal plane attaining it, K read through ``_sectional_rows``.
+    ``seed`` must be an int (not a bool) or a numpy integer, at least 0.
     """
     alpha = _validate_alpha(alpha)
     operator = _at(alpha, _gauss_family().operator)
-    blocks = _plane_blocks(np.random.default_rng(seed), _ZERO_SAMPLES, operator)
+    blocks = _plane_blocks(np.random.default_rng(_count(seed, "seed")), _ZERO_SAMPLES, operator)
     u, v, k = (np.concatenate(x) for x in zip(*blocks))
     order = np.argsort(np.abs(k))[:_ZERO_STARTS]
-    # |K| of the planes spanned by the halves of rows (..., 14); inf if degenerate
-    abs_k = lambda w: np.abs(_sectional_rows(operator, w[..., :7], w[..., 7:], math.inf))
-    best_val = math.inf
-    best_w = None
-    for w in np.concatenate(_gram_schmidt(u[order], v[order]), axis=1):
-        val = abs_k(w)
-        step = 0.05
-        sweeps = 0
-        while step > 1e-10 and val > _ZERO_TARGET and sweeps < _ZERO_SWEEPS:
-            improved = False
-            k = 0
-            while k < len(_MOVES):
-                cands = w + step * _MOVES[k:]
-                cvals = abs_k(cands)
-                better = np.flatnonzero(cvals < val)
-                if not better.size:
-                    break
-                j = better[0]
-                w, val = cands[j], cvals[j]
-                improved = True
-                k += j + 1
-            if not improved:
-                step *= 0.5
-            sweeps += 1
-        if val < best_val:
-            best_val, best_w = val, w
+    best_val, best = math.inf, None
+    for u, v in zip(*_gram_schmidt(u[order], v[order])):
+        for _ in range(_ZERO_STEPS):
+            k = float(_sectional_rows(operator, u, v, math.nan))
+            if abs(k) < best_val:
+                best_val, best = abs(k), (u, v)
+            if not abs(k) > _ZERO_TARGET:  # reached, or a degenerate plane
+                break
+            g_u, g_v = _sectional_gradient(operator, u, v)
+            gg = float(g_u @ g_u + g_v @ g_v)
+            if not 0.0 < gg < math.inf:  # g is 0 or not finite
+                break
+            u, v = _gram_schmidt(u - k / gg * g_u, v - k / gg * g_v)
         if best_val <= _ZERO_TARGET:
             break
-    uu, vv = _gram_schmidt(best_w[:7], best_w[7:])
-    return float(best_val), (TangentVector.from_coeffs(uu), TangentVector.from_coeffs(vv))
+    return best_val, tuple(map(TangentVector.from_coeffs, best))

@@ -38,6 +38,7 @@ from solvgeom.hypersurface import (
     _gram_schmidt,
     _model_at,
     _plane_blocks,
+    _sectional_gradient,
     _sectional_rows,
     ambient_curvature,
     build_hypersurface_algebra,
@@ -83,7 +84,7 @@ def _plane_terms(operator, u, v):
 
 def plane_abs_curvature(operator, w):
     """|K| of the planes spanned by the halves u, v of rows w (m, 14), inf where
-    degenerate: the value the zero-curvature descent minimises."""
+    degenerate."""
     return np.abs(_sectional_rows(operator, w[:, :7], w[:, 7:], math.inf))
 
 
@@ -857,42 +858,36 @@ class TestFlowAndFoliation:
 
 # zero_curvature_search(alpha, seed=seed): value and plane, exactly
 ZERO_SEARCH_PINS = [
-    (0.0, 1, 7.603089822596871e-09, (
-        [0.5133507478233876, 0.4028239086848564, -0.16161011714863477, 0.4633543657612096,
-         0.49943084363190493, -0.28975444710844106, 5.363077493302165e-05],
-        [0.4028000381350458, -0.5134240038045902, 0.463391670816513, 0.16158892741818115,
-         0.2898043689226101, 0.4993180618759181, -1.9678333689665686e-05])),
-    (0.2, 8, 3.0131810282954094e-09, (
-        [0.35932721542894613, 0.22935678113018107, -0.500110898470632, 0.1983334014008107,
-         0.1895776544579307, 0.6997782909775765, -0.05659528892139302],
-        [0.057397867885258726, -0.01745874305231472, 0.28365307346086804,
-         0.8348082217873836, -0.37071557983260245, 0.06528687020841223,
-         0.27810866087451713])),
-    (0.7, 3, 9.899135222368089e-09, (
-        [0.3995507131218031, -0.15283326197731595, -0.17605555104611018,
-         0.8330507743149479, -0.009842736857233518, 0.2598029465799165,
-         -0.15632537067251867],
-        [0.08695186667534398, -0.5481271519161128, -0.12159138336027245,
-         0.12672492846320507, 0.05620829831709872, -0.7301653910827638,
-         0.35334325390162075])),
-    (math.pi / 3, 4, 6.059920769590898e-09, (
-        [-0.15534179780966786, -0.08018134979459247, -0.0642768452038531,
-         -0.49157888740471734, 0.4157277778413953, -0.7226229528853116,
-         0.16924846918458658],
-        [-0.7559680409474033, 0.2997183104451425, -0.3208417991248942, 0.11052901575406363,
-         0.3616109672055285, 0.3012080255297545, 0.04512611011312771])),
-    (1.2, 6, 6.217589551404755e-09, (
-        [0.5811897054828495, -0.22423790316274422, 0.30225213384238386,
-         -0.04350268835377375, -0.03748033410272673, -0.7129510221347871,
-         0.09477930846004747],
-        [-0.03966023119288409, 0.5172969694704778, -0.38002657078535435,
-         0.2728439795382127, -0.00048084043394649485, -0.44703559829634204,
-         -0.5586822195251703])),
-    (math.pi / 2, 2, 8.971931688384917e-09, (
-        [0.5404303082921127, -0.1946108431157678, 0.7326682339008067, -0.16178629438295258,
-         -0.2679897324169737, 0.09687619403951701, 0.1608746777807635],
-        [0.1542381329098643, 0.3267211770484595, -0.24786185156315474,
-         -0.03973504771163195, -0.586946120333729, -0.587387342818268, 0.34193546272603176])),
+    (0.0, 1, 5.03055450074008e-09, (
+        [0.4875537592764569, 0.36464004399275973, -0.2178172741664824, 0.4985491479024139,
+         0.528800972488014, -0.23173880331318944, -0.0001042473744173354],
+        [0.36459614855995065, -0.4875138674506693, 0.49860384614196107, 0.21785492309021354,
+         0.2317387888711378, 0.5288009527865002, -2.570933853628416e-05])),
+    (0.2, 8, 3.6155234743595594e-09, (
+        [0.358253259415784, 0.22975224259606458, -0.49222023534910453, 0.24540347503130994,
+         0.18813337715303313, 0.6912993828286016, -0.05546060942024323],
+        [0.03887156541788157, -0.025934052132586805, 0.2971170018096594, 0.8269639620850389,
+         -0.379021176901344, 0.03244125576214231, 0.2845330057745436])),
+    (0.7, 3, 5.55111512312578e-17, (
+        [0.40144373956680196, -0.15355326786256848, -0.1768426820405525, 0.8368789814671628,
+         -0.009853149143407364, 0.2610149191429939, -0.12409142401983507],
+        [0.08228558897111737, -0.5464117064647974, -0.11955871640358988, 0.11696713382630687,
+         0.05634034295134894, -0.733077744430059, 0.35512042774212654])),
+    (math.pi / 3, 4, 5.6003812698435215e-14, (
+        [-0.15534158484420493, -0.08018061698127514, -0.06427661399075306, -0.49157852249226136,
+         0.41572784829101644, -0.7226231935514781, 0.16924895891433572],
+        [-0.7559534873867809, 0.2997184201547495, -0.32083478747474514, 0.11054864707788697,
+         0.3615887530418245, 0.3012349366982249, 0.04536866637960792])),
+    (1.2, 6, 2.6714741530042824e-16, (
+        [0.5812881575139183, -0.2241948175088702, 0.302190874883092, -0.04346422088952548,
+         -0.03755238637489398, -0.7129016982775539, 0.0948329333439969],
+        [-0.040959814559095815, 0.5170907830323922, -0.37978829698850736, 0.27258345236243536,
+         -0.00042864530592916597, -0.44787768679192197, -0.5583940549469487])),
+    (math.pi / 2, 2, 7.174053504033218e-10, (
+        [0.540426650546239, -0.1946262775507921, 0.7326610579843194, -0.16179739967256823,
+         -0.26799212476147444, 0.09687850749934752, 0.16088442711809445],
+        [0.15458816955902124, 0.32652169931245256, -0.24826363271114282, -0.03993448276245666,
+         -0.5869713129988433, -0.5871737011650534, 0.3419769083529004])),
 ]
 
 
@@ -1050,7 +1045,7 @@ class TestScans:
 
     def test_zero_plane_search(self):
         val, (x1, x2) = zero_curvature_search(0.0, seed=3)
-        assert val <= 1e-6
+        assert val <= _ZERO_TARGET
         model = HypersurfaceModel.from_angle(0.0)
         assert abs(gauss_sectional(model, x1, x2)) == pytest.approx(val, abs=1e-12)
 
@@ -1137,7 +1132,7 @@ class TestScans:
                              ids=[f"{p[0]:.4g}-seed{p[1]}" for p in ZERO_SEARCH_PINS])
     def test_zero_search_pinned(self, alpha, seed, value, plane):
         # exact values: any change to the plane stream, to the choice of the
-        # starts or to the descent shows here
+        # starts or to the Newton steps shows here
         val, (x1, x2) = zero_curvature_search(alpha, seed=seed)
         assert val == value
         assert x1.coeffs().tolist() == plane[0]
@@ -1145,6 +1140,64 @@ class TestScans:
         # each pin is a flat plane by the Koszul pipeline too
         koszul = build_hypersurface_algebra(alpha).sectional(*plane)
         assert value <= _ZERO_TARGET and abs(abs(koszul) - value) <= 1e-12
+
+    def test_search_draws_its_stream_in_blocks_and_starts_from_its_flattest_rows(
+        self, monkeypatch
+    ):
+        operator = gauss(0.7, "operator")
+        gen = np.random.default_rng(3)
+        sizes = [_SCAN_BLOCK] * 5 + [160]
+        assert sum(sizes) == _ZERO_SAMPLES == 4000
+        draws = [gen.standard_normal((m, 2, 7)) for m in sizes]
+        stream = ScriptedNormals(draws)
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: stream)
+        starts = []
+        gram_schmidt = hypersurface._gram_schmidt
+        monkeypatch.setattr(hypersurface, "_gram_schmidt",
+                            lambda a, b: starts.append((a, b)) or gram_schmidt(a, b))
+        got = zero_curvature_search(0.7, seed=3)
+        assert stream.shapes == [(m, 2, 7) for m in sizes]  # one draw per block, in order
+        u, v = np.concatenate(draws).transpose(1, 0, 2)
+        k = _sectional_rows(operator, u, v, -math.inf)
+        want = np.argsort(np.abs(k))[:_ZERO_STARTS]  # the five of smallest |K|, in order
+        assert np.array_equal(starts[0][0], u[want]) and np.array_equal(starts[0][1], v[want])
+        # the scripted blocks are seed 3's own draws, so the search is seed 3's
+        monkeypatch.undo()
+        assert got == zero_curvature_search(0.7, seed=3)
+
+    @pytest.mark.parametrize("alpha", [0.0, math.pi / 6, math.pi / 3, 1.2, math.pi / 2])
+    def test_sectional_gradient_is_the_central_difference(self, alpha):
+        operator = gauss(alpha, "operator")
+        k = lambda u, v: float(_sectional_rows(operator, u, v, math.nan))
+        h = 1e-6
+        for u, v in zip(*_gram_schmidt(*np.random.default_rng(14).standard_normal((2, 10, 7)))):
+            g_u, g_v = _sectional_gradient(operator, u, v)
+            g, w = np.concatenate([g_u, g_v]), np.concatenate([u, v])
+            diff = np.array([k(*np.split(w + e, 2)) - k(*np.split(w - e, 2))
+                             for e in h * np.eye(14)])
+            assert np.max(np.abs(diff / (2.0 * h) - g)) <= 1e-6 * np.max(np.abs(g))
+            # and each half is orthogonal to the plane
+            assert max(abs(x @ y) for x in (g_u, g_v) for y in (u, v)) <= 1e-14 * np.max(np.abs(g))
+
+    def test_zero_search_reaches_its_target_next_to_the_einstein_leaf(self):
+        # near alpha = 0 the flat planes sit where K is largest, where its gradient is small
+        for seed in range(30):
+            assert zero_curvature_search(1e-3, seed=seed)[0] <= _ZERO_TARGET
+
+    @pytest.mark.parametrize("seed, error, message", [
+        *((s, TypeError, f"seed must be an integer, got {re.escape(repr(s))}")
+          for s in (True, False, np.bool_(True), 1.5, 3.0, "3", None)),
+        (-1, ValueError, "seed must be nonnegative, got -1"),
+        (np.int64(-7), ValueError, "seed must be nonnegative, got -7"),
+    ])
+    def test_bad_seed_is_refused_by_name(self, seed, error, message, monkeypatch):
+        def no_draw(seed):
+            raise AssertionError("a draw was made")
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        for query in (lambda: classify(0.3, 10, seed), lambda: nonpositivity_scan(0.3, 10, seed),
+                      lambda: zero_curvature_search(0.3, seed)):
+            with pytest.raises(error, match=f"^{message}$"):
+                query()
 
     def test_degenerate_rows_are_never_scan_extremes_nor_descent_starts(self, monkeypatch):
         model, operator = HypersurfaceModel.from_angle(0.7), gauss(0.7, "operator")
