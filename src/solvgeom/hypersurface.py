@@ -42,13 +42,14 @@ Gauss query reads the member it needs at its alpha (``_at``); no model caches on
 
 Since w R w / w . w does not change when u, v are replaced by another basis
 of their plane, one kernel, ``_sectional_rows``, reads K off the 21x21 R and
-the wedges of raw pairs for ``gauss_sectional`` and the sampled-plane queries
-(``nonpositivity_scan``, ``zero_curvature_search``), which orthonormalise
-only the planes they return or start Newton steps from.  Both read one stream,
-``_plane_blocks``: plane r is row r of one standard-normal (n, 2, 7) draw,
-made and contracted 768 planes at a time, so the scan's memory does not grow
-with the samples.  A degenerate pair (``DEGENERATE_PLANE_TOL``; about 1e-36
-likely) keeps K = -inf, so it is never a scan extreme nor a search start.
+the wedges of raw pairs for ``gauss_sectional``, ``zero_curvature_search``
+and ``nonpositivity_scan``, which orthonormalises only the planes it returns.
+The scan reads the stream ``_plane_blocks``: plane r is row r of one
+standard-normal (n, 2, 7) draw, made and contracted 768 planes at a time, so
+its memory does not grow with the samples.  A degenerate pair
+(``DEGENERATE_PLANE_TOL``; about 1e-36 likely) keeps K = -inf, so it is
+never a scan extreme.  ``zero_curvature_search`` samples nothing: it bisects
+on the path between a plane of negative and one of nonnegative K.
 
 A closed form of the Ricci curvature, its extremes over the unit sphere, the
 Cheeger constant and the shape spectrum make the family's regime changes at
@@ -691,7 +692,7 @@ def _plane_blocks(
     r is row r of one standard-normal (n, 2, 7) draw, made a block at a time
     (chunked draws repeat the one-shot draw bit for bit), and k its sectional
     curvature under the 21x21 ``operator``, -inf on a degenerate plane, which
-    is thus never a scan extreme nor a search start."""
+    is thus never a scan extreme."""
     for c in range(0, n, _SCAN_BLOCK):
         u, v = rng.standard_normal((min(_SCAN_BLOCK, n - c), 2, 7)).transpose(1, 0, 2)
         yield u, v, _sectional_rows(operator, u, v, -math.inf)
@@ -751,63 +752,40 @@ def nonpositivity_scan(alpha: float, samples: int, seed: int = 0) -> PlaneScan:
     )
 
 
-_ZERO_SAMPLES = 4000
-_ZERO_STARTS = 5
-_ZERO_STEPS = 100
-_ZERO_TARGET = 1e-8
-
-
-def _sectional_gradient(
-    operator: np.ndarray, u: np.ndarray, v: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The gradient (dK/du, dK/dv) of K = w R w / w . w at an orthonormal pair
-    u, v (7,).  With N = w R w and A the antisymmetric 7x7 matrix holding
-    (R w)_p at each pair p = (i, j) of _PAIRS, dN/du = 2 A v and dN/dv = -2 A u;
-    K does not change under a change of basis of its plane, so its gradient is
-    their part orthogonal to span{u, v}, where w . w moves too."""
-    i, j = _PAIRS
-    a = np.zeros((7, 7))
-    a[i, j] = (u[i] * v[j] - u[j] * v[i]) @ operator
-    a -= a.T
-    g = 2.0 * np.stack([a @ v, -(a @ u)])
-    plane = np.stack([u, v])
-    g -= (g @ plane.T) @ plane
-    return g[0], g[1]
-
-
 def zero_curvature_search(
     alpha: float, seed: int = 0
 ) -> tuple[float, tuple[TangentVector, TangentVector]]:
-    """Search for a plane of (near) zero sectional curvature.
+    """A plane of zero sectional curvature, on the path between two exact planes.
 
-    Samples _ZERO_SAMPLES random planes from ``_plane_blocks`` and takes the
-    _ZERO_STARTS of smallest |K|, orthonormalised, in that order.  From each
-    it takes Newton steps on K along its gradient on the planes
-    (``_sectional_gradient``): (u, v) moves by -K g / |g|^2 and is
-    orthonormalised again.  A start stops at |K| <= _ZERO_TARGET, which also
-    ends the search, after _ZERO_STEPS evaluations, or where K is not a
-    number or g is 0 or not finite.  Returns the smallest |K| found and the
-    orthonormal plane attaining it, K read through ``_sectional_rows``.
-    ``seed`` must be an int (not a bool) or a numpy integer, at least 0.
+    sigma_0 = span{E12, H} has K = -sin^2(alpha + pi/6) < 0 and the reference
+    plane sigma_1 = span{u_1, v_1} has K = reference_plane_curvature(alpha) >= 0.
+    The two are orthogonal, so u = cos(theta/2) E12 + sin(theta/2) u_1 and
+    v = cos(theta/2) H + sin(theta/2) v_1 are orthonormal for every theta, and
+    K(theta) = x Q x for x = (1, cos theta, sin theta) and Q = A R A^T, where
+    the rows of A are (w_0 + w_1)/2, (w_0 - w_1)/2 and (u_0 ^ v_1 + u_1 ^ v_0)/2
+    for the wedges w_0, w_1 of the two planes.  Bisection on the sign of K
+    over [0, pi], from K(0) < 0 <= K(pi), runs until the midpoint equals an
+    end; the plane at the end with K >= 0 is returned, with its |K| read
+    through ``_sectional_rows``.  The plane does not depend on ``seed``.  It
+    must still be an int (not a bool) or a numpy integer, at least 0; it stays
+    only because the benchmark worker passes ``seed=``, and the two go
+    together (ROADMAP item 1).
     """
     alpha = _validate_alpha(alpha)
+    _count(seed, "seed")
     operator = _at(alpha, _gauss_family().operator)
-    blocks = _plane_blocks(np.random.default_rng(_count(seed, "seed")), _ZERO_SAMPLES, operator)
-    u, v, k = (np.concatenate(x) for x in zip(*blocks))
-    order = np.argsort(np.abs(k))[:_ZERO_STARTS]
-    best_val, best = math.inf, None
-    for u, v in zip(*_gram_schmidt(u[order], v[order])):
-        for _ in range(_ZERO_STEPS):
-            k = float(_sectional_rows(operator, u, v, math.nan))
-            if abs(k) < best_val:
-                best_val, best = abs(k), (u, v)
-            if not abs(k) > _ZERO_TARGET:  # reached, or a degenerate plane
-                break
-            g_u, g_v = _sectional_gradient(operator, u, v)
-            gg = float(g_u @ g_u + g_v @ g_v)
-            if not 0.0 < gg < math.inf:  # g is 0 or not finite
-                break
-            u, v = _gram_schmidt(u - k / gg * g_u, v - k / gg * g_v)
-        if best_val <= _ZERO_TARGET:
-            break
-    return best_val, tuple(map(TangentVector.from_coeffs, best))
+    i, j = _PAIRS
+    wedge = lambda u, v: u[i] * v[j] - u[j] * v[i]
+    u0, v0 = np.eye(7)[[0, 6]]  # E12 and H
+    u1, v1 = (x.coeffs() for x in reference_plane())
+    w0, w1 = wedge(u0, v0), wedge(u1, v1)
+    a = 0.5 * np.stack([w0 + w1, w0 - w1, wedge(u0, v1) + wedge(u1, v0)])
+    q = a @ operator @ a.T
+    lo, hi = 0.0, math.pi  # K(lo) < 0 <= K(hi)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        x = np.array([1.0, math.cos(mid), math.sin(mid)])
+        lo, hi = (mid, hi) if x @ q @ x < 0.0 else (lo, mid)
+    c, s = math.cos(0.5 * hi), math.sin(0.5 * hi)
+    u, v = c * u0 + s * u1, c * v0 + s * v1
+    value = abs(float(_sectional_rows(operator, u, v, math.nan)))
+    return value, (TangentVector.from_coeffs(u), TangentVector.from_coeffs(v))

@@ -27,9 +27,6 @@ from solvgeom.hypersurface import (
     Regime,
     TangentVector,
     _SCAN_BLOCK,
-    _ZERO_SAMPLES,
-    _ZERO_STARTS,
-    _ZERO_TARGET,
     _abelian_diagonals,
     _GaussFamily,
     _ambient_curvature_tensor,
@@ -38,7 +35,6 @@ from solvgeom.hypersurface import (
     _gram_schmidt,
     _model_at,
     _plane_blocks,
-    _sectional_gradient,
     _sectional_rows,
     ambient_curvature,
     build_hypersurface_algebra,
@@ -495,7 +491,7 @@ class TestGaussFamily:
             reference_plane_curvature(alpha), abs=1e-14)
         assert shape_spectrum(model)[-1] == pytest.approx(math.cos(alpha + math.pi / 6), abs=1e-14)
         assert nonpositivity_scan(alpha, 100, seed=1).samples == 100
-        assert zero_curvature_search(alpha, seed=1)[0] <= _ZERO_TARGET
+        assert zero_curvature_search(alpha, seed=1)[0] <= 1e-14
 
 
 class TestClassify:
@@ -858,36 +854,24 @@ class TestFlowAndFoliation:
 
 # zero_curvature_search(alpha, seed=seed): value and plane, exactly
 ZERO_SEARCH_PINS = [
-    (0.0, 1, 5.03055450074008e-09, (
-        [0.4875537592764569, 0.36464004399275973, -0.2178172741664824, 0.4985491479024139,
-         0.528800972488014, -0.23173880331318944, -0.0001042473744173354],
-        [0.36459614855995065, -0.4875138674506693, 0.49860384614196107, 0.21785492309021354,
-         0.2317387888711378, 0.5288009527865002, -2.570933853628416e-05])),
-    (0.2, 8, 3.6155234743595594e-09, (
-        [0.358253259415784, 0.22975224259606458, -0.49222023534910453, 0.24540347503130994,
-         0.18813337715303313, 0.6912993828286016, -0.05546060942024323],
-        [0.03887156541788157, -0.025934052132586805, 0.2971170018096594, 0.8269639620850389,
-         -0.379021176901344, 0.03244125576214231, 0.2845330057745436])),
-    (0.7, 3, 5.55111512312578e-17, (
-        [0.40144373956680196, -0.15355326786256848, -0.1768426820405525, 0.8368789814671628,
-         -0.009853149143407364, 0.2610149191429939, -0.12409142401983507],
-        [0.08228558897111737, -0.5464117064647974, -0.11955871640358988, 0.11696713382630687,
-         0.05634034295134894, -0.733077744430059, 0.35512042774212654])),
-    (math.pi / 3, 4, 5.6003812698435215e-14, (
-        [-0.15534158484420493, -0.08018061698127514, -0.06427661399075306, -0.49157852249226136,
-         0.41572784829101644, -0.7226231935514781, 0.16924895891433572],
-        [-0.7559534873867809, 0.2997184201547495, -0.32083478747474514, 0.11054864707788697,
-         0.3615887530418245, 0.3012349366982249, 0.04536866637960792])),
-    (1.2, 6, 2.6714741530042824e-16, (
-        [0.5812881575139183, -0.2241948175088702, 0.302190874883092, -0.04346422088952548,
-         -0.03755238637489398, -0.7129016982775539, 0.0948329333439969],
-        [-0.040959814559095815, 0.5170907830323922, -0.37978829698850736, 0.27258345236243536,
-         -0.00042864530592916597, -0.44787768679192197, -0.5583940549469487])),
-    (math.pi / 2, 2, 7.174053504033218e-10, (
-        [0.540426650546239, -0.1946262775507921, 0.7326610579843194, -0.16179739967256823,
-         -0.26799212476147444, 0.09687850749934752, 0.16088442711809445],
-        [0.15458816955902124, 0.32652169931245256, -0.24826363271114282, -0.03993448276245666,
-         -0.5869713129988433, -0.5871737011650534, 0.3419769083529004])),
+    (0.0, 1, 4.625927484214175e-18, (
+        [1.1050996845566528e-08, 0.0, 0.8164965809277259, 0.0, 0.5773502691896256, 0.0, 0.0],
+        [0.0, 0.0, 0.0, -0.8164965809277259, 0.0, 0.5773502691896256, 1.1050996845566528e-08])),
+    (0.2, 8, 5.551115123125784e-17, (
+        [0.3354771809341982, 0.0, 0.7691792426877033, 0.0, 0.5438918584524082, 0.0, 0.0],
+        [0.0, 0.0, 0.0, -0.7691792426877033, 0.0, 0.5438918584524082, 0.3354771809341982])),
+    (0.7, 3, 2.4980018054066017e-16, (
+        [0.5275827291983827, 0.0, 0.6936168317121426, 0.0, 0.4904611652487843, 0.0, 0.0],
+        [0.0, 0.0, 0.0, -0.6936168317121426, 0.0, 0.4904611652487843, 0.5275827291983827])),
+    (math.pi / 3, 4, 1.1796119636642288e-16, (
+        [0.5537362756024521, 0.0, 0.6798902544195032, 0.0, 0.4807550093626778, 0.0, 0.0],
+        [0.0, 0.0, 0.0, -0.6798902544195032, 0.0, 0.4807550093626778, 0.5537362756024521])),
+    (1.2, 6, 1.1102230246251563e-16, (
+        [0.5453699972375375, 0.0, 0.6843836965295265, 0.0, 0.4839323527495444, 0.0, 0.0],
+        [0.0, 0.0, 0.0, -0.6843836965295265, 0.0, 0.4839323527495444, 0.5453699972375375])),
+    (math.pi / 2, 2, 9.714451465470122e-17, (
+        [0.40558686153158, 0.0, 0.7463240126347996, 0.0, 0.5277307702964213, 0.0, 0.0],
+        [0.0, 0.0, 0.0, -0.7463240126347996, 0.0, 0.5277307702964213, 0.40558686153158])),
 ]
 
 
@@ -1045,7 +1029,7 @@ class TestScans:
 
     def test_zero_plane_search(self):
         val, (x1, x2) = zero_curvature_search(0.0, seed=3)
-        assert val <= _ZERO_TARGET
+        assert val <= 1e-14
         model = HypersurfaceModel.from_angle(0.0)
         assert abs(gauss_sectional(model, x1, x2)) == pytest.approx(val, abs=1e-12)
 
@@ -1122,67 +1106,39 @@ class TestScans:
         "alpha, seed", [(0.0, 1), (0.2, 8), (0.7, 3), (math.pi / 3, 4), (1.2, 6), (1.5, 2)]
     )
     def test_zero_search_contract(self, alpha, seed):
-        target = _ZERO_TARGET
         val, (x1, x2) = zero_curvature_search(alpha, seed=seed)
-        assert val <= target
+        assert val <= 1e-14
         model = HypersurfaceModel.from_angle(alpha)
         assert abs(gauss_sectional(model, x1, x2)) == pytest.approx(val, abs=1e-12)
 
     @pytest.mark.parametrize("alpha, seed, value, plane", ZERO_SEARCH_PINS,
                              ids=[f"{p[0]:.4g}-seed{p[1]}" for p in ZERO_SEARCH_PINS])
     def test_zero_search_pinned(self, alpha, seed, value, plane):
-        # exact values: any change to the plane stream, to the choice of the
-        # starts or to the Newton steps shows here
+        # exact values: any change to the path or to the bisection shows here
         val, (x1, x2) = zero_curvature_search(alpha, seed=seed)
         assert val == value
         assert x1.coeffs().tolist() == plane[0]
         assert x2.coeffs().tolist() == plane[1]
         # each pin is a flat plane by the Koszul pipeline too
         koszul = build_hypersurface_algebra(alpha).sectional(*plane)
-        assert value <= _ZERO_TARGET and abs(abs(koszul) - value) <= 1e-12
+        assert value <= 1e-14 and abs(abs(koszul) - value) <= 1e-12
 
-    def test_search_draws_its_stream_in_blocks_and_starts_from_its_flattest_rows(
-        self, monkeypatch
-    ):
-        operator = gauss(0.7, "operator")
-        gen = np.random.default_rng(3)
-        sizes = [_SCAN_BLOCK] * 5 + [160]
-        assert sum(sizes) == _ZERO_SAMPLES == 4000
-        draws = [gen.standard_normal((m, 2, 7)) for m in sizes]
-        stream = ScriptedNormals(draws)
-        monkeypatch.setattr(np.random, "default_rng", lambda seed: stream)
-        starts = []
-        gram_schmidt = hypersurface._gram_schmidt
-        monkeypatch.setattr(hypersurface, "_gram_schmidt",
-                            lambda a, b: starts.append((a, b)) or gram_schmidt(a, b))
-        got = zero_curvature_search(0.7, seed=3)
-        assert stream.shapes == [(m, 2, 7) for m in sizes]  # one draw per block, in order
-        u, v = np.concatenate(draws).transpose(1, 0, 2)
-        k = _sectional_rows(operator, u, v, -math.inf)
-        want = np.argsort(np.abs(k))[:_ZERO_STARTS]  # the five of smallest |K|, in order
-        assert np.array_equal(starts[0][0], u[want]) and np.array_equal(starts[0][1], v[want])
-        # the scripted blocks are seed 3's own draws, so the search is seed 3's
-        monkeypatch.undo()
-        assert got == zero_curvature_search(0.7, seed=3)
-
-    @pytest.mark.parametrize("alpha", [0.0, math.pi / 6, math.pi / 3, 1.2, math.pi / 2])
-    def test_sectional_gradient_is_the_central_difference(self, alpha):
-        operator = gauss(alpha, "operator")
-        k = lambda u, v: float(_sectional_rows(operator, u, v, math.nan))
-        h = 1e-6
-        for u, v in zip(*_gram_schmidt(*np.random.default_rng(14).standard_normal((2, 10, 7)))):
-            g_u, g_v = _sectional_gradient(operator, u, v)
-            g, w = np.concatenate([g_u, g_v]), np.concatenate([u, v])
-            diff = np.array([k(*np.split(w + e, 2)) - k(*np.split(w - e, 2))
-                             for e in h * np.eye(14)])
-            assert np.max(np.abs(diff / (2.0 * h) - g)) <= 1e-6 * np.max(np.abs(g))
-            # and each half is orthogonal to the plane
-            assert max(abs(x @ y) for x in (g_u, g_v) for y in (u, v)) <= 1e-14 * np.max(np.abs(g))
-
-    def test_zero_search_reaches_its_target_next_to_the_einstein_leaf(self):
-        # near alpha = 0 the flat planes sit where K is largest, where its gradient is small
-        for seed in range(30):
-            assert zero_curvature_search(1e-3, seed=seed)[0] <= _ZERO_TARGET
+    @pytest.mark.parametrize("alpha", [*np.linspace(0.0, math.pi / 2, 101), 1e-9, 1e-6, 1e-3])
+    def test_zero_search_bisects_between_two_exact_planes(self, alpha):
+        # sigma_0 = span{E12, H} and the reference plane sigma_1 bracket a sign change
+        model, algebra = HypersurfaceModel.from_angle(alpha), build_hypersurface_algebra(alpha)
+        k0 = gauss_sectional(model, TangentVector(a=1.0), TangentVector(t=1.0))
+        k1 = gauss_sectional(model, *reference_plane())
+        assert abs(k0 + math.sin(alpha + math.pi / 6) ** 2) <= 1e-14
+        assert abs(k1 - reference_plane_curvature(alpha)) <= 1e-14
+        assert k0 < 0.0 <= k1
+        val, (x1, x2) = zero_curvature_search(alpha)
+        u, v = x1.coeffs(), x2.coeffs()
+        assert np.max(np.abs(np.array([[u @ u, u @ v], [v @ u, v @ v]]) - np.eye(2))) <= 1e-15
+        assert val <= 1e-14 and abs(gauss_sectional(model, x1, x2)) == val
+        assert abs(abs(algebra.sectional(u, v)) - val) <= 1e-14
+        for seed in (0, 1, 2):  # the plane does not depend on the seed
+            assert zero_curvature_search(alpha, seed=seed) == (val, (x1, x2))
 
     @pytest.mark.parametrize("seed, error, message", [
         *((s, TypeError, f"seed must be an integer, got {re.escape(repr(s))}")
@@ -1199,9 +1155,9 @@ class TestScans:
             with pytest.raises(error, match=f"^{message}$"):
                 query()
 
-    def test_degenerate_rows_are_never_scan_extremes_nor_descent_starts(self, monkeypatch):
+    def test_degenerate_rows_are_never_scan_extremes(self, monkeypatch):
         model, operator = HypersurfaceModel.from_angle(0.7), gauss(0.7, "operator")
-        # a plane of |K| below 1e-8; a v within 1e-9 of the line of its x1 spans
+        # a plane of |K| below 1e-14; a v within 1e-9 of the line of its x1 spans
         # no plane, but the raw quotient would give it the smallest |K| of all
         _, (x1, x2) = zero_curvature_search(0.7, seed=3)
         x1, x2 = x1.coeffs(), x2.coeffs()
@@ -1231,26 +1187,6 @@ class TestScans:
         for plane, want in ((scan.max_plane, ref if k_ref > k[0] else good),
                             (scan.min_abs_plane, ref if abs(k_ref) < abs(k[0]) else good)):
             assert all(np.array_equal(x.coeffs(), y) for x, y in zip(plane, want))
-
-        # the descent starts from the planes of smallest |K| among the others
-        u, v = gen.standard_normal((2, _ZERO_SAMPLES, 7))
-        u[1234] = x1
-        v[77], v[1234] = 2.0 * u[77], x1 + 1e-9 * x2
-        with np.errstate(invalid="ignore"):  # row 77 is 0 / 0
-            k = np.divide(*_plane_terms(operator, u, v))
-        assert int(np.nanargmin(np.abs(k))) == 1234
-        k[[77, 1234]] = math.inf
-        want = np.argsort(np.abs(k))[:_ZERO_STARTS]
-        planes = np.stack([u, v], axis=1)
-        draws = [planes[b:b + _SCAN_BLOCK] for b in range(0, _ZERO_SAMPLES, _SCAN_BLOCK)]
-        monkeypatch.setattr(np.random, "default_rng", lambda seed: ScriptedNormals(draws))
-        starts = []
-        gram_schmidt = hypersurface._gram_schmidt
-        monkeypatch.setattr(hypersurface, "_gram_schmidt",
-                            lambda a, b: starts.append((a, b)) or gram_schmidt(a, b))
-        zero_curvature_search(0.7)
-        assert np.array_equal(starts[0][0], u[want])
-        assert np.array_equal(starts[0][1], v[want])
 
     @settings(max_examples=60, deadline=None)
     @given(

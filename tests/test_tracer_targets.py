@@ -74,7 +74,7 @@ def test_worker_name_resolves(path):
     assert callable(owner)
 
 
-@pytest.mark.parametrize("alpha", [0.0, 0.7])
+@pytest.mark.parametrize("alpha", [0.0, 1e-6, 0.7])
 def test_zero_search_planes_are_what_the_worker_judges(alpha):
     # worker.py recomputes K of the returned plane through the Koszul engine
     value, (u, v) = solvgeom.zero_curvature_search(alpha, seed=3)
