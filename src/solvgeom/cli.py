@@ -63,6 +63,8 @@ MAX_SAMPLES = 10**6
 MAX_STEPS = 10**5
 
 SWEEP_COLUMNS = tuple(f.name for f in fields(CurvatureReport))
+# The algebra flags that one op reads: that op needs them, and every other op refuses them.
+_OP_FLAGS = {"ricci": ("--vector",), "dr-check": ("--v-indices", "--z-indices", "--a-index")}
 
 
 def _csv_cell(value) -> str:
@@ -200,9 +202,7 @@ def _cmd_verify(args) -> int:
     shape_dev = float(np.max(np.abs(shape_spectrum(model) - shape_pred)))
     ric_ev = alg._ricci_spectrum
     lo, hi = ricci_extremes(alpha)
-    dr = build_hypersurface_algebra(0.0).damek_ricci_check(
-        (0, 1, 2, 3), (4, 5), 6, seed=args.seed
-    )
+    dr = build_hypersurface_algebra(0.0).damek_ricci_check((0, 1, 2, 3), (4, 5), 6)
     # rows (Re x, Im x, Re y, Im y, Re z, Im z, t, s): a point and a flow time
     coords = rng.standard_normal((max(args.samples // 10, 1), 8))
     xyz = coords[:, :6].view(complex)
@@ -281,6 +281,12 @@ def _parse_list(text: str, kind, noun: str) -> list:
 
 
 def _cmd_algebra(args) -> int:
+    for op, flags in _OP_FLAGS.items():
+        given = [flag for flag in flags if getattr(args, flag[2:].replace("-", "_")) is not None]
+        if op == args.op and given != list(flags):
+            raise ValueError(f"op '{op}' needs {', '.join(flags)}")
+        if op != args.op and given:
+            raise ValueError(f"{given[0]} is read only by op '{op}', not by '{args.op}'")
     if args.file is not None:
         alg = load_algebra_json(args.file)
     elif args.ambient:
@@ -288,8 +294,6 @@ def _cmd_algebra(args) -> int:
     else:
         alg = build_hypersurface_algebra(_endpoint(args, "--alpha", args.alpha))
     if args.op == "ricci":
-        if args.vector is None:
-            raise ValueError("op 'ricci' needs --vector")
         vec = np.array(_parse_list(args.vector, float, "floats"))
         if len(vec) != alg.dim:
             raise ValueError(f"--vector must have {alg.dim} coefficients, got {len(vec)}")
@@ -307,12 +311,10 @@ def _cmd_algebra(args) -> int:
         flat, const = alg.einstein_check(args.tol)
         payload = {"dim": alg.dim, "einstein": flat, "constant": const, "tol": args.tol}
     elif args.op == "dr-check":
-        if args.v_indices is None or args.z_indices is None or args.a_index is None:
-            raise ValueError("op 'dr-check' needs --v-indices, --z-indices, --a-index")
         v, z = (_parse_list(text, int, "integers") for text in (args.v_indices, args.z_indices))
         _check_partition(alg.dim, (("--v-indices", v), ("--z-indices", z),
                                    ("--a-index", [args.a_index])))
-        report = alg.damek_ricci_check(v, z, args.a_index, tol=args.tol, seed=args.seed)
+        report = alg.damek_ricci_check(v, z, args.a_index, tol=args.tol)
         axioms = [getattr(report, f"axiom_{n}") for n in range(1, 6)]
         payload = {
             "dim": alg.dim,
@@ -421,8 +423,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated indices of z (op dr-check)")
     p.add_argument("--a-index", type=int, default=None,
                    help="index of the abelian direction (op dr-check)")
-    p.add_argument("--seed", type=_seed, default=0,
-                   help="seed of the random vectors of z (op dr-check, default 0)")
     _add_common(p)
     p.set_defaults(func=_cmd_algebra)
     return parser

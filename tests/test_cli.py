@@ -272,6 +272,7 @@ class TestSamplingOptions:
         ("foliation", "--samples", "5"),
         ("foliation", "--seed", "9"),
         (*DR_CHECK, "--samples", "-5"),
+        (*DR_CHECK, "--seed", "9"),
         ("algebra", "einstein", "--ambient", "--samples", "5"),
         ("foliation", "--tol", "0"),
     ])
@@ -304,27 +305,12 @@ class TestSamplingOptions:
     @pytest.mark.parametrize("value, message", [("-1", "must be nonnegative, got '-1'"),
                                                 ("1.5", "expected an integer, got '1.5'")],
                              ids=["negative", "not-an-integer"])
-    @pytest.mark.parametrize("argv", [("sweep",), ("verify",), DR_CHECK],
-                             ids=["sweep", "verify", "dr-check"])
+    @pytest.mark.parametrize("argv", [("sweep",), ("verify",)], ids=["sweep", "verify"])
     def test_bad_seed_names_the_flag(self, capsys, argv, value, message):
         subparser = cli._build_parser()._subparsers._group_actions[0].choices[argv[0]]
         rc, out, err = run_cli(capsys, *argv, "--seed", value)
         assert (rc, out, err) == (2, "", subparser.format_usage()
                                   + f"{subparser.prog}: error: argument --seed: {message}\n")
-
-    def test_dr_check_reads_its_seed(self, capsys, monkeypatch):
-        # axiom 4 draws its random vectors of z from --seed
-        seeds = []
-        check = MetricLieAlgebra.damek_ricci_check
-
-        def recording(self, *args, **kwargs):
-            seeds.append(kwargs["seed"])
-            return check(self, *args, **kwargs)
-
-        monkeypatch.setattr(MetricLieAlgebra, "damek_ricci_check", recording)
-        rc, out, _ = run_cli(capsys, *self.DR_CHECK, "--seed", "9")
-        assert rc == 0 and json.loads(out)["overall"] is True
-        assert seeds == [9]
 
 
 class TestVerify:
@@ -774,6 +760,24 @@ class TestAlgebra:
         message = f"{flags} must partition the basis indices 0 to 6: {fault}"
         assert (rc, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("op, flag, value, reader", [
+        *[(op, "--vector", "1", "ricci") for op in ("cheeger", "einstein", "dr-check", "dump")],
+        *[(op, flag, "0", "dr-check") for op in ("ricci", "cheeger", "einstein", "dump")
+          for flag in ("--v-indices", "--z-indices", "--a-index")],
+    ])
+    def test_flag_of_another_op_refused_before_building(self, capsys, monkeypatch, op, flag,
+                                                        value, reader):
+        def never(*args, **kwargs):
+            raise AssertionError("algebra built")
+
+        monkeypatch.setattr(cli, "build_hypersurface_algebra", never)
+        # the op's own flags, so that the only fault is the other op's flag
+        own = {"ricci": ("--vector", "1,0,0,0,0,0,0"),
+               "dr-check": TOL_ARGV["algebra dr-check"][4:]}.get(op, ())
+        rc, out, err = run_cli(capsys, "algebra", op, "--alpha", "0.3", *own, flag, value)
+        assert (rc, out, err) == (2, "", f"error: {flag} is read only by op '{reader}', "
+                                         f"not by '{op}'\n")
+
     def test_bad_vector_string(self, capsys):
         rc, _, err = run_cli(
             capsys, "algebra", "ricci", "--alpha", "0", "--vector", "1,two,3"
@@ -804,8 +808,8 @@ class TestAlgebra:
     def test_gram_singular_to_working_precision_rejected(self, capsys, tmp_path, doc, op):
         bad = tmp_path / "gram.json"
         bad.write_text(json.dumps(doc))
-        vector = ",".join(["1"] * doc["dim"])
-        rc, out, err = run_cli(capsys, "algebra", op, "--file", str(bad), "--vector", vector)
+        vector = ("--vector", ",".join(["1"] * doc["dim"])) if op == "ricci" else ()
+        rc, out, err = run_cli(capsys, "algebra", op, "--file", str(bad), *vector)
         assert (rc, out) == (2, "")
         assert err.startswith("error: gram matrix is too ill-conditioned (eigenvalues ")
 
@@ -825,10 +829,10 @@ class TestAlgebra:
         bad = tmp_path / "ricci.json"
         bad.write_text(json.dumps(doc))
         for op in ops:
+            vector = ("--vector", "1,0") if op == "ricci" else ()
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                rc, out, err = run_cli(capsys, "algebra", op, "--file", str(bad),
-                                       "--vector", "1,0")
+                rc, out, err = run_cli(capsys, "algebra", op, "--file", str(bad), *vector)
             assert (rc, out, err) == (
                 2, "", f"error: {name} overflows the float range for this structure and "
                        "gram matrix\n")
