@@ -450,6 +450,35 @@ class TestJOperatorAndAxioms:
         assert not report.axiom_4.passed and not report.overall
         assert all(getattr(report, f"axiom_{n}").passed for n in (1, 2, 3, 5))
 
+    @pytest.mark.parametrize("make, split", [
+        (lambda: build_hypersurface_algebra(0.0), ((0, 1, 2, 3), (4, 5), 6)),
+        (lambda: quaternionic_hyperbolic_line(), ((0, 1, 2, 3), (4, 5, 6), 7)),
+        (complex_hyperbolic_plane, ((0, 1), (2,), 3)),
+    ], ids=["alpha0", "HH1", "CH2"])
+    def test_axiom_4_reads_round_off_on_h_type_centres(self, make, split):
+        assert make().damek_ricci_check(*split).axiom_4.residual <= 1e-15
+
+    @pytest.mark.parametrize("nv, nz, seed, skew", [
+        (2, 2, 0, False), (2, 3, 1, False), (4, 2, 2, False), (4, 3, 3, False),
+        (4, 2, 4, True), (4, 3, 5, True),
+    ])
+    def test_polarisation_set_bounds_axiom_4_on_every_unit_z(self, nv, nz, seed, skew):
+        # on a centre that is not H-type, |J_z^2 + |z|^2| at any unit z is at most
+        # (2 dim z - 1) times the residual on the frame and its pair sums; unskewed,
+        # the frame is the basis of z, on which the axiom holds
+        alg = two_step_algebra(nv, nz, seed)
+        if skew:
+            alg = skewed(alg, (nv, nz, 1))
+        vi, zi = list(range(nv)), list(range(nv, nv + nz))
+        r4 = alg.damek_ricci_check(vi, zi, nv + nz).axiom_4.residual
+        w = np.random.default_rng(seed).standard_normal((4000, nz))
+        zs = (w / np.linalg.norm(w, axis=1)[:, None]) @ alg._subspace_orthonormal(zi)
+        jm = alg._j_matrices(zs, vi)
+        zz = np.einsum("mk,kl,ml->m", zs, alg.gram, zs)
+        worst = float(np.max(np.abs(jm @ jm + zz[:, None, None] * np.eye(nv))))
+        assert r4 > 0.1
+        assert worst <= (2 * nz - 1) * r4 * (1.0 + 1e-12)
+
     def test_partition_validated(self):
         with pytest.raises(ValueError, match="partition"):
             complex_hyperbolic_plane().damek_ricci_check((0, 1), (2,), 2)
@@ -514,6 +543,21 @@ def polarisation_set(alg, zi):
     f = alg._subspace_orthonormal(zi)
     return list(f) + [(f[a] + f[b]) / math.sqrt(2.0)
                       for a, b in itertools.combinations(range(len(zi)), 2)]
+
+
+def two_step_algebra(nv, nz, seed):
+    """v + z + R A with [v, v] in z, ad A = 1/2 on v and 1 on z, Gram I, and each
+    J_{e_k} a random complex structure of v: J_z^2 = -|z|^2 holds on the basis of z,
+    but J_{e_k} and J_{e_l} do not anticommute, so it fails between them."""
+    rng = np.random.default_rng(seed)
+    d = nv + nz + 1
+    rot = np.kron(np.eye(nv // 2), [[0.0, -1.0], [1.0, 0.0]])
+    c = np.zeros((d, d, d))
+    for k in range(nz):
+        o = np.linalg.qr(rng.standard_normal((nv, nv)))[0]
+        c[:nv, :nv, nv + k] = 0.5 * (o @ rot @ o.T).T  # <J e_q, e_p> = c[q, p, k]
+    c[d - 1, range(d - 1), range(d - 1)] = [0.5] * nv + [1.0] * nz
+    return MetricLieAlgebra(c - c.swapaxes(0, 1), np.eye(d))
 
 
 def quaternionic_hyperbolic_line():
