@@ -11,10 +11,10 @@ The engine computes the Levi-Civita connection from the Koszul formula
     <nabla_X Y, Z> = ( <[X,Y],Z> - <[Y,Z],X> + <[Z,X],Y> ) / 2,
 
 the curvature tensor R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z
-- nabla_[X,Y] Z, and from those sectional curvature, Ricci curvature and an
-Einstein test; the Ricci form, the metric-free trace Ric(Y, Z) = tr(X -> R(X, Y) Z)
-(Milnor, Adv. Math. 21, 1976), is contracted from the connection without forming
-the curvature tensor; a cached Gram inverse serves the connection and the Ricci frame.
+- nabla_[X,Y] Z, built once per algebra from two matrix products, and from those
+sectional curvature, Ricci curvature and an Einstein test; the Ricci form is the
+metric-free trace of that one tensor, Ric(Y, Z) = tr(X -> R(X, Y) Z) (Milnor,
+Adv. Math. 21, 1976); a cached Gram inverse serves the connection and the Ricci frame.
 It also exposes two extras used by the hypersurface model:
 
 * trace_form_vector: the metric dual of X -> tr(ad X), i.e. the solution h
@@ -71,8 +71,8 @@ DAMEK_RICCI_TOL = 1e-10
 # span{x, y} is degenerate when its Gram determinant |x|^2 |y|^2 - <x, y>^2 is
 # at most this times |x|^2 |y|^2: when x and y are at most 1e-6 rad apart.
 DEGENERATE_PLANE_TOL = 1e-12
-# Largest 'dim' a JSON document may declare: the Jacobi check's n^4
-# intermediate stays at 8 MB.
+# Largest 'dim' a JSON document may declare: each n^4 array, the Jacobi check's
+# intermediate and the curvature tensor with its two products, stays at 8 MB.
 MAX_JSON_DIM = 32
 
 
@@ -291,26 +291,23 @@ class MetricLieAlgebra:
         return _finite("Levi-Civita connection", gam)
 
     @cached_property
+    def _curvature(self) -> np.ndarray:
+        """R[i, j, k, :] = coefficients of R(e_i, e_j) e_k, unchecked: the Ricci form checks its trace."""
+        c, gam, n = self._structure, self._connection, self.dim
+        with np.errstate(over="ignore", invalid="ignore"):  # t[a, b, c] = nabla_c nabla_a e_b
+            t = (gam.reshape(n * n, n) @ gam.swapaxes(0, 1).reshape(n, n * n)).reshape((n,) * 4)
+            u = (c.reshape(n * n, n) @ gam.reshape(n, n * n)).reshape((n,) * 4)  # nabla_[i, j] e_k
+            return _read_only(t.transpose(2, 0, 1, 3) - t.transpose(0, 2, 1, 3) - u)
+
+    @cached_property
     def _riemann(self) -> np.ndarray:
-        """R[i, j, k, :] = coefficients of R(e_i, e_j) e_k."""
-        c, gam = self._structure, self._connection
-        with np.errstate(over="ignore", invalid="ignore"):
-            r = (
-                np.einsum("jkm,iml->ijkl", gam, gam)
-                - np.einsum("ikm,jml->ijkl", gam, gam)
-                - np.einsum("ijm,mkl->ijkl", c, gam)
-            )
-        return _finite("curvature tensor", r)
+        return _finite("curvature tensor", self._curvature)
 
     @cached_property
     def _ricci_form(self) -> np.ndarray:
-        """Ric[j, k] = sum_i R_ijk^i, symmetrised, contracted from the connection
-        without the curvature tensor; refused if the symmetrising sum overflows."""
-        c, gam, n = self._structure, self._connection, self.dim
-        p = gam.transpose(2, 0, 1).reshape(n * n, n)  # p[(a, b), k] = Gamma[b, k, a]
-        with np.errstate(over="ignore", invalid="ignore"):  # the last two sums over (a, b) at once
-            ric = (gam @ np.trace(gam, axis1=0, axis2=2)
-                   - (gam + c.transpose(1, 0, 2)).reshape(n, n * n) @ p)
+        """Ric[j, k] = sum_i R_ijk^i, symmetrised; refused if an entry of the form overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            ric = np.einsum("ijki->jk", self._curvature)
             return _finite("Ricci form", 0.5 * (ric + ric.T))
 
     @cached_property

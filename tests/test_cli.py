@@ -22,7 +22,6 @@ from solvgeom.engine import MetricLieAlgebra, dump_algebra_json
 from solvgeom.hypersurface import (
     CurvatureReport,
     GroupElement,
-    HypersurfaceModel,
     _gauss_family,
     _model_at,
     ambient_algebra,
@@ -31,7 +30,6 @@ from solvgeom.hypersurface import (
     foliation_residual_many,
     nonpositivity_scan,
     random_unit_tangents,
-    ricci_gauss_many,
     zero_curvature_search,
 )
 
@@ -245,6 +243,28 @@ class TestTolerance:
         assert (rc, out, err) == (
             2, "", "error: --tol must be positive for op 'einstein', got 0.0\n")
 
+    def test_zero_tol_rejected_by_einstein_before_loading(self, capsys, tmp_path):
+        truncated = tmp_path / "truncated.json"
+        truncated.write_text('{"dim": 2, "gram": [[1, 0], [0, 1]], "struc')
+        rc, out, err = run_cli(capsys, "algebra", "einstein", "--file", str(truncated),
+                               "--tol", "0")
+        assert (rc, out, err) == (
+            2, "", "error: --tol must be positive for op 'einstein', got 0.0\n")
+
+    @pytest.mark.parametrize("value", ["5", "0", "1e-8"])
+    @pytest.mark.parametrize("op, own", [("ricci", ("--vector", "1,0,0,0,0,0,0")),
+                                         ("cheeger", ()), ("dump", ())],
+                             ids=["ricci", "cheeger", "dump"])
+    def test_tol_refused_before_building_by_ops_that_do_not_read_it(self, capsys, monkeypatch,
+                                                                     op, own, value):
+        def never(*args, **kwargs):
+            raise AssertionError("algebra built")
+
+        monkeypatch.setattr(cli, "build_hypersurface_algebra", never)
+        rc, out, err = run_cli(capsys, "algebra", op, "--alpha", "0.3", *own, "--tol", value)
+        assert (rc, out, err) == (2, "", "error: --tol is read only by ops 'einstein' and "
+                                         f"'dr-check', not by '{op}'\n")
+
 
 class TestCellFormatting:
     """A numpy scalar is written as the Python scalar of its kind."""
@@ -285,10 +305,11 @@ class TestSamplingOptions:
                              ids=["sweep", "verify"])
     def test_samples_above_the_limit_rejected_before_drawing(self, capsys, monkeypatch, argv):
         def never(*args, **kwargs):
-            raise AssertionError("random_unit_tangents called")
+            raise AssertionError("samples drawn")
 
         monkeypatch.setattr(cli, "random_unit_tangents", never)
         monkeypatch.setattr(hypersurface, "random_unit_tangents", never)
+        monkeypatch.setattr(np.random, "default_rng", never)  # verify draws group points
         rc, out, err = run_cli(capsys, *argv, "--samples", "1000000000")
         assert (rc, out, err) == (
             2, "", "error: --samples must be at most 1000000, got 1000000000\n")
@@ -346,8 +367,16 @@ class TestVerify:
         assert "FAIL" in out
 
     def test_ricci_check_reads_the_koszul_engine(self, capsys, monkeypatch):
-        ricci = MetricLieAlgebra.ricci
-        monkeypatch.setattr(MetricLieAlgebra, "ricci", lambda self, x: ricci(self, x) + 1e-6)
+        # Ric(H, H) of the axis: its eigenvalue -3 lies strictly inside the spectrum,
+        # so the Ricci extremes row cannot see it, but the whole-form row does
+        form = vars(MetricLieAlgebra)["_ricci_form"].func
+
+        def perturbed(alg):
+            ric = form(alg).copy()
+            ric[6, 6] += 1e-6
+            return ric
+
+        monkeypatch.setattr(MetricLieAlgebra, "_ricci_form", property(perturbed))
         rc, out, _ = run_cli(capsys, "verify", "--alpha", "0.7", "--samples", "50")
         lines = out.splitlines()
         assert rc == 1
@@ -357,7 +386,7 @@ class TestVerify:
 
 
 class TestVerifySampledRows:
-    """A failing sampled row names its worst sample on stderr."""
+    """The one sampled row, the foliation identity, names its worst sample on stderr."""
 
     def test_stderr_names_the_worst_sample(self, capsys):
         alpha, samples, seed = 0.4, 60, 3
@@ -365,66 +394,51 @@ class TestVerifySampledRows:
                              str(samples), "--seed", str(seed), "--tol", "1e-30")
         assert rc == 1
         # the same draws, one sample at a time
-        rng = np.random.default_rng(seed)
-        vecs = random_unit_tangents(rng, samples)
-        alg = build_hypersurface_algebra(alpha)
-        model = HypersurfaceModel.from_angle(alpha)
-        ricci = [abs(ricci_gauss_many(model, x[None])[0] - alg.ricci(x)) for x in vecs]
         fol = []
-        for coords in rng.standard_normal((samples // 10, 8)):
+        for coords in np.random.default_rng(seed).standard_normal((samples // 10, 8)):
             q = GroupElement(x=complex(coords[0], coords[1]), y=complex(coords[2], coords[3]),
                              z=complex(coords[4], coords[5]), t=coords[6], alpha=alpha)
             fol.append(foliation_residual_many(alpha, [[q.x, q.y, q.z]], q.t, float(coords[7]))[0])
-        for label, residuals in (("Gauss vs Koszul Ricci", ricci),
-                                 ("foliation matrix identity", fol)):
-            worst = int(np.argmax(residuals))
-            assert residuals[worst] > 0.0
-            assert (
-                f"verify: FAIL: {label} at alpha {alpha!r}: residual {residuals[worst]:.3e} "
-                f"at sample {worst} exceeds --tol 1e-30\n"
-            ) in err
-
-    def test_perturbed_ricci_sample_is_named(self, capsys, monkeypatch):
-        ricci = MetricLieAlgebra.ricci
-        bump = np.zeros(50)
-        bump[17] = 1e-6
-        monkeypatch.setattr(MetricLieAlgebra, "ricci", lambda self, x: ricci(self, x) + bump)
-        rc, _, err = run_cli(capsys, "verify", "--alpha", "0.7", "--samples", "50")
-        assert rc == 1
-        assert err == (
-            "verify: FAIL: Gauss vs Koszul Ricci at alpha 0.7: residual 1.000e-06 "
-            "at sample 17 exceeds --tol 1e-08\n"
-        )
+        worst = int(np.argmax(fol))
+        assert fol[worst] > 0.0
+        assert (
+            f"verify: FAIL: foliation matrix identity at alpha {alpha!r}: residual "
+            f"{fol[worst]:.3e} at sample {worst} exceeds --tol 1e-30\n"
+        ) in err
 
 
 class TestVerifyMutations:
-    """One tensor entry perturbed by 1e-6: the row comparing that tensor
-    fails, the exit code is 1, and stderr names the row and the entry."""
+    """One entry of a tensor or a Ricci form perturbed by 1e-6: the row comparing
+    it fails, the exit code is 1, and stderr names the row and the entry."""
 
     ENTRY = (1, 2, 3, 4)
 
     @pytest.mark.parametrize(
-        "dim, row, label",
+        "source, row, label",
         [
-            (None, 3, "Gauss vs Koszul sectional"),
+            ("tensor", 3, "Gauss vs Koszul sectional"),
+            ("ricci", 2, "Gauss vs Koszul Ricci"),
             (7, 1, "curvature tensor symmetries"),
             (8, 4, "ambient bracket vs Koszul curvature"),
         ],
     )
-    def test_row_fails_and_names_the_entry(self, capsys, monkeypatch, dim, row, label):
-        if dim is None:
-            # the Gauss family's tensor, in its constant monomial: 1e-6 at every alpha
+    def test_row_fails_and_names_the_entry(self, capsys, monkeypatch, source, row, label):
+        entry = self.ENTRY
+        if isinstance(source, str):
+            # a Gauss family array, in its constant monomial: 1e-6 at every alpha
             family = _gauss_family()
-            tensor = family.tensor.copy()
-            tensor[(0, *self.ENTRY)] += 1e-6
-            monkeypatch.setattr(cli, "_gauss_family", lambda: family._replace(tensor=tensor))
+            array = getattr(family, source).copy()
+            entry = entry[:array.ndim - 1]
+            array[(0, *entry)] += 1e-6
+            monkeypatch.setattr(cli, "_gauss_family",
+                                lambda: family._replace(**{source: array}))
         else:
             compute = vars(MetricLieAlgebra)["_riemann"].func
 
             def perturbed(alg):
                 t = compute(alg).copy()
-                if alg.dim == dim:
-                    t[self.ENTRY] += 1e-6
+                if alg.dim == source:
+                    t[entry] += 1e-6
                 return t
 
             monkeypatch.setattr(MetricLieAlgebra, "_riemann", property(perturbed))
@@ -435,7 +449,7 @@ class TestVerifyMutations:
         assert lines[row].startswith(f"{label}: FAIL (residual 1.000e-06)")
         assert (
             f"verify: FAIL: {label} at alpha 0.7: residual 1.000e-06 at entry "
-            f"{self.ENTRY} exceeds --tol 1e-08\n"
+            f"{entry} exceeds --tol 1e-08\n"
         ) in err
 
     def test_stderr_names_every_failing_row(self, capsys):

@@ -9,8 +9,8 @@ axioms 4 and 5 with a per-vector loop, bit for bit.  Vectors are contracted
 with the cached connection and curvature tensors directly.  The JSON loader
 is compared with a plain per-entry restatement of itself: the same messages,
 the same floats.  The Cholesky frame is checked by its defining properties
-and against a per-row Gram-Schmidt loop, and the Ricci form contracted from
-the connection against the trace of the curvature tensor.
+and against a per-row Gram-Schmidt loop; the curvature tensor against three
+einsums over the connection, and the Ricci form against its trace.
 """
 
 import contextlib
@@ -41,6 +41,7 @@ from solvgeom.hypersurface import (
     E13,
     E23,
     HypersurfaceModel,
+    _model_at,
     ambient_algebra,
     build_hypersurface_algebra,
 )
@@ -347,7 +348,8 @@ class TestConnectionAndCurvature:
 
     @pytest.mark.parametrize(
         "attr",
-        ["structure", "gram", "_gram_inv", "_frame", "_connection", "_riemann", "_ricci_form"],
+        ["structure", "gram", "_gram_inv", "_frame", "_connection", "_curvature", "_riemann",
+         "_ricci_form"],
     )
     def test_cached_tensors_are_read_only(self, attr):
         # hypersurface algebras are shared by every caller of one angle
@@ -944,8 +946,35 @@ RICCI_CASES = (
 )
 
 
-class TestRicciFromConnection:
-    """The Ricci form is contracted from the connection, never from the n^4 tensor."""
+def three_einsum_riemann(c, gam, sign=-1.0):
+    """R[i, j, k, :] of the Koszul formula as three einsums over the connection;
+    with sign 1 and |c|, |gam|, the sum of the magnitudes of its terms."""
+    return (np.einsum("jkm,iml->ijkl", gam, gam) + sign * np.einsum("ikm,jml->ijkl", gam, gam)
+            + sign * np.einsum("ijm,mkl->ijkl", c, gam))
+
+
+# R overflows off its trace: the Ricci form is finite, the curvature tensor is not
+OFF_TRACE_OVERFLOW_DOC = {"dim": 3, "gram": [[1e6, 0, 0], [0, 1e-4, 0], [0, 0, 1]],
+                          "structure": [[0, 1, 0, -1e148], [0, 1, 2, -1e152]]}
+
+
+def counted_curvature(monkeypatch):
+    """The algebras that build ``_curvature`` from now on, one entry per build."""
+    calls = []
+    curvature = MetricLieAlgebra.__dict__["_curvature"].func
+
+    def counted(self):
+        calls.append(self)
+        return curvature(self)
+
+    prop = cached_property(counted)
+    prop.__set_name__(MetricLieAlgebra, "_curvature")
+    monkeypatch.setattr(MetricLieAlgebra, "_curvature", prop)
+    return calls
+
+
+class TestOneCurvatureTensor:
+    """Each algebra builds one curvature tensor; the Ricci form is its trace."""
 
     @pytest.mark.parametrize("make", [m for _, m in RICCI_CASES],
                              ids=[name for name, _ in RICCI_CASES])
@@ -956,17 +985,54 @@ class TestRicciFromConnection:
         expected = 0.5 * (trace + trace.T)
         assert np.max(np.abs(alg._ricci_form - expected)) <= 1e-14 * np.max(np.abs(r))
 
-    @pytest.mark.parametrize("make", [complex_hyperbolic_plane, skewed_complex_hyperbolic_plane,
-                                      quaternionic_hyperbolic_line, lambda: _rebased_ambient(0)],
-                             ids=["CH2", "CH2_skewed_gram", "HH1", "ambient_rebased"])
-    def test_ricci_queries_leave_the_tensor_unbuilt(self, make):
+    @pytest.mark.parametrize("make", [m for _, m in RICCI_CASES],
+                             ids=[name for name, _ in RICCI_CASES])
+    def test_equals_the_three_einsum_tensor(self, make):
+        # relative to its terms, not to R: on ambient_rebased3 they cancel to 1/1100 of
+        # their size, and the two sums differ by 1.2e-14 max|R|
         alg = make()
+        c, gam = alg.structure, alg._connection
+        terms = three_einsum_riemann(np.abs(c), np.abs(gam), sign=1.0)
+        difference = np.abs(alg._riemann - three_einsum_riemann(c, gam))
+        assert np.max(difference) <= 1e-15 * np.max(terms)
+
+    @pytest.mark.parametrize("make", [hyperbolic_plane, round_sphere, heisenberg3,
+                                      complex_hyperbolic_plane, skewed_complex_hyperbolic_plane,
+                                      quaternionic_hyperbolic_line, lambda: _rebased_ambient(0)],
+                             ids=["H2", "S3", "Heis3", "CH2", "CH2_skewed_gram", "HH1",
+                                  "ambient_rebased"])
+    def test_queries_build_the_tensor_once(self, monkeypatch, make):
+        calls = counted_curvature(monkeypatch)
+        alg = make()
+        e = np.eye(alg.dim)
         alg.einstein_check(1e-8)
         alg.ricci(np.ones(alg.dim))
         alg.ricci_matrix()
+        alg.sectional(e[0], e[1])
+        alg.curvature_inner(e[0], e[1], e[1], e[0])
         alg.cheeger()
-        assert "_riemann" not in vars(alg)
+        assert calls == [alg]
         assert "_ricci_spectrum" in vars(alg)  # einstein_check reads the cached spectrum
+
+    def test_verify_builds_one_tensor_per_algebra(self, monkeypatch):
+        ambient_algebra.cache_clear()  # fresh algebras, so that every build is counted
+        _model_at.cache_clear()
+        calls = counted_curvature(monkeypatch)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["verify", "--alpha", "0.7", "--samples", "20"]) == 0
+        # the leaf at 0.7 and the ambient algebra; the alpha = 0 leaf needs none
+        assert calls == [build_hypersurface_algebra(0.7), ambient_algebra()]
+
+    def test_ricci_form_of_a_tensor_that_overflows_off_its_trace(self):
+        alg = load_algebra_json(OFF_TRACE_OVERFLOW_DOC)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            flat, constant = alg.einstein_check(1e-8)
+            assert not flat and constant == pytest.approx(-1.7333333333333329e+301, rel=1e-14)
+            assert alg.ricci(np.eye(3)).tolist() == pytest.approx([-5.1e307, -5.1e297, 5e301],
+                                                                  rel=1e-14)
+            with pytest.raises(ValueError, match="^curvature tensor overflows the float range"):
+                alg.sectional(np.eye(3)[0], np.eye(3)[1])
 
     def test_spectrum_is_cached_and_read_only(self):
         alg = skewed_complex_hyperbolic_plane()
@@ -975,23 +1041,3 @@ class TestRicciFromConnection:
         assert alg._ricci_spectrum is spectrum
         with pytest.raises(ValueError, match="read-only"):
             spectrum[0] = 1.0
-
-    @pytest.mark.parametrize("op", [("einstein",), ("ricci", "--vector", "1,0,0,0,0,0,0,0")])
-    def test_file_queries_never_compute_the_tensor(self, monkeypatch, tmp_path, op):
-        calls = []
-        riemann = MetricLieAlgebra.__dict__["_riemann"].func
-
-        def counted(self):
-            calls.append(self)
-            return riemann(self)
-
-        prop = cached_property(counted)
-        prop.__set_name__(MetricLieAlgebra, "_riemann")
-        monkeypatch.setattr(MetricLieAlgebra, "_riemann", prop)
-        path = tmp_path / "rebased.json"
-        path.write_text(json.dumps(dump_algebra_json(_rebased_ambient(3))))
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main(["algebra", *op[:1], "--file", str(path), *op[1:]]) == 0
-        assert calls == []
-        load_algebra_json(path).sectional(np.eye(8)[0], np.eye(8)[1])  # the counter counts
-        assert len(calls) == 1
