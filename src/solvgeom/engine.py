@@ -15,6 +15,9 @@ the curvature tensor R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z
 sectional curvature, Ricci curvature and an Einstein test; the Ricci form is the
 metric-free trace of that one tensor, Ric(Y, Z) = tr(X -> R(X, Y) Z) (Milnor,
 Adv. Math. 21, 1976); a cached Gram inverse serves the connection and the Ricci frame.
+The formula is written once, as koszul_connection, koszul_curvature and ricci_trace:
+they broadcast over leading axes, so one algebra, a stack of them and object arrays of
+exact numbers (Fractions, say) run the same code, and they leave overflow to the caller.
 It also exposes two extras used by the hypersurface model:
 
 * trace_form_vector: the metric dual of X -> tr(ad X), i.e. the solution h
@@ -71,8 +74,8 @@ DAMEK_RICCI_TOL = 1e-10
 # span{x, y} is degenerate when its Gram determinant |x|^2 |y|^2 - <x, y>^2 is
 # at most this times |x|^2 |y|^2: when x and y are at most 1e-6 rad apart.
 DEGENERATE_PLANE_TOL = 1e-12
-# Largest 'dim' a JSON document may declare: each n^4 array, the Jacobi check's
-# intermediate and the curvature tensor with its two products, stays at 8 MB.
+# Largest 'dim' a JSON document may declare: each n^4 array, a product of _compose
+# (one in the Jacobi check, two in the curvature tensor) or a sum of them, stays at 8 MB.
 MAX_JSON_DIM = 32
 
 
@@ -147,12 +150,35 @@ def _check_partition(dim: int, blocks) -> None:
         raise ValueError(f"{fault}: none of them holds {min(set(range(dim)) - owner.keys())}")
 
 
+def _compose(a, b):
+    """(a b)[..., i, j, k, l] = sum_m a[..., i, j, m] b[..., m, k, l], one matrix product."""
+    ab = a.reshape(a.shape[:-3] + (-1, a.shape[-1])) @ b.reshape(b.shape[:-3] + (b.shape[-3], -1))
+    return ab.reshape(ab.shape[:-2] + a.shape[-3:-1] + b.shape[-2:])
+
+
+def koszul_connection(c, g, g_inv):
+    """Gamma[..., i, j, :] = coefficients of nabla_{e_i} e_j."""
+    cg = c @ g[..., None, :, :]  # cg[i, j, l] = <[e_i, e_j], e_l>
+    return (cg - (s := cg.swapaxes(-1, -2)).swapaxes(-2, -3) - s) @ g_inv[..., None, :, :] / 2
+
+
+def koszul_curvature(c, gam):
+    """R[..., i, j, k, :] = coefficients of R(e_i, e_j) e_k."""
+    t = _compose(gam, gam.swapaxes(-3, -2)).swapaxes(-3, -2)  # t[a, c, b] = nabla_c nabla_a e_b
+    return t.swapaxes(-4, -3) - t - _compose(c, gam)  # nabla_[i, j] e_k
+
+
+def ricci_trace(r):
+    """Ric[..., j, k] = sum_i R_ijk^i, symmetrised."""
+    ric = np.einsum("...ijki->...jk", r)
+    return (ric + ric.swapaxes(-1, -2)) / 2
+
+
 def jacobi_residual(structure) -> float:
     """Largest entry of [[e_i, e_j], e_k] + cyclic over all basis triples (nan on overflow)."""
     c = np.asarray(structure, dtype=float)
-    n = len(c)
     with np.errstate(over="ignore", invalid="ignore"):
-        cyc = (c.reshape(n * n, n) @ c.reshape(n, n * n)).reshape((n,) * 4)
+        cyc = _compose(c, c)
         return float(np.max(np.abs(cyc + cyc.transpose(1, 2, 0, 3) + cyc.transpose(2, 0, 1, 3))))
 
 
@@ -282,22 +308,15 @@ class MetricLieAlgebra:
 
     @cached_property
     def _connection(self) -> np.ndarray:
-        """Gamma[i, j, :] = coefficients of nabla_{e_i} e_j (Koszul formula)."""
-        c, g = self._structure, self._gram
         with np.errstate(over="ignore", invalid="ignore"):
-            cg = c @ g  # cg[i, j, l] = <[e_i, e_j], e_l>
-            w = cg - cg.transpose(2, 0, 1) - cg.transpose(0, 2, 1)
-            gam = 0.5 * (w @ self._gram_inv)
+            gam = koszul_connection(self._structure, self._gram, self._gram_inv)
         return _finite("Levi-Civita connection", gam)
 
     @cached_property
     def _curvature(self) -> np.ndarray:
         """R[i, j, k, :] = coefficients of R(e_i, e_j) e_k, unchecked: the Ricci form checks its trace."""
-        c, gam, n = self._structure, self._connection, self.dim
-        with np.errstate(over="ignore", invalid="ignore"):  # t[a, b, c] = nabla_c nabla_a e_b
-            t = (gam.reshape(n * n, n) @ gam.swapaxes(0, 1).reshape(n, n * n)).reshape((n,) * 4)
-            u = (c.reshape(n * n, n) @ gam.reshape(n, n * n)).reshape((n,) * 4)  # nabla_[i, j] e_k
-            return _read_only(t.transpose(2, 0, 1, 3) - t.transpose(0, 2, 1, 3) - u)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _read_only(koszul_curvature(self._structure, self._connection))
 
     @cached_property
     def _riemann(self) -> np.ndarray:
@@ -307,8 +326,7 @@ class MetricLieAlgebra:
     def _ricci_form(self) -> np.ndarray:
         """Ric[j, k] = sum_i R_ijk^i, symmetrised; refused if an entry of the form overflows."""
         with np.errstate(over="ignore", invalid="ignore"):
-            ric = np.einsum("ijki->jk", self._curvature)
-            return _finite("Ricci form", 0.5 * (ric + ric.T))
+            return _finite("Ricci form", ricci_trace(self._curvature))
 
     @cached_property
     def _ricci_spectrum(self) -> np.ndarray:
@@ -470,6 +488,13 @@ class MetricLieAlgebra:
 # -- JSON interchange -------------------------------------------------------
 
 
+def _all_numbers(x) -> bool:
+    """True when every item of the nested lists ``x`` is an int (not a bool) or a float."""
+    while isinstance(x, list) and x and all(type(y) is list for y in x):
+        x = [z for y in x for z in y]
+    return all(isinstance(y, float) or type(y) is int for y in (x if isinstance(x, list) else [x]))
+
+
 def _structure_entries(entries: list, n: int):
     """((i, j, k), value) arrays of the structure entries, checked as ``load_algebra_json`` says."""
     if set(map(type, entries)) == {list} and set(map(len, entries)) == {4}:
@@ -510,8 +535,9 @@ def load_algebra_json(source) -> MetricLieAlgebra:
     ValueError names the first violated invariant: a file (or "the algebra
     document", a stream) that is not UTF-8 JSON, then the format, where the
     first bad structure entry in document order is named by the first rule it
-    breaks (shape, index type, value type, range, i < j, repeat; an integer
-    value or Gram entry must fit a float), then the algebra invariants.
+    breaks (shape, index type, value type, range, i < j, repeat), a Gram entry
+    must be an int (not a bool) or a float, and an integer value or Gram entry
+    must fit a float; then come the algebra invariants.
     """
     doc = source
     if (stream := hasattr(source, "read")) or isinstance(source, (str, os.PathLike)):
@@ -544,6 +570,8 @@ def load_algebra_json(source) -> MetricLieAlgebra:
     if "gram" not in doc:
         raise ValueError("missing 'gram'")
     try:
+        if not _all_numbers(doc["gram"]):  # numpy would read strings and booleans as numbers
+            raise ValueError
         gram = np.array(doc["gram"], dtype=float)
     except (TypeError, ValueError):
         raise ValueError(f"'gram' must be a {n}*{n} matrix of numbers") from None

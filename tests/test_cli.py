@@ -738,7 +738,12 @@ class TestAlgebra:
          "an integer in 'gram' is too large for a float"),
         ('{"dim": 2, "gram": [[1, 0], [0, 1]], "structure": [[0, true, 1, 1]]}',
          "structure indices must be integers, got [0, True, 1, 1]"),
-    ], ids=["huge-structure-value", "huge-gram-entry", "bool-index"])
+        ('{"dim": 2, "gram": [["1","0"],["0","1"]], "structure": [[0,1,1,1.0]]}',
+         "'gram' must be a 2*2 matrix of numbers"),
+        ('{"dim": 2, "gram": [[true,0],[0,1]], "structure": [[0,1,1,1.0]]}',
+         "'gram' must be a 2*2 matrix of numbers"),
+    ], ids=["huge-structure-value", "huge-gram-entry", "bool-index", "string-gram",
+            "bool-gram"])
     def test_bad_json_number_named(self, capsys, tmp_path, text, message):
         bad = tmp_path / "bad.json"
         bad.write_text(text)

@@ -10,7 +10,9 @@ with the cached connection and curvature tensors directly.  The JSON loader
 is compared with a plain per-entry restatement of itself: the same messages,
 the same floats.  The Cholesky frame is checked by its defining properties
 and against a per-row Gram-Schmidt loop; the curvature tensor against three
-einsums over the connection, and the Ricci form against its trace.
+einsums over the connection, and the Ricci form against its trace.  The Koszul
+functions run on a stack of leaves, slice for slice the tensors of each algebra, and
+on exact fractions, where the alpha = 0 leaf's Ricci form is -3 I entry by entry.
 """
 
 import contextlib
@@ -20,6 +22,7 @@ import json
 import math
 import re
 import warnings
+from fractions import Fraction
 from functools import cached_property
 from unittest import mock
 
@@ -33,7 +36,10 @@ from solvgeom.engine import (
     MAX_JSON_DIM,
     MetricLieAlgebra,
     dump_algebra_json,
+    koszul_connection,
+    koszul_curvature,
     load_algebra_json,
+    ricci_trace,
 )
 from solvgeom.hypersurface import (
     AMBIENT_BASIS,
@@ -694,6 +700,12 @@ class TestJsonInterchange:
              "integers"),
             ({"dim": 2, "gram": [[float("nan"), 0], [0, 1]], "structure": []},
              "gram matrix entries are not all finite"),
+            # numpy would read these as numbers; a null as nan
+            *[({"dim": 2, "gram": gram, "structure": []},
+               r"^'gram' must be a 2\*2 matrix of numbers$")
+              for gram in ([["1", "0"], ["0", "1"]], [[True, 0], [0, 1]], [[1.0, 0], [0, None]],
+                           [[["1"]]])],
+            ({"dim": 2, "gram": [1, 0], "structure": []}, r"^'gram' must be a 2\*2 matrix$"),
             ({"dim": 2.7, "gram": [[1, 0], [0, 1]], "structure": []}, "integer"),
             ({"dim": True, "gram": [[1]], "structure": []}, "integer"),
             ({"dim": "2", "gram": [[1, 0], [0, 1]], "structure": []}, "integer"),
@@ -973,6 +985,18 @@ def counted_curvature(monkeypatch):
     return calls
 
 
+def counted_koszul_curvature(monkeypatch):
+    """The structure constants that ``koszul_curvature`` runs on from now on, one per call."""
+    calls = []
+
+    def counted(c, gam):
+        calls.append(c)
+        return koszul_curvature(c, gam)
+
+    monkeypatch.setattr(engine, "koszul_curvature", counted)
+    return calls
+
+
 class TestOneCurvatureTensor:
     """Each algebra builds one curvature tensor; the Ricci form is its trace."""
 
@@ -1003,6 +1027,7 @@ class TestOneCurvatureTensor:
                                   "ambient_rebased"])
     def test_queries_build_the_tensor_once(self, monkeypatch, make):
         calls = counted_curvature(monkeypatch)
+        formula = counted_koszul_curvature(monkeypatch)
         alg = make()
         e = np.eye(alg.dim)
         alg.einstein_check(1e-8)
@@ -1012,16 +1037,19 @@ class TestOneCurvatureTensor:
         alg.curvature_inner(e[0], e[1], e[1], e[0])
         alg.cheeger()
         assert calls == [alg]
+        assert len(formula) == 1 and formula[0] is alg.structure
         assert "_ricci_spectrum" in vars(alg)  # einstein_check reads the cached spectrum
 
     def test_verify_builds_one_tensor_per_algebra(self, monkeypatch):
         ambient_algebra.cache_clear()  # fresh algebras, so that every build is counted
         _model_at.cache_clear()
         calls = counted_curvature(monkeypatch)
+        formula = counted_koszul_curvature(monkeypatch)
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["verify", "--alpha", "0.7", "--samples", "20"]) == 0
         # the leaf at 0.7 and the ambient algebra; the alpha = 0 leaf needs none
         assert calls == [build_hypersurface_algebra(0.7), ambient_algebra()]
+        assert [id(c) for c in formula] == [id(alg.structure) for alg in calls]
 
     def test_ricci_form_of_a_tensor_that_overflows_off_its_trace(self):
         alg = load_algebra_json(OFF_TRACE_OVERFLOW_DOC)
@@ -1041,3 +1069,34 @@ class TestOneCurvatureTensor:
         assert alg._ricci_spectrum is spectrum
         with pytest.raises(ValueError, match="read-only"):
             spectrum[0] = 1.0
+
+
+class TestKoszulFunctions:
+    """The one Koszul formula, on a stack of algebras and on exact numbers."""
+
+    def test_stack_of_leaves_matches_each_algebra_bit_for_bit(self):
+        algs = [build_hypersurface_algebra(a) for a in np.linspace(0.0, math.pi / 2, 25)]
+        c, g, g_inv = (np.stack([getattr(alg, name) for alg in algs])
+                       for name in ("structure", "gram", "_gram_inv"))
+        gam = koszul_connection(c, g, g_inv)
+        r = koszul_curvature(c, gam)
+        ric = ricci_trace(r)
+        for k, alg in enumerate(algs):
+            assert gam[k].tobytes() == alg._connection.tobytes()
+            assert r[k].tobytes() == alg._curvature.tobytes()
+            assert ric[k].tobytes() == alg._ricci_form.tobytes()
+        # any number of leading axes: the stack as a 5 x 5 grid
+        grid = koszul_curvature(c.reshape(5, 5, 7, 7, 7), gam.reshape(5, 5, 7, 7, 7))
+        assert grid.tobytes() == r.tobytes()
+
+    def test_alpha_zero_leaf_is_einstein_in_exact_arithmetic(self):
+        alg = build_hypersurface_algebra(0.0)
+        # the float constants are halves and the gram matrix is I, so each entry
+        # becomes a Fraction without rounding
+        assert np.array_equal(2 * alg.structure, np.round(2 * alg.structure))
+        assert np.array_equal(alg.gram, np.eye(7))
+        exact = np.vectorize(Fraction, otypes=[object])
+        c, g = exact(alg.structure), exact(alg.gram)
+        ric = ricci_trace(koszul_curvature(c, koszul_connection(c, g, g)))  # I is its own inverse
+        assert all(type(x) is Fraction for x in ric.flat)
+        assert ric.tolist() == (-3 * np.eye(7, dtype=int)).tolist()
