@@ -27,7 +27,6 @@ from .hypersurface import (
     H1,
     HYPERSURFACE_LABELS,
     CurvatureReport,
-    GroupElement,
     HypersurfaceModel,
     PlaneScan,
     Regime,
@@ -36,9 +35,7 @@ from .hypersurface import (
     ambient_curvature,
     build_hypersurface_algebra,
     classify,
-    flow_point,
     gauss_sectional,
-    leaf_conjugate,
     mean_curvature,
     nonpositivity_scan,
     reference_plane,
@@ -67,11 +64,11 @@ __all__ = [
     "AMBIENT_BASIS", "AMBIENT_LABELS", "HYPERSURFACE_LABELS",
     "ambient_algebra", "ambient_curvature",
     "HypersurfaceModel", "TangentVector", "Regime", "CurvatureReport",
-    "GroupElement", "PlaneScan",
+    "PlaneScan",
     "shape_spectrum", "mean_curvature",
     "gauss_sectional", "ricci_polynomial", "ricci_extremes",
     "reference_plane", "reference_plane_curvature", "classify",
-    "flow_point", "leaf_conjugate", "volume_distortion",
+    "volume_distortion",
     "build_hypersurface_algebra",
     "nonpositivity_scan", "zero_curvature_search",
     "__version__",

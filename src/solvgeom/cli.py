@@ -29,25 +29,23 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, fields
+from dataclasses import fields
 
 import numpy as np
 
 from .engine import _check_partition, dump_algebra_json, jacobi_residual, load_algebra_json
 from .hypersurface import (
     CurvatureReport,
-    GroupElement,
     HypersurfaceModel,
     _ambient_curvature_tensor,
     _at,
+    _conjugates,
     _gauss_family,
     _report,
     _validate_alpha,
     ambient_algebra,
     build_hypersurface_algebra,
-    flow_point,
     foliation_residual_many,
-    leaf_conjugate,
     mean_curvature,
     random_unit_tangents,
     ricci_extremes,
@@ -255,14 +253,17 @@ def _cmd_foliation(args) -> int:
     for flag in "xyzts":
         if not np.isfinite(getattr(args, flag)):
             raise ValueError(f"--{flag} must be finite, got {getattr(args, flag)!r}")
-    q = GroupElement(x=args.x, y=args.y, z=args.z, t=args.t, alpha=alpha)
-    residual = float(foliation_residual_many(alpha, [[q.x, q.y, q.z]], q.t, args.s)[0])
-    conj, volume = leaf_conjugate(q, args.s), volume_distortion(alpha, args.s)
+    xyz = np.array([args.x, args.y, args.z])
+    residual = float(foliation_residual_many(alpha, [xyz], args.t, args.s)[0])
+    conj, volume = _conjugates(alpha, xyz, args.s), volume_distortion(alpha, args.s)
+    # a group point: unipotent entries, axis and normal coordinates (0 on the leaf)
+    point = lambda xyz, s: {**dict(zip("xyz", map(complex, xyz))), "t": args.t,
+                            "alpha": alpha, "s": s}
     payload = {
-        "point": asdict(q),
+        "point": point(xyz, 0.0),
         "flow_time": args.s,
-        "flow_point": asdict(flow_point(q, args.s)),
-        "leaf_conjugate": asdict(conj),
+        "flow_point": point(xyz, 0.0 + args.s),  # q exp(s T); 0.0 + -0.0 is 0.0
+        "leaf_conjugate": point(conj, 0.0),
         "volume_distortion": volume,
         "matrix_identity_residual": residual,
     }

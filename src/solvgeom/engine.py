@@ -126,6 +126,15 @@ def _finite(name: str, a: np.ndarray) -> np.ndarray:
 
 
 def _float_array(name: str, a) -> np.ndarray:
+    """``a`` as a float array; ValueError naming ``name`` at its first entry that is not
+    an int or a float (a bool, a string, None, a complex or another object), or at an
+    int too large for a float.  A float or integer ndarray is read as it is."""
+    if not (isinstance(a, np.ndarray) and a.dtype.kind in "fiu"):
+        for x in np.asarray(a, dtype=object).flat:
+            if isinstance(x, (bool, np.bool_)) or not isinstance(
+                    x, (int, float, np.integer, np.floating)):
+                raise ValueError(f"{name} must hold only ints and floats, got "
+                                 f"{type(x).__name__} {x!r}")
     try:
         return np.array(a, dtype=float)
     except OverflowError:
@@ -398,18 +407,22 @@ class MetricLieAlgebra:
     # -- trace form and isoperimetry ------------------------------------------
 
     def trace_form_vector(self) -> np.ndarray:
-        """Metric dual of the linear functional X -> tr(ad X)."""
+        """Metric dual of the linear functional X -> tr(ad X), read-only; refused by
+        name if it overflows."""
         tau = np.einsum("ijj->i", self._structure)
-        return np.linalg.solve(self._gram, tau)
+        return _finite("trace form vector", np.linalg.solve(self._gram, tau))
 
     def cheeger(self) -> float:
-        """max of tr(ad X) over unit X, computed as the trace form's norm.
+        """max of tr(ad X) over unit X, computed as the trace form's norm; refused by
+        name if its square overflows.
 
         Valid as an isoperimetric constant only for solvable instances; see
         the module docstring.
         """
         h = self.trace_form_vector()
-        return float(np.sqrt(max(h @ self._gram @ h, 0.0)))
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, by name
+            norm = np.sqrt(max(h @ self._gram @ h, 0.0))
+        return float(_finite("Cheeger constant", norm))
 
     # -- Damek-Ricci structure --------------------------------------------------
 

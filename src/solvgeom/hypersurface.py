@@ -83,7 +83,6 @@ __all__ = [
     "ricci_polynomial", "ricci_extremes",
     "reference_plane", "reference_plane_curvature",
     "Regime", "CurvatureReport", "classify",
-    "GroupElement", "flow_point", "leaf_conjugate",
     "foliation_residual_many",
     "volume_distortion",
     "build_hypersurface_algebra", "HYPERSURFACE_LABELS",
@@ -532,45 +531,15 @@ def _report(model: HypersurfaceModel, vecs: np.ndarray) -> CurvatureReport:
 # -- normal flow and foliation ---------------------------------------------------
 
 
+_H0_DIAGONAL, _H1_DIAGONAL = np.diag(H0).real, np.diag(H1).real
+
+
 def _abelian_diagonals(alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal entries of the axis H(alpha) and the normal T(alpha)."""
-    model = HypersurfaceModel.from_angle(alpha)
-    return np.diag(model.axis).real, np.diag(model.normal).real
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    """Point of the ambient group in upper triangular coordinates.
-
-    ``x, y, z`` are the unipotent entries, ``t`` the coefficient of the
-    axis H(alpha) and ``s`` the coefficient of the unit normal T(alpha) in
-    the abelian factor.  Points of the hypersurface itself have s = 0; the
-    normal flow moves s.
-    """
-
-    x: complex = 0j
-    y: complex = 0j
-    z: complex = 0j
-    t: float = 0.0
-    alpha: float = 0.0
-    s: float = 0.0
-
-    def matrix(self) -> np.ndarray:
-        """The upper triangular matrix; ValueError if it is not finite."""
-        _refuse_non_finite(np.array([self.x, self.y, self.z]), t=self.t, q_s=self.s)
-        axis, normal = _abelian_diagonals(self.alpha)
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below, by name
-            d = np.exp(self.t * axis + self.s * normal)
-            m = np.diag(d).astype(complex)
-            m[_I, _J] = np.array([self.x, self.y, self.z]) * d[_J]
-        if not np.all(np.isfinite(m)):
-            raise ValueError(f"the point at t = {self.t!r}, s = {self.s!r} overflows the float range")
-        return m
-
-
-def flow_point(q: GroupElement, s: float) -> GroupElement:
-    """q . exp(s T), the unit-normal flow; a one-parameter group in s."""
-    return GroupElement(q.x, q.y, q.z, q.t, q.alpha, q.s + float(s))
+    """Diagonal entries of the axis H(alpha) and the normal T(alpha), those of a
+    model's ``axis`` and ``normal`` bit for bit, with no model built."""
+    alpha = _validate_alpha(alpha)
+    c, s = math.cos(alpha), math.sin(alpha)
+    return c * _H0_DIAGONAL + s * _H1_DIAGONAL, s * _H0_DIAGONAL - c * _H1_DIAGONAL
 
 
 _EXP_MAX = 709.782712893384  # the largest x of a finite exp(x); math.exp raises past it
@@ -589,18 +558,12 @@ def _refuse(bad: np.ndarray, message: str, **values) -> None:
         raise ValueError(message.format(name="xyz"[np.argmax(np.atleast_2d(bad)[r])], **row))
 
 
-def _refuse_non_finite(xyz=(), s=0.0, t=0.0, q_s=0.0) -> None:
-    """ValueError, before any exponential, naming the first row whose flow time s,
-    then point coordinates t, q_s, then unipotent coordinates xyz are not finite."""
-    _refuse(~np.isfinite(s), "flow time s = {s!r} is not finite", s=s)
-    _refuse(~(np.isfinite(t) & np.isfinite(q_s)),
-            "the point at t = {t!r}, s = {q_s!r} is not finite", t=t, q_s=q_s)
-    _refuse(~np.isfinite(xyz), "coordinate {name} is not finite")
-
-
 def _conjugates(alpha: float, xyz: np.ndarray, s) -> np.ndarray:
-    """xyz exp(tau_j - tau_i), tau = s T: the unipotent entries of the leaf conjugates of
-    rows (m, 3) or one row; ValueError names the flow time, then the coordinate, at fault."""
+    """The unipotent entries xyz exp(tau_j - tau_i), tau = s T, of the leaf conjugates q'
+    with exp(s T) q' = q exp(s T), for rows xyz (m, 3) or one row; the abelian part is
+    untouched.  So flowing the leaf for time s lands on a group-conjugate copy, which is
+    what makes the family a foliation.  ValueError names the flow time, then the
+    coordinate, at fault."""
     tau = s * _abelian_diagonals(alpha)[1]
     factors = _math_exp(tau[..., _J] - tau[..., _I])
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, by name
@@ -611,37 +574,28 @@ def _conjugates(alpha: float, xyz: np.ndarray, s) -> np.ndarray:
     return conj
 
 
-def leaf_conjugate(q: GroupElement, s: float) -> GroupElement:
-    """The point q' with exp(s T) q' = q exp(s T).
-
-    Conjugating the unipotent part by the diagonal exp(s T) rescales the
-    coordinates by exponentials of the entry differences; the abelian part
-    is untouched.  Flowing the hypersurface for time s therefore lands on a
-    group-conjugate copy, which is what makes the family a foliation.
-    """
-    xyz, s = np.array([q.x, q.y, q.z], dtype=complex), float(s)
-    _refuse_non_finite(xyz, s)
-    xyz = _conjugates(q.alpha, xyz, s)
-    return GroupElement(*map(complex, xyz), t=q.t, alpha=q.alpha, s=q.s)
-
-
 def foliation_residual_many(alpha: float, xyz, t, s, q_s=0.0) -> np.ndarray:
-    """Largest entry of exp(s T) q' - q exp(s T) for q' = leaf_conjugate(q, s),
-    relative to the largest entry of the two products, for the points q with
-    unipotent entries ``xyz`` (m, 3), axis and normal coordinates ``t`` and
-    ``q_s`` and flow times ``s``, each a scalar or (m,).  ValueError names the
-    argument at fault in the first row not finite or overflowing, stage by stage."""
+    """Largest entry of exp(s T) q' - q exp(s T) for the leaf conjugate q' of q
+    (``_conjugates``), relative to the largest entry of the two products, for the
+    group points q with unipotent entries ``xyz`` (m, 3) and diagonal
+    exp(t H + q_s T), the leaf having q_s = 0, and flow times ``s``; ``t``,
+    ``q_s`` and ``s`` are each a scalar or (m,).  ValueError names the argument at
+    fault in the first row not finite or overflowing, stage by stage: s, then t
+    and q_s, then xyz are refused before any exponential."""
     axis, normal = _abelian_diagonals(alpha)
     xyz = np.asarray(xyz, dtype=complex)
     t, s, q_s = (np.asarray(a, dtype=float)[..., None] for a in (t, s, q_s))
-    _refuse_non_finite(xyz, s, t, q_s)
+    _refuse(~np.isfinite(s), "flow time s = {s!r} is not finite", s=s)
+    _refuse(~(np.isfinite(t) & np.isfinite(q_s)),
+            "the point at t = {t!r}, s = {q_s!r} is not finite", t=t, q_s=q_s)
+    _refuse(~np.isfinite(xyz), "coordinate {name} is not finite")
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, by name
         e = np.exp(s * normal)  # the diagonal of exp(s T)
         d = np.exp(t * axis + q_s * normal)  # the diagonal of q and of q'
         _refuse(~np.isfinite(e), "flow time s = {s!r} overflows the float range", s=s)
         _refuse(~np.isfinite(d), "the point at t = {t!r}, s = {q_s!r} overflows the float range",
                 t=t, q_s=q_s)
-        conj = _conjugates(alpha, xyz, s)  # leaf_conjugate's entries
+        conj = _conjugates(alpha, xyz, s)
         lhs = e[..., _I] * (conj * d[..., _J])  # exp(s T) q'
         rhs = (xyz * d[..., _J]) * e[..., _J]  # q exp(s T)
         # the diagonal e d of both products is positive, so scale is too
@@ -654,12 +608,15 @@ def foliation_residual_many(alpha: float, xyz, t, s, q_s=0.0) -> np.ndarray:
 
 
 def volume_distortion(alpha: float, s: float) -> float:
-    """Leafwise volume factor exp(-s tr ad T) of the time-s flow, which conjugates by exp(-s T)."""
-    _refuse_non_finite(s=float(s))
-    model = HypersurfaceModel.from_angle(alpha)
-    tr_ad = float(np.real(np.vdot(model.basis, bracket(model.normal, model.basis))))
+    """Leafwise volume factor exp(-s tr ad T) of the time-s flow, which conjugates by
+    exp(-s T); tr ad T sums T_i - T_j over the unipotent entries (i, j), each twice."""
+    s = float(s)
+    if not math.isfinite(s):
+        raise ValueError(f"flow time s = {s!r} is not finite")
+    normal = _abelian_diagonals(alpha)[1]
+    tr_ad = 2.0 * float(np.sum(normal[_I] - normal[_J]))
     try:
-        return math.exp(-float(s) * tr_ad)
+        return math.exp(-s * tr_ad)
     except OverflowError:
         raise ValueError(f"flow time s = {s!r} overflows the float range") from None
 
@@ -707,12 +664,10 @@ def _gram_schmidt(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 @dataclass(frozen=True)
 class PlaneScan:
-    """Extremes of the sectional curvature over a sampled set of planes."""
+    """The largest sectional curvature over a sampled set of planes, and its plane."""
 
     max_curvature: float
     max_plane: tuple[TangentVector, TangentVector]
-    min_abs_curvature: float
-    min_abs_plane: tuple[TangentVector, TangentVector]
     samples: int
 
 
@@ -721,35 +676,27 @@ def nonpositivity_scan(alpha: float, samples: int, seed: int = 0) -> PlaneScan:
 
     The reference plane is always appended to the sample set as a
     deterministic witness, so for alpha > 0 the scan reports positive
-    curvature no matter the seed.  Also tracks the plane of smallest |K|.
-    Planes come from ``_plane_blocks`` a block at a time, so memory does not
-    grow with ``samples``; K is read off the raw wedges, and only the two
-    planes returned are orthonormalised.  ``samples`` and ``seed`` must be
+    curvature no matter the seed.  ``zero_curvature_search`` constructs a flat
+    plane.  Planes come from ``_plane_blocks`` a block at a time, so memory does
+    not grow with ``samples``; K is read off the raw wedges, and only the plane
+    returned is orthonormalised.  ``samples`` and ``seed`` must be
     ints (not bools) or numpy integers, at least 0.
     """
     alpha = _validate_alpha(alpha)
     samples = _count(samples, "samples")
     operator = _at(alpha, _gauss_family().operator)
-    best_max, best_min = -math.inf, math.inf
-    arg_max = arg_min = None
-    # the extremes' rows are copied, so that they keep no block alive
+    best, arg = -math.inf, None
+    # the extreme's rows are copied, so that they keep no block alive
     for u, v, k in _plane_blocks(np.random.default_rng(_count(seed, "seed")), samples, operator):
         i = int(np.argmax(k))
-        if k[i] > best_max:
-            best_max, arg_max = float(k[i]), (u[i].copy(), v[i].copy())
-        j = int(np.argmin(np.abs(k)))
-        if abs(k[j]) < best_min:
-            best_min, arg_min = abs(float(k[j])), (u[j].copy(), v[j].copy())
+        if k[i] > best:
+            best, arg = float(k[i]), (u[i].copy(), v[i].copy())
     ref = tuple(x.coeffs() for x in reference_plane())
     k_ref = float(_sectional_rows(operator, *ref, math.nan))
-    pack = lambda pair: tuple(TangentVector.from_coeffs(x) for x in pair)
-    return PlaneScan(
-        max_curvature=max(best_max, k_ref),  # ties keep the sampled plane
-        max_plane=pack(ref if k_ref > best_max else _gram_schmidt(*arg_max)),
-        min_abs_curvature=min(best_min, abs(k_ref)),
-        min_abs_plane=pack(ref if abs(k_ref) < best_min else _gram_schmidt(*arg_min)),
-        samples=samples,
-    )
+    plane = ref if k_ref > best else _gram_schmidt(*arg)  # ties keep the sampled plane
+    return PlaneScan(max_curvature=max(best, k_ref),
+                     max_plane=tuple(TangentVector.from_coeffs(x) for x in plane),
+                     samples=samples)
 
 
 def zero_curvature_search(

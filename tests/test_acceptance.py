@@ -11,7 +11,6 @@ import numpy as np
 from solvgeom.engine import MetricLieAlgebra
 from solvgeom.hypersurface import (
     AMBIENT_BASIS,
-    GroupElement,
     HypersurfaceModel,
     TangentVector,
     _gram_schmidt,
@@ -232,12 +231,8 @@ def test_c11_foliation_identity_and_volume():
     for _ in range(1000):
         alpha = float(rng.uniform(0.0, math.pi / 2.0))
         coords = rng.standard_normal(8)
-        q = GroupElement(
-            x=complex(coords[0], coords[1]), y=complex(coords[2], coords[3]),
-            z=complex(coords[4], coords[5]), t=coords[6], alpha=alpha,
-        )
-        worst = max(worst, foliation_residual_many(alpha, [[q.x, q.y, q.z]], q.t,
-                                                   float(coords[7]))[0])
+        xyz = coords[:6].view(complex)
+        worst = max(worst, foliation_residual_many(alpha, [xyz], coords[6], float(coords[7]))[0])
     preserved = all(volume_distortion(0.0, s) == 1.0 for s in np.linspace(-3, 3, 20))
     ok = worst <= 1e-10 and preserved
     report(

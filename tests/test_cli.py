@@ -21,7 +21,7 @@ from solvgeom.cli import SWEEP_COLUMNS, main
 from solvgeom.engine import MetricLieAlgebra, dump_algebra_json
 from solvgeom.hypersurface import (
     CurvatureReport,
-    GroupElement,
+    HypersurfaceModel,
     _gauss_family,
     _model_at,
     ambient_algebra,
@@ -396,9 +396,9 @@ class TestVerifySampledRows:
         # the same draws, one sample at a time
         fol = []
         for coords in np.random.default_rng(seed).standard_normal((samples // 10, 8)):
-            q = GroupElement(x=complex(coords[0], coords[1]), y=complex(coords[2], coords[3]),
-                             z=complex(coords[4], coords[5]), t=coords[6], alpha=alpha)
-            fol.append(foliation_residual_many(alpha, [[q.x, q.y, q.z]], q.t, float(coords[7]))[0])
+            xyz = [complex(coords[0], coords[1]), complex(coords[2], coords[3]),
+                   complex(coords[4], coords[5])]
+            fol.append(foliation_residual_many(alpha, [xyz], coords[6], float(coords[7]))[0])
         worst = int(np.argmax(fol))
         assert fol[worst] > 0.0
         assert (
@@ -559,19 +559,32 @@ class TestFoliation:
 
     @pytest.mark.parametrize("argv, rc, expected", [
         (("--x", "1+2j", "--y", "3j", "--t", "0.5", "--alpha", "0.9", "--s", "1"), 0,
-         ["foliation_residual_many", "_conjugates", "leaf_conjugate", "_conjugates"]),
+         ["foliation_residual_many", "_conjugates", "cli._conjugates"]),
         (("--x", "1", "--t", "2000", "--s", "1"), 2, ["foliation_residual_many"]),
     ], ids=["valid", "t-overflows"])
     def test_one_evaluation_per_call(self, capsys, monkeypatch, argv, rc, expected):
-        # the residual kernel runs once, and the conjugation once for each caller
+        # the residual kernel runs once, and the conjugation once in it and once for
+        # the printed leaf conjugate
         calls = []
-        for module, name in [(cli, "foliation_residual_many"), (cli, "leaf_conjugate"),
-                             (hypersurface, "_conjugates")]:
-            def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
+        for module, name, label in [(cli, "foliation_residual_many", "foliation_residual_many"),
+                                    (hypersurface, "_conjugates", "_conjugates"),
+                                    (cli, "_conjugates", "cli._conjugates")]:
+            def counted(*args, _real=getattr(module, name), _name=label, **kwargs):
                 calls.append(_name)
                 return _real(*args, **kwargs)
             monkeypatch.setattr(module, name, counted)
         assert (run_cli(capsys, "foliation", *argv)[0], calls) == (rc, expected)
+
+    def test_builds_no_model(self, capsys, monkeypatch):
+        # the flow reads the diagonals of H0 and H1: no model, and no memo entry
+        def no_model(self):
+            raise AssertionError("a HypersurfaceModel was built")
+
+        _model_at.cache_clear()
+        monkeypatch.setattr(HypersurfaceModel, "__post_init__", no_model)
+        rc, out, err = run_cli(capsys, "foliation", "--x", "1+2j", "--t", "0.5", "--alpha", "0.9")
+        assert (rc, err, _model_at.cache_info().currsize) == (0, "", 0)
+        assert json.loads(out)["volume_distortion"] > 0.0
 
     def test_long_flow_residual_is_relative(self, capsys):
         rc, out, _ = run_cli(capsys, "foliation", "--x", "1", "--s", "1000", "--alpha", "0.5")
@@ -889,6 +902,16 @@ class TestAlgebra:
             "error: Levi-Civita connection overflows the float range for this structure "
             "and gram matrix\n"
         )
+
+    def test_overflowing_cheeger_constant_named(self, capsys, tmp_path):
+        doc = tmp_path / "cheeger.json"
+        doc.write_text(json.dumps({"dim": 2, "gram": [[1.88e-4, 0], [0, 1.65e-3]],
+                                   "structure": [[0, 1, 1, 4.42e152]]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would raise here
+            rc, out, err = run_cli(capsys, "algebra", "cheeger", "--file", str(doc))
+        assert (rc, out, err) == (2, "", "error: Cheeger constant overflows the float range "
+                                         "for this structure and gram matrix\n")
 
 
 OVERFLOW_DOC = {"dim": 3, "gram": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],

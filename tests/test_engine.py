@@ -163,6 +163,32 @@ class TestValidation:
             with pytest.raises(ValueError, match="^Levi-Civita connection overflows"):
                 alg.ricci_matrix()
 
+    @pytest.mark.parametrize("structure, gram, name, got", [
+        # both built before, reading "1" and True as 1.0: einstein_check answered (True, -1.0)
+        (np.where(hyperbolic_plane().structure == 0, "0", "1"), np.eye(2),
+         "the structure constants", "str '0'"),
+        (np.zeros((2, 2, 2)), [[True, False], [False, True]], "the gram matrix", "bool True"),
+        (np.zeros((2, 2, 2)), np.eye(2, dtype=bool), "the gram matrix", "bool True"),
+        (np.zeros((2, 2, 2)), [[1.0, None], [None, 1.0]], "the gram matrix", "NoneType None"),
+        (np.zeros((2, 2, 2)), [[1.0, 0.0], [0.0, 1 + 0j]], "the gram matrix",
+         "complex (1+0j)"),
+        ([[[0, 0], [0, 0]], [[0, 0]]], np.eye(2), "the structure constants",
+         "list [[0, 0], [0, 0]]"),
+    ], ids=["str-structure", "bool-gram", "bool-array-gram", "none-gram", "complex-gram",
+            "ragged-structure"])
+    def test_non_numeric_entries_named(self, structure, gram, name, got):
+        with pytest.raises(ValueError, match=f"^{name} must hold only ints and floats, got "
+                                             f"{re.escape(got)}$"):
+            MetricLieAlgebra(structure, gram)
+
+    def test_int_and_float_entries_keep_their_bits(self):
+        c, g = complex_hyperbolic_plane().structure, skewed_complex_hyperbolic_plane().gram
+        for structure, gram in ((c, g), (c.tolist(), g.tolist())):
+            alg = MetricLieAlgebra(structure, gram)
+            assert alg.structure.tobytes() == c.tobytes() and alg.gram.tobytes() == g.tobytes()
+        ints = MetricLieAlgebra(np.zeros((2, 2, 2), dtype=int), [[2, np.int64(1)], [1, 3]])
+        assert ints.gram.dtype == float and ints.gram.tolist() == [[2.0, 1.0], [1.0, 3.0]]
+
     def test_label_count_checked(self):
         with pytest.raises(ValueError, match="labels"):
             MetricLieAlgebra(np.zeros((2, 2, 2)), np.eye(2), labels=("a",))
@@ -386,6 +412,11 @@ class TestConnectionAndCurvature:
                            np.linalg.eigvalsh(ric), atol=1e-12, rtol=0)
 
 
+# A valid algebra whose Cheeger constant's square exceeds the float range.
+CHEEGER_OVERFLOW_DOC = {"dim": 2, "gram": [[1.88e-4, 0], [0, 1.65e-3]],
+                        "structure": [[0, 1, 1, 4.42e152]]}
+
+
 class TestTraceFormAndCheeger:
     def test_hyperbolic_plane_values(self):
         alg = hyperbolic_plane()
@@ -404,6 +435,28 @@ class TestTraceFormAndCheeger:
             x = rng.standard_normal(4)
             tr_ad = float(np.einsum("i,ijj->", x, alg.structure))
             assert alg.inner(h, x) == pytest.approx(tr_ad, abs=1e-12)
+
+    def test_overflowing_cheeger_constant_named(self):
+        # h = (tr ad e0 / g00, 0) is finite, but h g h is 4.42e152^2 / 1.88e-4 > 1.8e308
+        alg = load_algebra_json(CHEEGER_OVERFLOW_DOC)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+            assert np.isfinite(alg.trace_form_vector()).all()
+            with pytest.raises(ValueError, match="^Cheeger constant overflows the float range"):
+                alg.cheeger()
+
+    def test_overflowing_trace_form_vector_named(self, monkeypatch):
+        # out of reach of a validated algebra (tau <= dim * 1.4e154 by the Jacobi check,
+        # |g^-1| <= 1e10), so constants past the constructor's checks
+        alg = MetricLieAlgebra(np.zeros((2, 2, 2)), np.diag([1e-9, 1.0]))
+        c = np.zeros((2, 2, 2))
+        c[0, 1, 1], c[1, 0, 1] = 1e300, -1e300
+        monkeypatch.setattr(alg, "_structure", c)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for query in (alg.trace_form_vector, alg.cheeger):
+                with pytest.raises(ValueError, match="^trace form vector overflows"):
+                    query()
 
     def test_monte_carlo_sampling_attains_bound(self):
         # In two dimensions 1e5 samples land within 1e-3 of the supremum,
