@@ -794,8 +794,7 @@ class TestFlowAndFoliation:
         assert got.shape == (40,)
         _, normal = _abelian_diagonals(alpha)
         for r in range(40):
-            q = Point(x=xyz[r, 0], y=xyz[r, 1], z=xyz[r, 2], t=t[r], alpha=alpha,
-                             s=q_s[r])
+            q = Point(x=xyz[r, 0], y=xyz[r, 1], z=xyz[r, 2], t=t[r], alpha=alpha, s=q_s[r])
             assert got[r] == foliation_residual_many(alpha, [[q.x, q.y, q.z]], q.t, s[r], q.s)[0]
             # the identity as matrices, evaluated one point at a time
             exp_t = np.diag(np.exp(float(s[r]) * normal))
