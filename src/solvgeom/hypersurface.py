@@ -79,7 +79,7 @@ __all__ = [
     "ambient_algebra", "ambient_curvature",
     "HypersurfaceModel", "TangentVector",
     "shape_spectrum", "mean_curvature",
-    "gauss_sectional", "ricci_gauss_many", "ricci_closed_many",
+    "gauss_sectional", "ricci_gauss_many",
     "ricci_polynomial", "ricci_extremes",
     "reference_plane", "reference_plane_curvature",
     "Regime", "CurvatureReport", "classify",
@@ -87,7 +87,6 @@ __all__ = [
     "volume_distortion",
     "build_hypersurface_algebra", "HYPERSURFACE_LABELS",
     "PlaneScan", "nonpositivity_scan", "zero_curvature_search",
-    "random_unit_tangents",
     "ALPHA_BOUNDARY_TOL", "HOROSPHERE_ONSET",
 ]
 
@@ -369,27 +368,12 @@ def _ricci_sines(alpha: float) -> tuple[float, tuple[float, float, float]]:
     return s, (math.sin(alpha - math.pi / 3.0), math.sin(alpha + math.pi / 3.0), s)
 
 
-def ricci_closed_many(alpha: float, coeffs: np.ndarray) -> np.ndarray:
-    """Closed-form Ricci curvature for unit rows of ``coeffs``."""
-    alpha = _validate_alpha(alpha)
-    coeffs = np.asarray(coeffs, dtype=float)
-    sq = coeffs**2
-    aa = sq[..., 0] + sq[..., 1]
-    bb = sq[..., 2] + sq[..., 3]
-    cc = sq[..., 4] + sq[..., 5]
-    tt = sq[..., 6]
-    if np.any(np.abs(aa + bb + cc + tt - 1.0) > 1e-10):
-        raise ValueError("closed-form Ricci curvature requires unit tangent vectors")
-    s, (ka, kb, kc) = _ricci_sines(alpha)
-    return -3.0 + 4.0 * s * (ka * aa + kb * bb + kc * cc)
-
-
 def ricci_polynomial(alpha: float, x: TangentVector) -> float:
     """Ricci curvature as the expanded quadratic polynomial in (a, b, c, t).
 
     Regression form kept verbatim from the computer-algebra expansion of the
-    Gauss-equation sum; agrees with ``ricci_closed_many`` on unit vectors and
-    with ``ricci_gauss_many`` everywhere.
+    Gauss-equation sum; agrees on unit vectors with the closed form of
+    ``_ricci_sines`` and everywhere with ``ricci_gauss_many``.
     """
     alpha = _validate_alpha(alpha)
     s, c = math.sin(alpha), math.cos(alpha)
@@ -485,24 +469,25 @@ def _count(value, name: str) -> int:
     return int(value)
 
 
-def classify(alpha: float, samples: int = 1000, seed: int = 0) -> CurvatureReport:
-    """Compute the full curvature report for one angle.
+def classify(alpha: float) -> CurvatureReport:
+    """The full curvature report for one angle, the sweep's row at ``alpha``.
 
-    ``samples`` random unit tangent vectors feed the cross-pipeline
-    residual, the largest disagreement between the Gauss-equation Ricci and
-    its closed form.  Results are deterministic for a fixed seed.
-    ``samples`` and ``seed`` must be ints (not bools) or numpy integers, at
-    least 0.
+    It samples nothing, so it takes no sample count and no seed: the
+    cross-pipeline residual is certified on the whole unit sphere (``_report``).
     """
-    alpha = _validate_alpha(alpha)
-    samples = _count(samples, "samples")
-    vecs = random_unit_tangents(np.random.default_rng(_count(seed, "seed")), samples)
-    return _report(HypersurfaceModel.from_angle(alpha), vecs)
+    return _report(HypersurfaceModel.from_angle(alpha))
 
 
-def _report(model: HypersurfaceModel, vecs: np.ndarray) -> CurvatureReport:
-    """The curvature report of ``model``, its cross-pipeline residual taken
-    over the unit rows of ``vecs`` (n, 7), and 0 for n = 0."""
+def _report(model: HypersurfaceModel) -> CurvatureReport:
+    """The curvature report of ``model``; it samples nothing.
+
+    Its cross-pipeline residual is the largest |Ric_Gauss(x) - Ric_closed(x)|
+    over the whole unit tangent sphere.  Both sides are quadratic forms in x,
+    the closed one diagonal, D = diag(-3 + 4 s k_a x2, -3 + 4 s k_b x2,
+    -3 + 4 s k_c x2, -3) from ``_ricci_sines``, so the supremum is the spectral
+    radius of the symmetric 7x7 difference of the Gauss Ricci form and D.
+    D reads the closed form alone, so the two pipelines stay independent.
+    """
     alpha = model.alpha
     mean = mean_curvature(model)
     rmin, rmax = ricci_extremes(alpha)
@@ -512,7 +497,9 @@ def _report(model: HypersurfaceModel, vecs: np.ndarray) -> CurvatureReport:
         regime = Regime.RICCI_NULL_DIRECTION
     else:
         regime = Regime.MIXED_RICCI
-    residual = np.abs(ricci_gauss_many(model, vecs) - ricci_closed_many(alpha, vecs))
+    s, (ka, kb, kc) = _ricci_sines(alpha)
+    closed = np.diag(-3.0 + 4.0 * s * np.array([ka, ka, kb, kb, kc, kc, 0.0]))
+    difference = _at(alpha, _gauss_family().ricci) - closed
     return CurvatureReport(
         alpha=alpha,
         mean_curvature=mean,
@@ -524,7 +511,7 @@ def _report(model: HypersurfaceModel, vecs: np.ndarray) -> CurvatureReport:
         minimal=abs(mean) <= 1e-12,
         einstein=alpha <= ALPHA_BOUNDARY_TOL,
         horosphere_range=alpha >= HOROSPHERE_ONSET - ALPHA_BOUNDARY_TOL,
-        cross_residual=float(np.max(residual, initial=0.0)),
+        cross_residual=float(np.max(np.abs(np.linalg.eigvalsh(difference)))),
     )
 
 
@@ -630,12 +617,6 @@ def build_hypersurface_algebra(alpha: float) -> MetricLieAlgebra:
 
 
 # -- sampling and scans ------------------------------------------------------------
-
-
-def random_unit_tangents(rng: np.random.Generator, n: int) -> np.ndarray:
-    """(n, 7) array of unit coefficient vectors, standard Gaussian direction."""
-    v = rng.standard_normal((n, 7))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
 # Planes per block of the plane stream: one draw, its wedges and their K.

@@ -21,10 +21,8 @@ from solvgeom.hypersurface import (
     gauss_sectional,
     mean_curvature,
     nonpositivity_scan,
-    random_unit_tangents,
     reference_plane,
     reference_plane_curvature,
-    ricci_closed_many,
     ricci_extremes,
     ricci_gauss_many,
     ricci_polynomial,
@@ -32,6 +30,8 @@ from solvgeom.hypersurface import (
     volume_distortion,
     zero_curvature_search,
 )
+
+from ricci_reference import random_unit_tangents, ricci_closed_many
 
 GRID = np.linspace(0.0, math.pi / 2.0, 100)
 

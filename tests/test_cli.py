@@ -29,7 +29,6 @@ from solvgeom.hypersurface import (
     classify,
     foliation_residual_many,
     nonpositivity_scan,
-    random_unit_tangents,
     zero_curvature_search,
 )
 
@@ -56,7 +55,7 @@ class TestSweep:
 
     def test_columns_are_the_report_fields(self):
         # one definition: the report's fields, in order, are the sweep columns and row keys
-        row = classify(0.3, samples=3).as_row()
+        row = classify(0.3).as_row()
         assert list(row) == list(SWEEP_COLUMNS) == [f.name for f in fields(CurvatureReport)]
         assert isinstance(row["regime"], str)
 
@@ -101,14 +100,25 @@ class TestSweep:
         assert doc[0]["minimal"] is True
 
     def test_rows_are_the_classify_reports(self, capsys):
-        # the sweep draws its sample once; every angle reads the draws
-        # classify makes from the same seed
         rc, out, _ = run_cli(capsys, "sweep", "--steps", "4", "--samples", "30",
                              "--seed", "5", "--format", "json")
         rows = json.loads(out)
         assert rc == 0 and len(rows) == 4
         for row in rows:
-            assert row == classify(row["alpha"], samples=30, seed=5).as_row()
+            assert row == classify(row["alpha"]).as_row()
+
+    @pytest.mark.parametrize("flags", [("--samples", "0"), ("--samples", "10"),
+                                       ("--samples", "2000"), ("--seed", "0"), ("--seed", "7"),
+                                       ("--samples", "0", "--seed", "7"),
+                                       ("--samples", "2000", "--seed", "7")])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_output_does_not_depend_on_samples_or_seed(self, capsys, flags, fmt):
+        # the residual is certified on the whole unit sphere: both flags are
+        # checked, then read by no row
+        argv = ("sweep", "--steps", "25", "--format", fmt)
+        want = run_cli(capsys, *argv)
+        assert want[0] == 0
+        assert run_cli(capsys, *argv, *flags) == want
 
     def test_minimal_leaf_row(self, capsys):
         # the alpha = 0 leaf: H is exactly 0, and it is minimal and Einstein
@@ -160,7 +170,6 @@ class TestSweep:
             raise AssertionError("an angle was classified or a sample drawn")
 
         monkeypatch.setattr(cli, "_report", never)
-        monkeypatch.setattr(cli, "random_unit_tangents", never)
         monkeypatch.setattr(np, "linspace", never)
         rc, out, err = run_cli(capsys, "sweep", "--steps", "1000000000000")
         assert (rc, out, err) == (
@@ -284,7 +293,9 @@ class TestCellFormatting:
 
 
 class TestSamplingOptions:
-    """--samples, --seed and --tol exist only on the subcommands that read them."""
+    """--samples, --seed and --tol exist only on the subcommands that read them,
+    except that sweep checks --samples and --seed and then reads neither: the
+    benchmark's sweep workloads still pass both (ROADMAP item 1a)."""
 
     DR_CHECK = TOL_ARGV["algebra dr-check"]
 
@@ -307,8 +318,6 @@ class TestSamplingOptions:
         def never(*args, **kwargs):
             raise AssertionError("samples drawn")
 
-        monkeypatch.setattr(cli, "random_unit_tangents", never)
-        monkeypatch.setattr(hypersurface, "random_unit_tangents", never)
         monkeypatch.setattr(np.random, "default_rng", never)  # verify draws group points
         rc, out, err = run_cli(capsys, *argv, "--samples", "1000000000")
         assert (rc, out, err) == (

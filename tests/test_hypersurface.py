@@ -10,6 +10,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -36,6 +37,7 @@ from solvgeom.hypersurface import (
     _gram_schmidt,
     _model_at,
     _plane_blocks,
+    _report,
     _sectional_rows,
     ambient_curvature,
     build_hypersurface_algebra,
@@ -46,7 +48,6 @@ from solvgeom.hypersurface import (
     nonpositivity_scan,
     reference_plane,
     reference_plane_curvature,
-    ricci_closed_many,
     ricci_extremes,
     ricci_gauss_many,
     ricci_polynomial,
@@ -57,6 +58,8 @@ from solvgeom.hypersurface import (
 from solvgeom import hypersurface
 from solvgeom.engine import MetricLieAlgebra
 from solvgeom.matrices import bracket, hermitian_part, inner_solvable
+
+from ricci_reference import random_unit_tangents, ricci_closed_many
 
 HALF_SQRT3 = math.sqrt(3.0) / 2.0
 
@@ -481,7 +484,7 @@ class TestGaussFamily:
     def test_minimal_leaf_has_mean_curvature_exactly_zero(self):
         trace = np.trace(gauss(0.0, "shape"))
         assert trace == 0.0 and not np.signbit(trace)
-        assert repr(classify(0.0, samples=0).mean_curvature) == "0.0"
+        assert repr(classify(0.0).mean_curvature) == "0.0"
 
     def test_family_is_built_on_the_first_gauss_query(self):
         # not at import, and not by the ambient engine queries
@@ -524,58 +527,51 @@ class TestGaussFamily:
 
 class TestClassify:
     def test_flags_at_zero(self):
-        rep = classify(0.0, samples=50)
+        rep = classify(0.0)
         assert rep.minimal and rep.einstein and not rep.horosphere_range
         assert rep.regime is Regime.NEGATIVE_RICCI
         assert rep.mean_curvature == pytest.approx(0.0, abs=1e-14)
         assert rep.cheeger == pytest.approx(4.0, abs=1e-12)
 
     def test_flags_mid_range(self):
-        rep = classify(math.pi / 6, samples=50)
+        rep = classify(math.pi / 6)
         assert not rep.minimal and not rep.einstein
         assert not rep.horosphere_range
         assert rep.regime is Regime.NEGATIVE_RICCI
         assert rep.ricci_max < 0.0
 
     def test_flags_at_boundary(self):
-        rep = classify(math.pi / 3, samples=50)
+        rep = classify(math.pi / 3)
         assert rep.regime is Regime.RICCI_NULL_DIRECTION
         assert rep.horosphere_range
         assert rep.ricci_max == pytest.approx(0.0, abs=1e-9)
 
     def test_flags_past_boundary(self):
-        rep = classify(1.3, samples=50)
+        rep = classify(1.3)
         assert rep.regime is Regime.MIXED_RICCI
         assert rep.horosphere_range
         assert rep.ricci_max > 0.0
 
     def test_cross_residual_small(self):
-        rep = classify(0.9, samples=300, seed=4)
+        rep = classify(0.9)
         assert rep.cross_residual <= 1e-10
 
-    def test_zero_samples(self):
-        rep = classify(0.5, samples=0)
-        assert rep.cross_residual == 0.0
-
-    def test_negative_samples_rejected(self):
-        with pytest.raises(ValueError, match="samples"):
-            classify(0.5, samples=-1)
-
-    def test_numpy_integer_samples(self):
-        assert classify(0.5, samples=np.int64(20), seed=3) == classify(0.5, samples=20, seed=3)
-
     def test_row_columns(self):
-        row = classify(0.25, samples=10).as_row()
+        row = classify(0.25).as_row()
         assert list(row) == [
             "alpha", "mean_curvature", "cheeger", "ricci_min", "ricci_max",
             "k_sigma", "regime", "minimal", "einstein", "horosphere_range",
             "cross_residual",
         ]
 
-    def test_deterministic_for_seed(self):
-        a = classify(0.7, samples=100, seed=9)
-        b = classify(0.7, samples=100, seed=9)
-        assert a == b
+    def test_deterministic_and_draws_nothing(self, monkeypatch):
+        a = classify(0.7)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a draw was made")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        assert classify(0.7) == a
 
     def test_one_model_per_angle(self, monkeypatch):
         calls = []
@@ -586,8 +582,59 @@ class TestClassify:
             return from_angle(cls, alpha)
 
         monkeypatch.setattr(HypersurfaceModel, "from_angle", classmethod(counted))
-        classify(0.6, samples=10)
+        classify(0.6)
         assert calls == [0.6]
+
+
+class TestCrossResidual:
+    """The report's cross_residual: the spectral radius of the Gauss Ricci form
+    minus the closed form's diagonal, the largest gap over the whole unit sphere."""
+
+    def test_ricci_member_is_exactly_symmetric(self):
+        # eigvalsh reads one triangle of the difference
+        for alpha in np.linspace(0.0, math.pi / 2, 1001):
+            ric = gauss(alpha, "ricci")
+            assert np.array_equal(ric, ric.T)
+
+    def test_bounds_the_sampled_residual(self):
+        # the sampled residual the sweep used to print, over 2,000 unit vectors:
+        # less its sample's evaluation round-off, it is at most the whole-form
+        # one.  Round-off alone sets both near 1e-15, and the sampled value is
+        # often the larger, so the round-off is measured against exact numbers.
+        vecs = random_unit_tangents(np.random.default_rng(0), 2000)
+        closed = ricci_closed_many  # on the unit coordinate rows, its diagonal D
+        for alpha in np.linspace(0.0, math.pi / 2, 101):
+            model = HypersurfaceModel.from_angle(alpha)
+            sampled = np.abs(ricci_gauss_many(model, vecs) - closed(alpha, vecs))
+            r = int(np.argmax(sampled))
+            x = [Fraction(v) for v in vecs[r]]
+            m = [[Fraction(g) for g in row] for row in gauss(alpha, "ricci")]
+            for i, d in enumerate(closed(alpha, np.eye(7))):
+                m[i][i] -= Fraction(d)
+            # x (R - D) x / x . x, exactly: at most the spectral radius of R - D
+            exact = abs(sum(x[i] * m[i][j] * x[j] for i in range(7) for j in range(7))
+                        / sum(v * v for v in x))
+            roundoff = abs(Fraction(sampled[r]) - exact)
+            assert roundoff <= 1e-14
+            whole = _report(model).cross_residual
+            assert Fraction(whole) * (1 + Fraction(1, 10**12)) >= Fraction(sampled[r]) - roundoff
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e-6, 1e-3])
+    def test_a_perturbed_gauss_form_reads_its_size(self, monkeypatch, eps):
+        # Ric_Gauss + eps u u^T for a unit u: the whole-form residual reads eps
+        # to round-off; the sampled one misses part of it
+        family = _gauss_family()
+        u = random_unit_tangents(np.random.default_rng(5), 1)[0]
+        ricci = family.ricci.copy()
+        ricci[0] += eps * np.outer(u, u)
+        monkeypatch.setattr(hypersurface, "_gauss_family", lambda: family._replace(ricci=ricci))
+        vecs = random_unit_tangents(np.random.default_rng(0), 2000)
+        for alpha in (0.0, 0.7, math.pi / 3, math.pi / 2):
+            model = HypersurfaceModel.from_angle(alpha)
+            whole = _report(model).cross_residual
+            assert abs(whole - eps) <= 1e-14
+            sampled = np.max(np.abs(ricci_gauss_many(model, vecs) - ricci_closed_many(alpha, vecs)))
+            assert sampled < whole
 
 
 class TestFlowAndFoliation:
@@ -928,10 +975,9 @@ class TestScans:
             raise AssertionError("a draw was made")
         monkeypatch.setattr(np.random, "default_rng", no_draw)
         before = threading.active_count()
-        for query in (nonpositivity_scan, classify):
-            with pytest.raises(TypeError,
-                               match=f"^samples must be an integer, got {re.escape(repr(samples))}$"):
-                query(0.3, samples=samples)
+        with pytest.raises(TypeError,
+                           match=f"^samples must be an integer, got {re.escape(repr(samples))}$"):
+            nonpositivity_scan(0.3, samples=samples)
         assert threading.active_count() == before
 
     def test_numpy_integer_samples_scan_as_int(self):
@@ -1140,7 +1186,7 @@ class TestScans:
         def no_draw(seed):
             raise AssertionError("a draw was made")
         monkeypatch.setattr(np.random, "default_rng", no_draw)
-        for query in (lambda: classify(0.3, 10, seed), lambda: nonpositivity_scan(0.3, 10, seed),
+        for query in (lambda: nonpositivity_scan(0.3, 10, seed),
                       lambda: zero_curvature_search(0.3, seed)):
             with pytest.raises(error, match=f"^{message}$"):
                 query()
