@@ -39,15 +39,14 @@ import numpy as np
 from .engine import _check_partition, dump_algebra_json, jacobi_residual, load_algebra_json
 from .hypersurface import (
     CurvatureReport,
-    HypersurfaceModel,
     _ambient_curvature_tensor,
     _at,
     _conjugates,
     _gauss_family,
-    _report,
     _validate_alpha,
     ambient_algebra,
     build_hypersurface_algebra,
+    classify,
     foliation_residual_many,
     mean_curvature,
     ricci_extremes,
@@ -145,7 +144,7 @@ def _check_samples(args) -> None:
 def _cmd_sweep(args) -> int:
     _check_samples(args)  # and then unread: see the sweep parser
     angles = _angles(args)
-    rows = [_report(HypersurfaceModel.from_angle(alpha)).as_row() for alpha in angles]
+    rows = [classify(alpha).as_row() for alpha in angles]
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -177,8 +176,7 @@ def _worst(residual: np.ndarray) -> tuple[float, str]:
 def _cmd_verify(args) -> int:
     _check_samples(args)
     alpha = _endpoint(args, "--alpha", args.alpha)
-    model = HypersurfaceModel.from_angle(alpha)
-    alg = model.algebra
+    alg = build_hypersurface_algebra(alpha)
     amb = ambient_algebra()
     s, c = math.sin(alpha), math.cos(alpha)
 
@@ -194,7 +192,7 @@ def _cmd_verify(args) -> int:
         [half * c - s / 2, half * c - s / 2, -half * c - s / 2, -half * c - s / 2,
          -s, -s, 0.0]
     )
-    shape_dev = float(np.max(np.abs(shape_spectrum(model) - shape_pred)))
+    shape_dev = float(np.max(np.abs(shape_spectrum(alpha) - shape_pred)))
     ric_ev = alg._ricci_spectrum
     lo, hi = ricci_extremes(alpha)
     dr = build_hypersurface_algebra(0.0).damek_ricci_check((0, 1, 2, 3), (4, 5), 6)
@@ -212,7 +210,7 @@ def _cmd_verify(args) -> int:
         ("Gauss vs Koszul sectional", *_worst(np.abs(_at(alpha, _gauss_family().tensor) - r))),
         ("ambient bracket vs Koszul curvature",
          *_worst(np.abs(_ambient_curvature_tensor() - amb._riemann @ amb.gram))),
-        ("mean curvature trace identity", abs(mean_curvature(model) + 4.0 * s), ""),
+        ("mean curvature trace identity", abs(mean_curvature(alpha) + 4.0 * s), ""),
         ("Cheeger closed form", abs(alg.cheeger() - 4.0 * c), ""),
         ("shape spectrum closed form", shape_dev, ""),
         ("Ricci extremes vs operator", max(abs(ric_ev[0] - lo), abs(ric_ev[-1] - hi)), ""),

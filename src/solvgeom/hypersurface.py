@@ -17,10 +17,10 @@ corresponding subgroup orbit is a homogeneous hypersurface with unit normal
 T(alpha) = sin(alpha) H0 - cos(alpha) H1.  alpha = 0 gives the minimal
 Einstein member (a Damek-Ricci space) and alpha = pi/2 a horosphere.
 
-A model holds its angle, its read-only frame derived from alpha and its
-Koszul tangent algebra, built on first use.  ``HypersurfaceModel.from_angle``
-memoises the last few models it built, so every caller in a process shares
-one model per angle, and with it one frame and one tangent algebra.
+Every query of a member takes its angle alpha.  A model is the shared
+Koszul basis and algebra of one angle, the algebra built on first use;
+``HypersurfaceModel.from_angle`` memoises the last few models it built, so
+every caller in a process shares one tangent algebra per angle.
 
 Curvature of the hypersurface is computed two independent ways and compared
 throughout the test suite:
@@ -38,7 +38,7 @@ linear in (cos alpha, sin alpha).  So the Gauss side is one alpha-family,
 ``_gauss_family``, derived from the basis matrices once per process, on the
 first Gauss query: II is linear and R quadratic in (cos alpha, sin alpha),
 and so are the operator, the Ricci form and the reference plane's K.  Each
-Gauss query reads the member it needs at its alpha (``_at``); no model caches one.
+Gauss query reads the member it needs at its alpha (``_at``); none builds a model.
 
 Since w R w / w . w does not change when u, v are replaced by another basis
 of their plane, one kernel, ``_sectional_rows``, reads K off the 21x21 R and
@@ -111,6 +111,8 @@ HOROSPHERE_ONSET = math.pi / 3.0
 
 
 def _validate_alpha(alpha: float) -> float:
+    if isinstance(alpha, bool) or not isinstance(alpha, (int, float, np.integer, np.floating)):
+        raise TypeError(f"alpha must be a real number, got {alpha!r}")
     alpha = float(alpha)
     if not 0.0 <= alpha <= math.pi / 2.0:
         raise ValueError(f"alpha must lie in [0, pi/2], got {alpha}")
@@ -138,18 +140,28 @@ def ambient_curvature(x1: np.ndarray, x2: np.ndarray) -> float:
 # -- the hypersurface family ---------------------------------------------------
 
 
+_H0_DIAGONAL, _H1_DIAGONAL = np.diag(H0).real, np.diag(H1).real
+
+
+def _abelian_diagonals(alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal entries of the axis H(alpha) = c H0 + s H1 and the unit normal
+    T(alpha) = s H0 - c H1, c = cos(alpha), s = sin(alpha), as a model's basis
+    (its H row) and the normal flow read them."""
+    alpha = _validate_alpha(alpha)
+    c, s = math.cos(alpha), math.sin(alpha)
+    return c * _H0_DIAGONAL + s * _H1_DIAGONAL, s * _H0_DIAGONAL - c * _H1_DIAGONAL
+
+
 # eq=False: from_angle shares each model by identity, so equality and hash
 # are by identity too.
 @dataclass(frozen=True, eq=False)
 class HypersurfaceModel:
-    """One member of the hypersurface family, given by its angle ``alpha``.
+    """The shared Koszul basis and algebra of the member at angle ``alpha``.
 
-    Its frame is derived from ``alpha`` and read-only: ``axis`` is the unit
-    diagonal H(alpha) completing the nilpotent part to the tangent algebra
-    and ``normal`` the unit normal T(alpha), both (3, 3) complex arrays;
-    ``basis`` is the (7, 3, 3) stack of the orthonormal basis
-    (E12, iE12, E23, iE23, E13, iE13, H).  ``from_angle`` shares one model
-    per angle; ``HypersurfaceModel(alpha)`` builds an unshared one.
+    ``basis`` is the read-only (7, 3, 3) complex stack of the orthonormal
+    basis (E12, iE12, E23, iE23, E13, iE13, H), its H row derived from
+    ``alpha``.  ``from_angle`` shares one model per angle;
+    ``HypersurfaceModel(alpha)`` builds an unshared one.
     """
 
     alpha: float
@@ -163,16 +175,9 @@ class HypersurfaceModel:
         object.__setattr__(self, "alpha", _validate_alpha(self.alpha))
 
     @cached_property
-    def axis(self) -> np.ndarray:
-        return _read_only(math.cos(self.alpha) * H0 + math.sin(self.alpha) * H1)
-
-    @cached_property
-    def normal(self) -> np.ndarray:
-        return _read_only(math.sin(self.alpha) * H0 + (-math.cos(self.alpha)) * H1)
-
-    @cached_property
     def basis(self) -> np.ndarray:
-        return _read_only(np.concatenate([AMBIENT_BASIS[:6], self.axis[None]]))
+        axis = np.diag(_abelian_diagonals(self.alpha)[0]).astype(complex)
+        return _read_only(np.concatenate([AMBIENT_BASIS[:6], axis[None]]))
 
     @cached_property
     def algebra(self) -> MetricLieAlgebra:
@@ -180,8 +185,9 @@ class HypersurfaceModel:
         return MetricLieAlgebra.from_matrix_basis(self.basis, labels=HYPERSURFACE_LABELS)
 
 
-# Four models, a frame and a Koszul algebra each: verify reads two (its alpha
-# and the alpha = 0 leaf), and a caller asking for two more still finds both.
+# Four models, a Koszul algebra each: a checks round builds verify's alpha and
+# reuses the alpha = 0 leaf; a sweep builds one per angle and, in a plain run,
+# never reuses one.
 @lru_cache(maxsize=4)
 def _model_at(cls: type, alpha: float) -> HypersurfaceModel:
     """The model at a validated ``alpha``, built once and then shared while
@@ -285,10 +291,11 @@ def _gauss_family() -> _GaussFamily:
 
 
 def _at(alpha: float, family: np.ndarray) -> np.ndarray:
-    """The member of a Gauss family array at alpha: the sum over its leading
-    axis of each monomial times its coefficient.  The sum runs entry by entry
-    in one order, so entries equal in the family are equal in the result: the
-    operator stays symmetric and a gather of the tensor."""
+    """The member of a Gauss family array at alpha, which it validates: the sum
+    over its leading axis of each monomial times its coefficient.  The sum runs
+    entry by entry in one order, so entries equal in the family are equal in
+    the result: the operator stays symmetric and a gather of the tensor."""
+    alpha = _validate_alpha(alpha)
     c, s = math.cos(alpha), math.sin(alpha)
     out = family[0].copy()
     for x, f in zip((c, s, c * c, c * s, s * s), family[1:]):
@@ -331,34 +338,32 @@ def _sectional_rows(
 # -- second fundamental form and curvature ---------------------------------------
 
 
-def shape_spectrum(model: HypersurfaceModel) -> np.ndarray:
+def shape_spectrum(alpha: float) -> np.ndarray:
     """Eigenvalues of the shape operator, ascending."""
-    return np.linalg.eigvalsh(_at(model.alpha, _gauss_family().shape))
+    return np.linalg.eigvalsh(_at(alpha, _gauss_family().shape))
 
 
-def mean_curvature(model: HypersurfaceModel) -> float:
+def mean_curvature(alpha: float) -> float:
     """Trace of the second fundamental form over the orthonormal basis."""
-    return float(np.trace(_at(model.alpha, _gauss_family().shape)))
+    return float(np.trace(_at(alpha, _gauss_family().shape)))
 
 
-def gauss_sectional(
-    model: HypersurfaceModel, x1: TangentVector, x2: TangentVector
-) -> float:
+def gauss_sectional(alpha: float, x1: TangentVector, x2: TangentVector) -> float:
     """Sectional curvature of span{X1, X2}; raises on a degenerate plane,
     one whose Gram determinant is at most DEGENERATE_PLANE_TOL |X1|^2 |X2|^2."""
     u, v = _binary_scaled(x1.coeffs()), _binary_scaled(x2.coeffs())
     with np.errstate(invalid="ignore"):  # inf - inf of a non-finite coefficient, refused below
-        k = float(_sectional_rows(_at(model.alpha, _gauss_family().operator), u, v, math.nan))
+        k = float(_sectional_rows(_at(alpha, _gauss_family().operator), u, v, math.nan))
     if math.isnan(k):
         raise ValueError(f"degenerate plane: gram determinant at most {DEGENERATE_PLANE_TOL:g}"
                          " |X1|^2 |X2|^2, or a coefficient not finite")
     return k
 
 
-def ricci_gauss_many(model: HypersurfaceModel, coeffs: np.ndarray) -> np.ndarray:
+def ricci_gauss_many(alpha: float, coeffs: np.ndarray) -> np.ndarray:
     """Ricci curvature x . Ric . x of each row of ``coeffs``, Ric_jk = R_ijk^i."""
     coeffs = np.asarray(coeffs, dtype=float)
-    return np.sum((coeffs @ _at(model.alpha, _gauss_family().ricci)) * coeffs, axis=-1)
+    return np.sum((coeffs @ _at(alpha, _gauss_family().ricci)) * coeffs, axis=-1)
 
 
 def _ricci_sines(alpha: float) -> tuple[float, tuple[float, float, float]]:
@@ -472,24 +477,16 @@ def _count(value, name: str) -> int:
 def classify(alpha: float) -> CurvatureReport:
     """The full curvature report for one angle, the sweep's row at ``alpha``.
 
-    It samples nothing, so it takes no sample count and no seed: the
-    cross-pipeline residual is certified on the whole unit sphere (``_report``).
-    """
-    return _report(HypersurfaceModel.from_angle(alpha))
-
-
-def _report(model: HypersurfaceModel) -> CurvatureReport:
-    """The curvature report of ``model``; it samples nothing.
-
-    Its cross-pipeline residual is the largest |Ric_Gauss(x) - Ric_closed(x)|
+    It samples nothing, so it takes no sample count and no seed: its
+    cross-pipeline residual is the largest |Ric_Gauss(x) - Ric_closed(x)|
     over the whole unit tangent sphere.  Both sides are quadratic forms in x,
     the closed one diagonal, D = diag(-3 + 4 s k_a x2, -3 + 4 s k_b x2,
     -3 + 4 s k_c x2, -3) from ``_ricci_sines``, so the supremum is the spectral
     radius of the symmetric 7x7 difference of the Gauss Ricci form and D.
     D reads the closed form alone, so the two pipelines stay independent.
     """
-    alpha = model.alpha
-    mean = mean_curvature(model)
+    alpha = _validate_alpha(alpha)
+    mean = mean_curvature(alpha)
     rmin, rmax = ricci_extremes(alpha)
     if alpha < HOROSPHERE_ONSET - ALPHA_BOUNDARY_TOL:
         regime = Regime.NEGATIVE_RICCI
@@ -503,7 +500,7 @@ def _report(model: HypersurfaceModel) -> CurvatureReport:
     return CurvatureReport(
         alpha=alpha,
         mean_curvature=mean,
-        cheeger=model.algebra.cheeger(),
+        cheeger=build_hypersurface_algebra(alpha).cheeger(),
         ricci_min=rmin,
         ricci_max=rmax,
         k_sigma=float(_at(alpha, _gauss_family().k_sigma)),
@@ -516,17 +513,6 @@ def _report(model: HypersurfaceModel) -> CurvatureReport:
 
 
 # -- normal flow and foliation ---------------------------------------------------
-
-
-_H0_DIAGONAL, _H1_DIAGONAL = np.diag(H0).real, np.diag(H1).real
-
-
-def _abelian_diagonals(alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal entries of the axis H(alpha) and the normal T(alpha), those of a
-    model's ``axis`` and ``normal`` bit for bit, with no model built."""
-    alpha = _validate_alpha(alpha)
-    c, s = math.cos(alpha), math.sin(alpha)
-    return c * _H0_DIAGONAL + s * _H1_DIAGONAL, s * _H0_DIAGONAL - c * _H1_DIAGONAL
 
 
 _EXP_MAX = 709.782712893384  # the largest x of a finite exp(x); math.exp raises past it
@@ -663,9 +649,8 @@ def nonpositivity_scan(alpha: float, samples: int, seed: int = 0) -> PlaneScan:
     returned is orthonormalised.  ``samples`` and ``seed`` must be
     ints (not bools) or numpy integers, at least 0.
     """
-    alpha = _validate_alpha(alpha)
-    samples = _count(samples, "samples")
     operator = _at(alpha, _gauss_family().operator)
+    samples = _count(samples, "samples")
     best, arg = -math.inf, None
     # the extreme's rows are copied, so that they keep no block alive
     for u, v, k in _plane_blocks(np.random.default_rng(_count(seed, "seed")), samples, operator):
@@ -699,9 +684,8 @@ def zero_curvature_search(
     only because the benchmark worker passes ``seed=``, and the two go
     together (ROADMAP item 1).
     """
-    alpha = _validate_alpha(alpha)
-    _count(seed, "seed")
     operator = _at(alpha, _gauss_family().operator)
+    _count(seed, "seed")
     i, j = _PAIRS
     wedge = lambda u, v: u[i] * v[j] - u[j] * v[i]
     u0, v0 = np.eye(7)[[0, 6]]  # E12 and H

@@ -11,7 +11,6 @@ import numpy as np
 from solvgeom.engine import MetricLieAlgebra
 from solvgeom.hypersurface import (
     AMBIENT_BASIS,
-    HypersurfaceModel,
     TangentVector,
     _gram_schmidt,
     ambient_algebra,
@@ -43,10 +42,10 @@ def report(label, ok, detail):
 
 def test_c01_mean_curvature_closed_form():
     devs = [
-        abs(mean_curvature(HypersurfaceModel.from_angle(a)) + 4.0 * math.sin(a))
+        abs(mean_curvature(a) + 4.0 * math.sin(a))
         for a in GRID
     ]
-    at_zero = abs(mean_curvature(HypersurfaceModel.from_angle(0.0)))
+    at_zero = abs(mean_curvature(0.0))
     ok = max(devs) <= 1e-12 and at_zero <= 1e-14
     report(
         "mean curvature = -4 sin(alpha), minimal at 0",
@@ -73,9 +72,8 @@ def test_c03_ricci_closed_form_bulk():
     worst_closed = worst_poly = 0.0
     for _ in range(100):
         alpha = float(rng.uniform(0.0, math.pi / 2.0))
-        model = HypersurfaceModel.from_angle(alpha)
         vecs = random_unit_tangents(rng, 100)
-        gauss = ricci_gauss_many(model, vecs)
+        gauss = ricci_gauss_many(alpha, vecs)
         worst_closed = max(
             worst_closed, float(np.max(np.abs(gauss - ricci_closed_many(alpha, vecs))))
         )
@@ -137,8 +135,7 @@ def test_c06_positive_plane_curvature():
     devs = []
     positives = True
     for alpha in np.linspace(0.0, math.pi / 2.0, 20):
-        model = HypersurfaceModel.from_angle(alpha)
-        k = gauss_sectional(model, x1, x2)
+        k = gauss_sectional(alpha, x1, x2)
         devs.append(abs(k - reference_plane_curvature(alpha)))
         if alpha > 0.0:
             positives = positives and k > 0.0
@@ -195,18 +192,17 @@ def test_c10_pipeline_equivalence():
     rng = np.random.default_rng(1)
     worst_sec = worst_ric = 0.0
     for alpha in np.linspace(0.0, math.pi / 2.0, 20):
-        model = HypersurfaceModel.from_angle(alpha)
         alg = build_hypersurface_algebra(alpha)
         u, v = _gram_schmidt(*rng.standard_normal((2, 50, 7)))
         for a, b in zip(u, v):
             ks = gauss_sectional(
-                model, TangentVector.from_coeffs(a), TangentVector.from_coeffs(b)
+                alpha, TangentVector.from_coeffs(a), TangentVector.from_coeffs(b)
             )
             worst_sec = max(worst_sec, abs(ks - alg.sectional(a, b)))
         for w in rng.standard_normal((50, 7)):
             worst_ric = max(
                 worst_ric,
-                abs(ricci_gauss_many(model, w) - alg.ricci(w)),
+                abs(ricci_gauss_many(alpha, w) - alg.ricci(w)),
             )
     amb = ambient_algebra()
     worst_amb = 0.0
@@ -246,10 +242,10 @@ def test_c12_horosphere_range():
     third = math.pi / 3.0
     ok = True
     for alpha in GRID:
-        top = shape_spectrum(HypersurfaceModel.from_angle(alpha))[-1]
+        top = shape_spectrum(alpha)[-1]
         nonpositive = top <= 1e-12
         ok = ok and (nonpositive == (alpha >= third - 1e-9))
-    just_below = shape_spectrum(HypersurfaceModel.from_angle(third - 0.01))[-1]
+    just_below = shape_spectrum(third - 0.01)[-1]
     ok = ok and just_below > 1e-12
     report(
         "shape operator nonpositive precisely for alpha >= pi/3",
@@ -266,15 +262,14 @@ def test_c13_planes_of_both_signs():
     worst = 0.0
     negatives = positives = True
     for alpha in np.linspace(0.0, math.pi / 2.0, 101):
-        model = HypersurfaceModel.from_angle(alpha)
         alg = build_hypersurface_algebra(alpha)
         want = -math.sin(alpha + math.pi / 6.0) ** 2
         for x in (TangentVector(a=1.0), TangentVector(a=1j)):
-            for k in (gauss_sectional(model, x, h), alg.sectional(x.coeffs(), h.coeffs())):
+            for k in (gauss_sectional(alpha, x, h), alg.sectional(x.coeffs(), h.coeffs())):
                 worst = max(worst, abs(k - want))
                 negatives = negatives and k <= -0.25
         if alpha > 0.0:
-            positives = positives and gauss_sectional(model, x1, x2) > 0.0
+            positives = positives and gauss_sectional(alpha, x1, x2) > 0.0
     ok = worst <= 1e-12 and negatives and positives
     report(
         "every alpha > 0 has planes of both signs: K(E12, H) = -sin^2(alpha + pi/6)",

@@ -107,6 +107,21 @@ class TestSweep:
         for row in rows:
             assert row == classify(row["alpha"]).as_row()
 
+    def test_each_row_classifies_and_builds_its_angle_once(self, capsys, monkeypatch):
+        # the sweep's calls, as the benchmark's tracer counts them: one classify
+        # and one algebra build per angle, at that angle
+        calls = []
+        for module, name in [(cli, "classify"), (hypersurface, "build_hypersurface_algebra")]:
+            def counted(alpha, _real=getattr(module, name), _name=name):
+                calls.append((_name, float(alpha)))
+                return _real(alpha)
+            monkeypatch.setattr(module, name, counted)
+        rc, out, _ = run_cli(capsys, "sweep", "--steps", "5", "--format", "json")
+        alphas = [row["alpha"] for row in json.loads(out)]
+        assert rc == 0 and len(alphas) == 5
+        assert calls == [(name, alpha) for alpha in alphas
+                         for name in ("classify", "build_hypersurface_algebra")]
+
     @pytest.mark.parametrize("flags", [("--samples", "0"), ("--samples", "10"),
                                        ("--samples", "2000"), ("--seed", "0"), ("--seed", "7"),
                                        ("--samples", "0", "--seed", "7"),
@@ -169,7 +184,7 @@ class TestSweep:
         def never(*args, **kwargs):
             raise AssertionError("an angle was classified or a sample drawn")
 
-        monkeypatch.setattr(cli, "_report", never)
+        monkeypatch.setattr(cli, "classify", never)
         monkeypatch.setattr(np, "linspace", never)
         rc, out, err = run_cli(capsys, "sweep", "--steps", "1000000000000")
         assert (rc, out, err) == (

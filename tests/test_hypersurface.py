@@ -37,7 +37,6 @@ from solvgeom.hypersurface import (
     _gram_schmidt,
     _model_at,
     _plane_blocks,
-    _report,
     _sectional_rows,
     ambient_curvature,
     build_hypersurface_algebra,
@@ -110,9 +109,11 @@ class Point(NamedTuple):
         return np.array([self.x, self.y, self.z], dtype=complex)
 
     def matrix(self) -> np.ndarray:
-        """The upper triangular matrix, read off the model's frame matrices."""
-        model = HypersurfaceModel(self.alpha)
-        d = np.exp(self.t * np.diag(model.axis).real + self.s * np.diag(model.normal).real)
+        """The upper triangular matrix, its diagonal read off H = c H0 + s H1
+        and T = s H0 - c H1."""
+        cos, sin = math.cos(self.alpha), math.sin(self.alpha)
+        h0, h1 = np.diag(H0).real, np.diag(H1).real
+        d = np.exp(self.t * (cos * h0 + sin * h1) + self.s * (sin * h0 - cos * h1))
         m = np.diag(d).astype(complex)
         m[[0, 1, 0], [1, 2, 2]] = self.xyz * d[[1, 2, 2]]
         return m
@@ -122,11 +123,55 @@ class Point(NamedTuple):
         return self._replace(**dict(zip("xyz", _conjugates(self.alpha, self.xyz, s))))
 
 
+# Every public function that takes the angle, called at alpha.
+ANGLE_QUERIES = {
+    "shape_spectrum": shape_spectrum,
+    "mean_curvature": mean_curvature,
+    "gauss_sectional": lambda alpha: gauss_sectional(alpha, *reference_plane()),
+    "ricci_gauss_many": lambda alpha: ricci_gauss_many(alpha, np.eye(7)),
+    "classify": classify,
+    "ricci_extremes": ricci_extremes,
+    "ricci_polynomial": lambda alpha: ricci_polynomial(alpha, TangentVector(a=1.0, t=0.5)),
+    "reference_plane_curvature": reference_plane_curvature,
+    "nonpositivity_scan": lambda alpha: nonpositivity_scan(alpha, 10, 0),
+    "zero_curvature_search": zero_curvature_search,
+    "foliation_residual_many": lambda alpha: foliation_residual_many(alpha, [[1.0, 2j, 0.5]],
+                                                                     0.3, 0.7),
+    "volume_distortion": lambda alpha: volume_distortion(alpha, 0.7),
+    "build_hypersurface_algebra": build_hypersurface_algebra,
+    "HypersurfaceModel.from_angle": HypersurfaceModel.from_angle,
+}
+
+
+def _same(a, b) -> bool:
+    """a and b are one result: the same object, equal arrays to the bit, or equal."""
+    if a is b:
+        return True
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    if isinstance(a, (float, complex)):
+        return repr(a) == repr(b)
+    if dataclasses.is_dataclass(a):
+        a, b = dataclasses.astuple(a), dataclasses.astuple(b)
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
 class TestModel:
-    @pytest.mark.parametrize("alpha", [-0.1, math.pi / 2 + 0.1, math.nan])
-    def test_angle_validated(self, alpha):
-        with pytest.raises(ValueError, match="alpha"):
-            HypersurfaceModel.from_angle(alpha)
+    @pytest.mark.parametrize("name", ANGLE_QUERIES)
+    @pytest.mark.parametrize("alpha, error", [
+        *((a, ValueError) for a in (2.0, -0.1, math.nan, math.inf)),
+        *((a, TypeError) for a in (True, np.bool_(False), "0.5", None, 0.5 + 0j)),
+    ], ids=lambda x: x.__name__ if isinstance(x, type) else repr(x))
+    def test_angle_validated(self, name, alpha, error):
+        with pytest.raises(error, match="^alpha must "):
+            ANGLE_QUERIES[name](alpha)
+
+    @pytest.mark.parametrize("name", ANGLE_QUERIES)
+    @pytest.mark.parametrize("zero", [-0.0, 0, np.int64(0), np.float32(-0.0)], ids=repr)
+    def test_every_zero_angle_gives_the_result_at_zero(self, name, zero):
+        assert _same(ANGLE_QUERIES[name](zero), ANGLE_QUERIES[name](0.0))
 
     @pytest.mark.parametrize("alpha", ANGLES)
     def test_frame_orthonormal(self, alpha):
@@ -135,29 +180,18 @@ class TestModel:
             [[inner_solvable(a, b) for b in model.basis] for a in model.basis]
         )
         assert np.max(np.abs(g - np.eye(7))) <= 1e-14
-        assert inner_solvable(model.axis, model.normal) == pytest.approx(0.0, abs=1e-14)
-        assert inner_solvable(model.normal, model.normal) == pytest.approx(1.0, abs=1e-14)
+        axis, normal = (np.diag(d).astype(complex) for d in _abelian_diagonals(alpha))
+        g = np.array([[inner_solvable(a, b) for b in (axis, normal)] for a in (axis, normal)])
+        assert np.max(np.abs(g - np.eye(2))) <= 1e-14
 
-    def test_axis_normal_at_zero(self):
-        model = HypersurfaceModel.from_angle(0.0)
-        assert np.max(np.abs(model.axis - H0)) <= 1e-12
-        assert np.max(np.abs(model.normal + H1)) <= 1e-12
-
-    def test_axis_normal_at_right_angle(self):
-        model = HypersurfaceModel.from_angle(math.pi / 2)
-        assert np.max(np.abs(model.axis - H1)) <= 1e-12
-        assert np.max(np.abs(model.normal - H0)) <= 1e-12
-
-    @pytest.mark.parametrize("attr, shape", [("axis", (3, 3)), ("normal", (3, 3)),
-                                             ("basis", (7, 3, 3))])
-    def test_frame_arrays_have_their_shapes(self, attr, shape):
-        array = getattr(HypersurfaceModel.from_angle(0.3), attr)
-        assert array.shape == shape and array.dtype == complex
+    def test_basis_has_its_shape(self):
+        basis = HypersurfaceModel.from_angle(0.3).basis
+        assert basis.shape == (7, 3, 3) and basis.dtype == complex
 
     def test_basis_is_the_nilpotent_part_then_the_axis(self):
         model = HypersurfaceModel.from_angle(0.3)
         assert np.array_equal(model.basis[:6], AMBIENT_BASIS[:6])
-        assert np.array_equal(model.basis[6], model.axis)
+        assert np.array_equal(model.basis[6], np.diag(_abelian_diagonals(0.3)[0]))
 
     def test_model_hashes_by_identity(self):
         model = HypersurfaceModel.from_angle(0.3)
@@ -188,9 +222,9 @@ class TestModel:
             HypersurfaceModel.from_angle(alpha)
         assert _model_at.cache_info().currsize == _model_at.cache_info().maxsize
 
-    @pytest.mark.parametrize("attr", ["axis", "normal", "basis", *_GaussFamily._fields])
+    @pytest.mark.parametrize("attr", ["basis", *_GaussFamily._fields])
     def test_shared_arrays_are_read_only(self, attr):
-        # a shared model's frame, and each member of the one Gauss family
+        # a shared model's basis, and each member of the one Gauss family
         family = attr in _GaussFamily._fields
         array = getattr(_gauss_family() if family else HypersurfaceModel.from_angle(0.3), attr)
         with pytest.raises(ValueError, match="read-only"):
@@ -201,18 +235,17 @@ class TestModel:
 
     @pytest.mark.parametrize("alpha", ANGLES)
     def test_frame_is_derived_from_alpha_bit_for_bit(self, alpha):
-        # the expressions the frame was built from when it was passed in
+        # H as the matrix c H0 + s H1, and the diagonals as their own
+        # expressions, to the bit and the sign of each zero
         model, c, s = HypersurfaceModel(alpha), math.cos(alpha), math.sin(alpha)
-        axis, normal = c * H0 + s * H1, s * H0 + (-c) * H1
-        assert np.array_equal(model.axis, axis)
-        assert np.array_equal(model.normal, normal)
-        assert np.array_equal(model.basis, np.concatenate([AMBIENT_BASIS[:6], axis[None]]))
+        basis = np.concatenate([AMBIENT_BASIS[:6], (c * H0 + s * H1)[None]])
+        assert np.array_equal(model.basis, basis)
+        for part in (np.real, np.imag):
+            assert np.array_equal(np.signbit(part(model.basis)), np.signbit(part(basis)))
         h0, h1 = np.diag(H0).real, np.diag(H1).real
-        for got, want, own in zip(_abelian_diagonals(alpha),
-                                  (c * h0 + s * h1, s * h0 - c * h1),
-                                  (model.axis, model.normal)):
-            assert got.dtype == float and np.array_equal(got, np.diag(own).real)
-            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+        for got, want in zip(_abelian_diagonals(alpha), (c * h0 + s * h1, s * h0 - c * h1)):
+            assert got.dtype == float and np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
     @pytest.mark.parametrize("alpha", [-0.1, math.pi / 2 + 0.1, math.nan])
     def test_direct_constructor_validates_alpha(self, alpha):
@@ -245,7 +278,7 @@ class TestTangentVector:
         model = HypersurfaceModel.from_angle(0.3)
         v = TangentVector(a=2j, b=1.0, c=-1j, t=0.5)
         m = np.tensordot(v.coeffs(), model.basis, axes=1)
-        expected = 2j * E12 + E23 - 1j * E13 + 0.5 * model.axis
+        expected = 2j * E12 + E23 - 1j * E13 + 0.5 * (math.cos(0.3) * H0 + math.sin(0.3) * H1)
         assert np.max(np.abs(m - expected)) <= 1e-15
 
     def test_norm_matches_inner(self):
@@ -286,50 +319,45 @@ class TestSecondFundamentalForm:
 
     @pytest.mark.parametrize("alpha", ANGLES)
     def test_spectrum_and_mean(self, alpha):
-        model = HypersurfaceModel.from_angle(alpha)
         s, c = math.sin(alpha), math.cos(alpha)
         expected = np.sort(
             [HALF_SQRT3 * c - s / 2, HALF_SQRT3 * c - s / 2,
              -HALF_SQRT3 * c - s / 2, -HALF_SQRT3 * c - s / 2, -s, -s, 0.0]
         )
-        assert np.max(np.abs(shape_spectrum(model) - expected)) <= 1e-13
-        assert mean_curvature(model) == pytest.approx(-4.0 * s, abs=1e-13)
+        assert np.max(np.abs(shape_spectrum(alpha) - expected)) <= 1e-13
+        assert mean_curvature(alpha) == pytest.approx(-4.0 * s, abs=1e-13)
 
     @pytest.mark.parametrize("alpha", ANGLES)
     def test_largest_eigenvalue_closed_form(self, alpha):
-        top = shape_spectrum(HypersurfaceModel.from_angle(alpha))[-1]
+        top = shape_spectrum(alpha)[-1]
         assert top == pytest.approx(
             max(0.0, math.cos(alpha + math.pi / 6)), abs=1e-13
         )
 
     def test_trace_identity_on_grid(self):
         for alpha in np.linspace(0.0, math.pi / 2, 100):
-            model = HypersurfaceModel.from_angle(alpha)
-            mean = mean_curvature(model)
-            assert abs(sum(shape_spectrum(model)) - mean) <= 1e-12
+            mean = mean_curvature(alpha)
+            assert abs(sum(shape_spectrum(alpha)) - mean) <= 1e-12
             assert abs(mean + 4.0 * math.sin(alpha)) <= 1e-12
 
 
 class TestCurvature:
     def test_degenerate_plane_rejected(self):
-        model = HypersurfaceModel.from_angle(0.5)
         v = TangentVector(a=1)
         with pytest.raises(ValueError, match="degenerate"):
-            gauss_sectional(model, v, TangentVector(a=2))
+            gauss_sectional(0.5, v, TangentVector(a=2))
 
     def test_small_plane_accepted(self):
         # the degenerate-plane test is relative to |X1|^2 |X2|^2
-        model = HypersurfaceModel.from_angle(0.5)
-        unit = gauss_sectional(model, TangentVector(a=1), TangentVector(b=1))
-        small = gauss_sectional(model, TangentVector(a=1e-7), TangentVector(b=1))
+        unit = gauss_sectional(0.5, TangentVector(a=1), TangentVector(b=1))
+        small = gauss_sectional(0.5, TangentVector(a=1e-7), TangentVector(b=1))
         assert small == pytest.approx(unit, rel=1e-9)
 
     def test_nearly_parallel_large_plane_rejected(self):
-        model = HypersurfaceModel.from_angle(0.5)
         x = TangentVector(a=1e3)
         y = TangentVector(a=1e3, b=1e-4)  # 1e-7 rad from x
         with pytest.raises(ValueError, match="degenerate"):
-            gauss_sectional(model, x, y)
+            gauss_sectional(0.5, x, y)
 
     def test_ambient_curvature_validates_membership(self):
         low = np.array([[0, 0, 0], [1, 0, 0], [0, 0, 0]])
@@ -359,21 +387,19 @@ class TestCurvature:
             assert ricci_closed_many(alpha, rows) == pytest.approx(want, abs=1e-13)
 
     def test_ricci_gauss_is_quadratic_form(self):
-        model = HypersurfaceModel.from_angle(0.8)
         (x,) = unit_tangent(5)
         scaled = TangentVector(a=2 * x.a, b=2 * x.b, c=2 * x.c, t=2 * x.t)
-        assert ricci_gauss_many(model, scaled.coeffs()) == pytest.approx(
-            4.0 * ricci_gauss_many(model, x.coeffs()), abs=1e-12
+        assert ricci_gauss_many(0.8, scaled.coeffs()) == pytest.approx(
+            4.0 * ricci_gauss_many(0.8, x.coeffs()), abs=1e-12
         )
 
     @pytest.mark.parametrize("alpha", ANGLES)
     def test_polynomial_matches_gauss(self, alpha):
-        model = HypersurfaceModel.from_angle(alpha)
         rng = np.random.default_rng(12)
         for _ in range(10):
             v = TangentVector.from_coeffs(rng.standard_normal(7))
             assert ricci_polynomial(alpha, v) == pytest.approx(
-                ricci_gauss_many(model, v.coeffs()), abs=1e-12
+                ricci_gauss_many(alpha, v.coeffs()), abs=1e-12
             )
 
     def test_extremes_frozen(self):
@@ -426,9 +452,8 @@ class TestReferencePlane:
 
     @pytest.mark.parametrize("alpha", ANGLES)
     def test_curvature_closed_form(self, alpha):
-        model = HypersurfaceModel.from_angle(alpha)
         x1, x2 = reference_plane()
-        assert gauss_sectional(model, x1, x2) == pytest.approx(
+        assert gauss_sectional(alpha, x1, x2) == pytest.approx(
             reference_plane_curvature(alpha), abs=1e-12
         )
 
@@ -495,7 +520,7 @@ class TestGaussFamily:
                 "with contextlib.redirect_stdout(io.StringIO()):\n"
                 "    assert cli.main(['algebra', 'einstein', '--ambient']) == 0\n"
                 "assert built().currsize == 0\n"
-                "h.ricci_gauss_many(h.HypersurfaceModel.from_angle(0.3), [1.0] * 7)\n"
+                "h.ricci_gauss_many(0.3, [1.0] * 7)\n"
                 "assert built().currsize == 1\n")
         src = os.path.dirname(os.path.dirname(hypersurface.__file__))
         done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
@@ -517,10 +542,10 @@ class TestGaussFamily:
         assert gauss(alpha, "tensor").shape == (7, 7, 7, 7)
         assert gauss(alpha, "operator").shape == (21, 21)
         rows = np.eye(7)
-        assert np.max(np.abs(ricci_gauss_many(model, rows) - ricci_closed_many(alpha, rows))) <= 1e-14
-        assert gauss_sectional(model, *reference_plane()) == pytest.approx(
+        assert np.max(np.abs(ricci_gauss_many(alpha, rows) - ricci_closed_many(alpha, rows))) <= 1e-14
+        assert gauss_sectional(alpha, *reference_plane()) == pytest.approx(
             reference_plane_curvature(alpha), abs=1e-14)
-        assert shape_spectrum(model)[-1] == pytest.approx(math.cos(alpha + math.pi / 6), abs=1e-14)
+        assert shape_spectrum(alpha)[-1] == pytest.approx(math.cos(alpha + math.pi / 6), abs=1e-14)
         assert nonpositivity_scan(alpha, 100, seed=1).samples == 100
         assert zero_curvature_search(alpha, seed=1)[0] <= 1e-14
 
@@ -604,8 +629,7 @@ class TestCrossResidual:
         vecs = random_unit_tangents(np.random.default_rng(0), 2000)
         closed = ricci_closed_many  # on the unit coordinate rows, its diagonal D
         for alpha in np.linspace(0.0, math.pi / 2, 101):
-            model = HypersurfaceModel.from_angle(alpha)
-            sampled = np.abs(ricci_gauss_many(model, vecs) - closed(alpha, vecs))
+            sampled = np.abs(ricci_gauss_many(alpha, vecs) - closed(alpha, vecs))
             r = int(np.argmax(sampled))
             x = [Fraction(v) for v in vecs[r]]
             m = [[Fraction(g) for g in row] for row in gauss(alpha, "ricci")]
@@ -616,7 +640,7 @@ class TestCrossResidual:
                         / sum(v * v for v in x))
             roundoff = abs(Fraction(sampled[r]) - exact)
             assert roundoff <= 1e-14
-            whole = _report(model).cross_residual
+            whole = classify(alpha).cross_residual
             assert Fraction(whole) * (1 + Fraction(1, 10**12)) >= Fraction(sampled[r]) - roundoff
 
     @pytest.mark.parametrize("eps", [1e-9, 1e-6, 1e-3])
@@ -630,10 +654,9 @@ class TestCrossResidual:
         monkeypatch.setattr(hypersurface, "_gauss_family", lambda: family._replace(ricci=ricci))
         vecs = random_unit_tangents(np.random.default_rng(0), 2000)
         for alpha in (0.0, 0.7, math.pi / 3, math.pi / 2):
-            model = HypersurfaceModel.from_angle(alpha)
-            whole = _report(model).cross_residual
+            whole = classify(alpha).cross_residual
             assert abs(whole - eps) <= 1e-14
-            sampled = np.max(np.abs(ricci_gauss_many(model, vecs) - ricci_closed_many(alpha, vecs)))
+            sampled = np.max(np.abs(ricci_gauss_many(alpha, vecs) - ricci_closed_many(alpha, vecs)))
             assert sampled < whole
 
 
@@ -869,10 +892,10 @@ class TestFlowAndFoliation:
 
     @pytest.mark.parametrize("s", [-2.0, 0.37, 3.0])
     def test_volume_distortion_is_the_trace_over_the_basis_matrices(self, s):
-        # tr ad T as the model's basis matrices give it, bit for bit
+        # tr ad T over the model's basis matrices, T the matrix s H0 - c H1, bit for bit
         for alpha in np.linspace(0.0, math.pi / 2, 101):
-            model = HypersurfaceModel(alpha)
-            tr_ad = float(np.real(np.vdot(model.basis, bracket(model.normal, model.basis))))
+            basis, normal = HypersurfaceModel(alpha).basis, math.sin(alpha) * H0 - math.cos(alpha) * H1
+            tr_ad = float(np.real(np.vdot(basis, bracket(normal, basis))))
             assert volume_distortion(alpha, s) == math.exp(-s * tr_ad)
 
     def test_volume_distortion_frozen(self):
@@ -885,7 +908,7 @@ class TestFlowAndFoliation:
         # log(volume factor) / s = H ties the foliation to the Gauss pipeline
         for alpha in np.linspace(0.0, math.pi / 2, 101):
             got = math.log(volume_distortion(alpha, s)) / s
-            assert abs(got - mean_curvature(HypersurfaceModel.from_angle(alpha))) <= 1e-14
+            assert abs(got - mean_curvature(alpha)) <= 1e-14
 
     @pytest.mark.parametrize("alpha", ANGLES)
     def test_volume_matches_coordinate_scalings(self, alpha):
@@ -955,8 +978,7 @@ class TestScans:
         scan = nonpositivity_scan(math.pi / 4, samples=2000, seed=1)
         assert scan.max_curvature >= reference_plane_curvature(math.pi / 4) - 1e-12
         x1, x2 = scan.max_plane
-        model = HypersurfaceModel.from_angle(math.pi / 4)
-        assert gauss_sectional(model, x1, x2) == pytest.approx(
+        assert gauss_sectional(math.pi / 4, x1, x2) == pytest.approx(
             scan.max_curvature, abs=1e-10
         )
 
@@ -1074,8 +1096,7 @@ class TestScans:
     def test_zero_plane_search(self):
         val, (x1, x2) = zero_curvature_search(0.0, seed=3)
         assert val <= 1e-14
-        model = HypersurfaceModel.from_angle(0.0)
-        assert abs(gauss_sectional(model, x1, x2)) == pytest.approx(val, abs=1e-12)
+        assert abs(gauss_sectional(0.0, x1, x2)) == pytest.approx(val, abs=1e-12)
 
     @pytest.mark.parametrize(
         "samples",
@@ -1086,11 +1107,10 @@ class TestScans:
         scan = nonpositivity_scan(alpha, samples, seed)
         # the same raw draw made in one piece, plane r its row r, and
         # contracted in one piece
-        model = HypersurfaceModel.from_angle(alpha)
         u, v = np.random.default_rng(seed).standard_normal((samples, 2, 7)).transpose(1, 0, 2)
         k = np.divide(*_plane_terms(gauss(alpha, "operator"), u, v))
         s1, s2 = reference_plane()
-        k_ref = gauss_sectional(model, s1, s2)
+        k_ref = gauss_sectional(alpha, s1, s2)
         ref = (s1.coeffs(), s2.coeffs())
         if samples and k.max() >= k_ref:
             i = int(np.argmax(k))
@@ -1105,14 +1125,13 @@ class TestScans:
     @pytest.mark.parametrize("alpha, seed", [(0.0, 2), (0.7, 5), (1.2, 7), (math.pi / 2, 9)])
     def test_scan_planes_are_orthonormal_with_their_curvature(self, alpha, seed):
         scan = nonpositivity_scan(alpha, 5000, seed)
-        model = HypersurfaceModel.from_angle(alpha)
         # |K| of any plane is at most the largest |eigenvalue| of the operator
         k_bound = np.max(np.abs(np.linalg.eigvalsh(gauss(alpha, "operator"))))
         x1, x2 = scan.max_plane
         u, v = x1.coeffs(), x2.coeffs()
         gram = np.array([[u @ u, u @ v], [v @ u, v @ v]])
         assert np.max(np.abs(gram - np.eye(2))) <= 1e-15
-        assert abs(gauss_sectional(model, x1, x2) - scan.max_curvature) <= 1e-14 * k_bound
+        assert abs(gauss_sectional(alpha, x1, x2) - scan.max_curvature) <= 1e-14 * k_bound
 
     def test_scan_memory_does_not_grow_with_samples(self):
         nonpositivity_scan(0.3, samples=10)  # build the cached ambient tensor
@@ -1144,8 +1163,7 @@ class TestScans:
     def test_zero_search_contract(self, alpha, seed):
         val, (x1, x2) = zero_curvature_search(alpha, seed=seed)
         assert val <= 1e-14
-        model = HypersurfaceModel.from_angle(alpha)
-        assert abs(gauss_sectional(model, x1, x2)) == pytest.approx(val, abs=1e-12)
+        assert abs(gauss_sectional(alpha, x1, x2)) == pytest.approx(val, abs=1e-12)
 
     @pytest.mark.parametrize("alpha, seed, value, plane", ZERO_SEARCH_PINS,
                              ids=[f"{p[0]:.4g}-seed{p[1]}" for p in ZERO_SEARCH_PINS])
@@ -1162,16 +1180,16 @@ class TestScans:
     @pytest.mark.parametrize("alpha", [*np.linspace(0.0, math.pi / 2, 101), 1e-9, 1e-6, 1e-3])
     def test_zero_search_bisects_between_two_exact_planes(self, alpha):
         # sigma_0 = span{E12, H} and the reference plane sigma_1 bracket a sign change
-        model, algebra = HypersurfaceModel.from_angle(alpha), build_hypersurface_algebra(alpha)
-        k0 = gauss_sectional(model, TangentVector(a=1.0), TangentVector(t=1.0))
-        k1 = gauss_sectional(model, *reference_plane())
+        algebra = build_hypersurface_algebra(alpha)
+        k0 = gauss_sectional(alpha, TangentVector(a=1.0), TangentVector(t=1.0))
+        k1 = gauss_sectional(alpha, *reference_plane())
         assert abs(k0 + math.sin(alpha + math.pi / 6) ** 2) <= 1e-14
         assert abs(k1 - reference_plane_curvature(alpha)) <= 1e-14
         assert k0 < 0.0 <= k1
         val, (x1, x2) = zero_curvature_search(alpha)
         u, v = x1.coeffs(), x2.coeffs()
         assert np.max(np.abs(np.array([[u @ u, u @ v], [v @ u, v @ v]]) - np.eye(2))) <= 1e-15
-        assert val <= 1e-14 and abs(gauss_sectional(model, x1, x2)) == val
+        assert val <= 1e-14 and abs(gauss_sectional(alpha, x1, x2)) == val
         assert abs(abs(algebra.sectional(u, v)) - val) <= 1e-14
         for seed in (0, 1, 2):  # the plane does not depend on the seed
             assert zero_curvature_search(alpha, seed=seed) == (val, (x1, x2))
@@ -1192,7 +1210,7 @@ class TestScans:
                 query()
 
     def test_degenerate_rows_are_never_scan_extremes(self, monkeypatch):
-        model, operator = HypersurfaceModel.from_angle(0.7), gauss(0.7, "operator")
+        operator = gauss(0.7, "operator")
         # a plane of |K| below 1e-14; a v within 1e-9 of the line of its x1 spans
         # no plane
         _, (x1, x2) = zero_curvature_search(0.7, seed=3)
@@ -1206,11 +1224,11 @@ class TestScans:
         [(got_u, got_v, k)] = _plane_blocks(stream, 3, operator)
         assert stream.shapes == [(3, 2, 7)]  # no draw after the last block
         assert np.array_equal(got_u, u) and np.array_equal(got_v, v)
-        k_good = gauss_sectional(model, TangentVector.from_coeffs(u[0]),
+        k_good = gauss_sectional(0.7, TangentVector.from_coeffs(u[0]),
                                  TangentVector.from_coeffs(v[0]))
         assert k[0] == pytest.approx(k_good, abs=1e-14) and k[1] == k[2] == -math.inf
         ref = reference_plane()
-        k_ref = gauss_sectional(model, *ref)
+        k_ref = gauss_sectional(0.7, *ref)
 
         # the scan reports row 0 or the reference plane, whichever is extreme
         monkeypatch.setattr(np.random, "default_rng", lambda seed: ScriptedNormals(draws))
@@ -1280,24 +1298,23 @@ class TestScans:
 
     def test_abs_curvature_is_inf_exactly_on_degenerate_rows(self):
         # Gram determinant / (|u|^2 |v|^2) = sin^2 of the angle; the bound is 1e-12
-        model = HypersurfaceModel.from_angle(0.4)
         u, e = np.eye(7)[0] * 3.0, np.eye(7)[2]
         rows = [(0 * u, e), (u, 0 * e), (u, -2.0 * u), (u, u + 1e-7 * e), (u, u + 1e-5 * e),
                 (u, e)]
         got = plane_abs_curvature(gauss(0.4, "operator"), np.array([np.concatenate(r) for r in rows]))
         assert list(got[:4]) == [math.inf] * 4
-        want = abs(gauss_sectional(model, TangentVector.from_coeffs(u),
+        want = abs(gauss_sectional(0.4, TangentVector.from_coeffs(u),
                                    TangentVector.from_coeffs(e)))
         assert got[4] == pytest.approx(want, rel=1e-9)
         assert got[5] == pytest.approx(want, rel=1e-15)
 
     @pytest.mark.parametrize("alpha", [0.0, math.pi / 6, math.pi / 3, 1.2, math.pi / 2])
     def test_operator_sectional_matches_koszul(self, alpha):
-        model = HypersurfaceModel.from_angle(alpha)
+        algebra = build_hypersurface_algebra(alpha)
         rng = np.random.default_rng(12)
         u, v = rng.standard_normal((2, 500, 7))
         k = _sectional_rows(gauss(alpha, "operator"), u, v, math.nan)
-        want = np.array([model.algebra.sectional(x, y) for x, y in zip(u, v)])
+        want = np.array([algebra.sectional(x, y) for x, y in zip(u, v)])
         assert np.max(np.abs(k - want)) <= 1e-14 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("alpha", [0.0, math.pi / 6, math.pi / 3, 1.2, math.pi / 2])

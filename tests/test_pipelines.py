@@ -23,12 +23,16 @@ from solvgeom.hypersurface import (
     _at,
     _gauss_family,
     _gram_schmidt,
+    _model_at,
     ambient_algebra,
     ambient_curvature,
     build_hypersurface_algebra,
+    mean_curvature,
     nonpositivity_scan,
     ricci_gauss_many,
     gauss_sectional,
+    shape_spectrum,
+    zero_curvature_search,
 )
 
 from ricci_reference import random_unit_tangents, ricci_closed_many
@@ -42,32 +46,29 @@ def ambient_span(coeffs):
 
 @pytest.mark.parametrize("alpha", ANGLES)
 def test_ricci_gauss_vs_closed(alpha):
-    model = HypersurfaceModel.from_angle(alpha)
     vecs = random_unit_tangents(np.random.default_rng(1), 200)
-    dev = np.max(np.abs(ricci_gauss_many(model, vecs) - ricci_closed_many(alpha, vecs)))
+    dev = np.max(np.abs(ricci_gauss_many(alpha, vecs) - ricci_closed_many(alpha, vecs)))
     assert dev <= 1e-10
 
 
 @pytest.mark.parametrize("alpha", ANGLES)
 def test_ricci_gauss_vs_koszul(alpha):
-    model = HypersurfaceModel.from_angle(alpha)
     alg = build_hypersurface_algebra(alpha)
     rng = np.random.default_rng(2)
     for _ in range(30):
         v = rng.standard_normal(7)
-        assert ricci_gauss_many(model, v) == pytest.approx(
+        assert ricci_gauss_many(alpha, v) == pytest.approx(
             alg.ricci(v), abs=1e-10
         )
 
 
 @pytest.mark.parametrize("alpha", ANGLES)
 def test_sectional_gauss_vs_koszul(alpha):
-    model = HypersurfaceModel.from_angle(alpha)
     alg = build_hypersurface_algebra(alpha)
     u, v = _gram_schmidt(*np.random.default_rng(3).standard_normal((2, 50, 7)))
     for a, b in zip(u, v):
         ks = gauss_sectional(
-            model, TangentVector.from_coeffs(a), TangentVector.from_coeffs(b)
+            alpha, TangentVector.from_coeffs(a), TangentVector.from_coeffs(b)
         )
         assert ks == pytest.approx(alg.sectional(a, b), abs=1e-10)
 
@@ -76,13 +77,12 @@ def test_sectional_gauss_vs_koszul(alpha):
 @pytest.mark.parametrize("ratio", [0.5, 0.9, 1.1, 2.0])
 def test_both_pipelines_refuse_at_the_same_bound(alpha, ratio):
     # u, v at the angle whose sin^2 = w . w / (|u|^2 |v|^2) is ratio * the bound
-    model = HypersurfaceModel.from_angle(alpha)
     alg = build_hypersurface_algebra(alpha)
     sin = math.sqrt(ratio * DEGENERATE_PLANE_TOL)
     a, b = _gram_schmidt(*np.random.default_rng(4).standard_normal((2, 20, 7)))
     for u, v in zip(3.0 * a, 0.5 * (math.sqrt(1.0 - sin**2) * a + sin * b)):
         refused = []
-        for sectional in (lambda: gauss_sectional(model, TangentVector.from_coeffs(u),
+        for sectional in (lambda: gauss_sectional(alpha, TangentVector.from_coeffs(u),
                                                   TangentVector.from_coeffs(v)),
                           lambda: alg.sectional(u, v)):
             try:
@@ -96,12 +96,11 @@ def test_both_pipelines_refuse_at_the_same_bound(alpha, ratio):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_both_pipelines_refuse_a_plane_that_is_not_finite(bad):
-    model = HypersurfaceModel.from_angle(0.7)
     u, v = np.eye(7)[:2]
     u[3] = bad
     # refused without a numpy warning, though inf * 0 in the products is nan
     with pytest.raises(ValueError, match="^degenerate plane"):
-        gauss_sectional(model, TangentVector.from_coeffs(u), TangentVector.from_coeffs(v))
+        gauss_sectional(0.7, TangentVector.from_coeffs(u), TangentVector.from_coeffs(v))
     with pytest.raises(ValueError, match="^degenerate plane"):
         build_hypersurface_algebra(0.7).sectional(u, v)
 
@@ -112,8 +111,7 @@ def test_both_pipelines_read_planes_of_any_scale(alpha, scale):
     # K does not depend on the lengths of u and v, and both pipelines first
     # scale each by a power of two, which is exact: K at 2^+-700, where the
     # Gram determinant itself under- or overflows, is the unit-scale K
-    model = HypersurfaceModel.from_angle(alpha)
-    gauss = lambda u, v: gauss_sectional(model, TangentVector.from_coeffs(u),
+    gauss = lambda u, v: gauss_sectional(alpha, TangentVector.from_coeffs(u),
                                          TangentVector.from_coeffs(v))
     planes = [np.eye(7)[[0, 2]], *np.random.default_rng(6).standard_normal((5, 2, 7))]
     for sectional in (gauss, build_hypersurface_algebra(alpha).sectional):
@@ -220,19 +218,25 @@ def test_gauss_pipeline_never_builds_an_algebra(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the Gauss pipeline constructed a MetricLieAlgebra")
 
+    def no_model(self):
+        raise AssertionError("the Gauss pipeline built a HypersurfaceModel")
+
     monkeypatch.setattr(MetricLieAlgebra, "__init__", refuse)
-    model = HypersurfaceModel.from_angle(0.9)
+    monkeypatch.setattr(HypersurfaceModel, "__post_init__", no_model)
+    _model_at.cache_clear()  # so that a memoised model cannot hide a build
     vecs = random_unit_tangents(np.random.default_rng(4), 20)
-    assert np.max(np.abs(ricci_gauss_many(model, vecs) - ricci_closed_many(0.9, vecs))) <= 1e-10
+    assert np.max(np.abs(ricci_gauss_many(0.9, vecs) - ricci_closed_many(0.9, vecs))) <= 1e-10
     x, y = TangentVector(a=1), TangentVector(b=1)
-    assert math.isfinite(gauss_sectional(model, x, y))
+    assert math.isfinite(gauss_sectional(0.9, x, y))
+    assert shape_spectrum(0.9)[0] < 0.0 and mean_curvature(0.9) < 0.0
     assert nonpositivity_scan(0.9, samples=100, seed=1).samples == 100
+    assert zero_curvature_search(0.9)[0] <= 1e-14
+    assert _model_at.cache_info().currsize == 0
 
 
 def test_koszul_ricci_basis_independent():
     """The same geometry through a skewed matrix basis gives the same Ricci."""
-    model = HypersurfaceModel.from_angle(0.6)
-    base = model.basis
+    base = HypersurfaceModel.from_angle(0.6).basis
     mix = np.array(
         [
             [2.0, 0, 0, 0, 0, 0, 0],
